@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace archline::serve {
@@ -26,33 +27,33 @@ int resolve_threads(int requested) {
 }
 
 /// Heavy-capable worker count: explicit request clamped to the pool, or
-/// a quarter of the pool (min 1) by default. With the heavy lane
-/// disabled nobody needs heavy capability, so all workers go light-only
-/// plus one all-lanes sweeper (harmless: the heavy lane stays empty).
-int resolve_heavy_workers(int requested, int threads,
-                          std::size_t heavy_capacity) {
-  if (heavy_capacity == 0) return 1;
+/// a quarter of the pool (min 1) by default.
+int resolve_heavy_workers(int requested, int threads) {
   if (requested > 0) return std::min(requested, threads);
   return std::max(1, threads / 4);
+}
+
+const ServerOptions& validated(const ServerOptions& options) {
+  if (options.heavy_lane_capacity == 0)
+    throw std::invalid_argument(
+        "ServerOptions: heavy_lane_capacity must be >= 1");
+  return options;
 }
 
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(options),
+    : options_(validated(options)),
       clock_(options.clock ? options.clock : &sim::real_clock()),
       cache_(options.cache_capacity, options.cache_shards),
       metrics_(options.clock),
-      // Heavy lane disabled (capacity 0) => Heavy requests are routed to
-      // the light lane by lane_for(), restoring the unified single-queue
-      // behavior — the A/B baseline for the starvation benchmark.
       queue_(std::array<LaneConfig, kLaneCount>{
           LaneConfig{options.queue_capacity, kLightWeight},
           LaneConfig{options.heavy_lane_capacity, kHeavyWeight}}),
       online_(options.online) {
   options_.threads = resolve_threads(options_.threads);
-  options_.heavy_workers = resolve_heavy_workers(
-      options_.heavy_workers, options_.threads, options_.heavy_lane_capacity);
+  options_.heavy_workers =
+      resolve_heavy_workers(options_.heavy_workers, options_.threads);
 }
 
 Server::~Server() { shutdown(); }
@@ -79,45 +80,28 @@ void Server::start() {
   running_.store(true, std::memory_order_release);
 }
 
-std::size_t Server::lane_for(std::string_view line) const noexcept {
-  if (options_.heavy_lane_capacity == 0) return kLightLane;
-  return classify_line(line) == RequestClass::Heavy ? kHeavyLane : kLightLane;
-}
-
 bool Server::submit(std::string line, Done done) {
-  const std::size_t lane = lane_for(line);
-  const int deadline_ms = lane == kHeavyLane && options_.heavy_deadline_ms > 0
-                              ? options_.heavy_deadline_ms
-                              : options_.request_deadline_ms;
-  const auto deadline =
-      deadline_ms > 0 ? clock_->now() + std::chrono::milliseconds(deadline_ms)
-                      : Clock::time_point::max();
-  return submit_to_lane(std::move(line), std::move(done), deadline, lane);
-}
-
-bool Server::submit(std::string line, Done done, Clock::time_point deadline) {
-  return submit_to_lane(std::move(line), std::move(done), deadline,
-                        lane_for(line));
+  return submit_to_lane(std::move(line), std::move(done), nullptr, false);
 }
 
 bool Server::submit(std::string line, Done done,
                     std::shared_ptr<ShardedLruCache> cache,
                     bool cache_prechecked) {
-  const std::size_t lane = lane_for(line);
+  return submit_to_lane(std::move(line), std::move(done), std::move(cache),
+                        cache_prechecked);
+}
+
+bool Server::submit_to_lane(std::string line, Done done,
+                            std::shared_ptr<ShardedLruCache> cache,
+                            bool cache_prechecked) {
+  const std::size_t lane =
+      classify_line(line) == RequestClass::Heavy ? kHeavyLane : kLightLane;
   const int deadline_ms = lane == kHeavyLane && options_.heavy_deadline_ms > 0
                               ? options_.heavy_deadline_ms
                               : options_.request_deadline_ms;
   const auto deadline =
       deadline_ms > 0 ? clock_->now() + std::chrono::milliseconds(deadline_ms)
                       : Clock::time_point::max();
-  return submit_to_lane(std::move(line), std::move(done), deadline, lane,
-                        std::move(cache), cache_prechecked);
-}
-
-bool Server::submit_to_lane(std::string line, Done done,
-                            Clock::time_point deadline, std::size_t lane,
-                            std::shared_ptr<ShardedLruCache> cache,
-                            bool cache_prechecked) {
   // `admitted` anchors queue-inclusive latency; like handle_into, it is
   // only stamped for requests whose latency is sampled.
   Job job{std::move(line), std::move(done),

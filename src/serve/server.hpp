@@ -69,15 +69,15 @@ struct ServerOptions {
   /// Light-lane capacity: admitted-but-incomplete Light requests. Past
   /// this, submit rejects with the canned "overloaded" reply.
   std::size_t queue_capacity = 1024;
-  /// Heavy-lane capacity. Deliberately much smaller than the light
-  /// lane: a heavy request is worth milliseconds of worker time, so a
-  /// short queue keeps the backlog (and thus heavy queue latency)
-  /// bounded. 0 disables the lane — heavy requests then share the
-  /// light lane (the pre-lane behavior, useful for A/B benchmarks).
+  /// Heavy-lane capacity, at least 1 (the Server constructor throws
+  /// std::invalid_argument on 0). Deliberately much smaller than the
+  /// light lane: a heavy request is worth milliseconds of worker time,
+  /// so a short queue keeps the backlog (and thus heavy queue latency)
+  /// bounded.
   std::size_t heavy_lane_capacity = 64;
   /// Workers allowed to execute Heavy requests; 0 means max(1,
-  /// threads/4). Clamped to [1, threads] when the heavy lane is
-  /// enabled. The remaining workers are light-only.
+  /// threads/4). Clamped to [1, threads]. The remaining workers are
+  /// light-only.
   int heavy_workers = 0;
   /// Response cache entries across all shards; 0 disables caching.
   std::size_t cache_capacity = 1 << 16;
@@ -116,6 +116,7 @@ class Server {
   static constexpr unsigned kLightWeight = 4;
   static constexpr unsigned kHeavyWeight = 1;
 
+  /// Throws std::invalid_argument when heavy_lane_capacity is 0.
   explicit Server(ServerOptions options = {});
 
   /// Joins workers (calls shutdown() if still running).
@@ -140,12 +141,6 @@ class Server {
   /// passes, `done` receives deadline_exceeded_body() and the request
   /// is never executed.
   [[nodiscard]] bool submit(std::string line, Done done);
-
-  /// Same, with an explicit absolute deadline (Clock::time_point::max()
-  /// = no deadline). The transport uses this to thread per-request
-  /// deadlines through the queue.
-  [[nodiscard]] bool submit(std::string line, Done done,
-                            Clock::time_point deadline);
 
   /// Submit against a transport-owned response-cache partition instead
   /// of the server-wide cache: the lookup and the miss-fill both go to
@@ -252,16 +247,11 @@ class Server {
   /// runs deep.
   static constexpr std::size_t kWorkerBatch = 16;
 
-  /// The lane a request line is admitted to (classify_line + the
-  /// heavy-lane-disabled fallback).
-  [[nodiscard]] std::size_t lane_for(std::string_view line) const noexcept;
-
-  /// Shared tail of the submit overloads once the lane and deadline
-  /// are settled.
-  [[nodiscard]] bool submit_to_lane(
-      std::string line, Done done, Clock::time_point deadline,
-      std::size_t lane, std::shared_ptr<ShardedLruCache> cache = nullptr,
-      bool cache_prechecked = false);
+  /// Shared body of the submit overloads: classifies the line into its
+  /// lane, stamps the lane's deadline, and pushes the job.
+  [[nodiscard]] bool submit_to_lane(std::string line, Done done,
+                                    std::shared_ptr<ShardedLruCache> cache,
+                                    bool cache_prechecked);
 
   /// Cache + registry execution shared by workers and handle_now /
   /// handle_into. The response is rendered into reply.body (capacity

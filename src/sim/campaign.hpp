@@ -72,10 +72,11 @@ struct BehaviorMix {
   double idle_camper = 0.0;
 };
 
-/// Relative weights over the request vocabulary (the loadgen scenario
-/// pools): predict / predict_batch / observe / params / policy_advise /
-/// refit, plus a sequential codec-style GOP trace (predicts with a
-/// policy_advise at each GOP head) and malformed JSON lines.
+/// Relative weights over the request vocabulary (sim/request_pools.hpp,
+/// which serve_loadgen draws from too): predict / predict_batch /
+/// observe / params / policy_advise / refit, plus a sequential
+/// codec-style GOP trace (predicts with a policy_advise at each GOP
+/// head) and malformed JSON lines.
 struct WorkloadMix {
   double predict = 1.0;
   double predict_batch = 0.0;

@@ -4,6 +4,8 @@
 // These back the paper's Fig. 4 (error-distribution boxplots: median and
 // 25%/75% quantiles) and the summary statistics quoted in §V.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -26,6 +28,18 @@ namespace archline::stats {
 /// Quantile with linear interpolation (R type-7, the R/NumPy default).
 /// p must lie in [0, 1]; input must be non-empty (need not be sorted).
 [[nodiscard]] double quantile(std::span<const double> xs, double p);
+
+/// Nearest-rank quantile of an ascending-sorted sample: the element of
+/// 1-based rank ceil(q * n), clamped to [1, n]. Always an observed value
+/// (no interpolation), so latency percentiles stay exact sample values.
+/// Returns T{} for an empty sample.
+template <typename T>
+[[nodiscard]] T nearest_rank(const std::vector<T>& sorted, double q) noexcept {
+  if (sorted.empty()) return T{};
+  const double r = std::ceil(q * static_cast<double>(sorted.size()));
+  const std::size_t idx = r < 1.0 ? 0 : static_cast<std::size_t>(r) - 1;
+  return sorted[std::min(idx, sorted.size() - 1)];
+}
 
 /// Median (type-7 quantile at p = 0.5).
 [[nodiscard]] double median(std::span<const double> xs);

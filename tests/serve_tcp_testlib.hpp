@@ -1,26 +1,22 @@
 #pragma once
 // Shared fixtures for TCP transport tests (test_serve_tcp.cpp,
 // test_sim_fault.cpp): a Server + TcpListener + event-loop thread
-// bundle on an ephemeral port, and blocking client-side socket
-// helpers. Linux-only, like the transport itself.
+// bundle on an ephemeral port, plus the blocking client helpers from
+// sim/tcp_client.hpp. Linux-only, like the transport itself.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/server.hpp"
 #include "serve/tcp.hpp"
+#include "sim/tcp_client.hpp"
 
 namespace serve_tcp_testlib {
 
@@ -60,64 +56,14 @@ class TcpTransport {
   bool opened_ = false;
 };
 
-inline int connect_to(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
+/// The blocking client helpers (connect_tcp, send_all, read_lines)
+/// come from the serve harness library.
+using archline::sim::connect_tcp;
+using archline::sim::read_lines;
+using archline::sim::send_all;
 
-inline bool send_all(int fd, const std::string& data) {
-  const char* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads newline-delimited responses until `count` arrived or the peer
-/// closed; returns what it got. Extracts at most `count` lines — extra
-/// buffered bytes stay in `carry` for a later call (pass the same
-/// string when splitting one pipelined reply across calls).
-inline std::vector<std::string> read_lines(int fd, std::size_t count,
-                                           std::string* carry = nullptr) {
-  std::vector<std::string> lines;
-  std::string local;
-  std::string& buffer = carry ? *carry : local;
-  char chunk[65536];
-  for (;;) {
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && lines.size() < count;
-         nl = buffer.find('\n', start)) {
-      lines.push_back(buffer.substr(start, nl - start));
-      start = nl + 1;
-    }
-    buffer.erase(0, start);
-    if (lines.size() >= count) break;
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  return lines;
-}
+/// Test transports listen on loopback.
+inline const std::string kLoopback = "127.0.0.1";
 
 /// recv() until EOF (or error); true when the peer closed cleanly.
 inline bool wait_for_eof(int fd) {

@@ -88,6 +88,17 @@ TEST(Quantile, EmptyThrows) {
                std::invalid_argument);
 }
 
+TEST(NearestRank, CeilingRankOfSortedSample) {
+  const std::vector<int> xs = {10, 20, 30, 40};
+  EXPECT_EQ(st::nearest_rank(xs, 0.0), 10);   // rank clamps up to 1
+  EXPECT_EQ(st::nearest_rank(xs, 0.25), 10);  // ceil(1.0) = rank 1
+  EXPECT_EQ(st::nearest_rank(xs, 0.26), 20);
+  EXPECT_EQ(st::nearest_rank(xs, 0.50), 20);  // lower median, no interpolation
+  EXPECT_EQ(st::nearest_rank(xs, 0.99), 40);
+  EXPECT_EQ(st::nearest_rank(xs, 1.0), 40);
+  EXPECT_EQ(st::nearest_rank(std::vector<double>{}, 0.5), 0.0);
+}
+
 TEST(Summarize, FiveNumbers) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
   const st::FiveNumberSummary s = st::summarize(xs);

@@ -118,7 +118,8 @@ TEST(ServeGolden, ShardedTransportRepliesByteIdentically) {
   tcp.use_reuseport = false;  // round-robin: the corpus visits every shard
   serve_tcp_testlib::TcpTransport transport(options, tcp);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const int fd = serve_tcp_testlib::connect_to(transport.port());
+    const int fd = serve_tcp_testlib::connect_tcp(
+        serve_tcp_testlib::kLoopback, transport.port());
     ASSERT_GE(fd, 0);
     ASSERT_TRUE(serve_tcp_testlib::send_all(fd, requests[i] + "\n"));
     const auto got = serve_tcp_testlib::read_lines(fd, 1);

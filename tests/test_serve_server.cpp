@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -215,16 +216,19 @@ TEST(ServeServer, ExpiredDeadlineAnswersWithoutExecuting) {
   // Workers not started: jobs sit in the queue past their deadline, and
   // the shutdown drain must answer them with the canned deadline error
   // (same code path the worker loop uses).
-  Server server(small_options());
+  archline::sim::SimClock clock;
+  ServerOptions options = small_options();
+  options.request_deadline_ms = 1;
+  options.clock = &clock;
+  Server server(options);
   std::vector<std::string> bodies;
-  const auto past = Server::Clock::now() - std::chrono::milliseconds(1);
   ASSERT_TRUE(server.submit(
-      kPredict, [&](std::string&& b) { bodies.push_back(std::move(b)); },
-      past));
-  // No deadline: must execute normally even on the drain path.
+      kPredict, [&](std::string&& b) { bodies.push_back(std::move(b)); }));
+  clock.advance_ms(2);  // the first job is now 1 ms past its deadline
+  // Admitted after the advance: still in time, so it must execute
+  // normally even on the drain path.
   ASSERT_TRUE(server.submit(
-      kPredict, [&](std::string&& b) { bodies.push_back(std::move(b)); },
-      Server::Clock::time_point::max()));
+      kPredict, [&](std::string&& b) { bodies.push_back(std::move(b)); }));
   server.shutdown();
   ASSERT_EQ(bodies.size(), 2u);
   EXPECT_EQ(Json::parse(bodies[0]).string_or("error", ""),
@@ -357,18 +361,11 @@ TEST(ServeServer, HeavyLaneFullStillAdmitsLightRequests) {
   EXPECT_EQ(completed.load(), 6);
 }
 
-TEST(ServeServer, DisabledHeavyLaneRoutesEverythingLight) {
+TEST(ServeServer, ZeroHeavyLaneCapacityIsRejected) {
+  // There is no lane-less mode: Heavy work always has its own lane.
   ServerOptions options = small_options();
-  options.heavy_lane_capacity = 0;  // pre-lane unified behavior
-  Server server(options);
-  std::atomic<int> completed{0};
-  ASSERT_TRUE(server.submit(fit_request(0),
-                            [&](std::string&&) { completed.fetch_add(1); }));
-  const auto snap = server.metrics().snapshot();
-  EXPECT_EQ(snap.lanes[kLightLane].depth, 1u);
-  EXPECT_EQ(snap.lanes[kHeavyLane].depth, 0u);
-  server.shutdown();
-  EXPECT_EQ(completed.load(), 1);
+  options.heavy_lane_capacity = 0;
+  EXPECT_THROW({ Server server(options); }, std::invalid_argument);
 }
 
 TEST(ServeServer, HeavyDeadlineOverridesDefault) {

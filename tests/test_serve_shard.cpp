@@ -30,7 +30,8 @@ namespace {
 
 using namespace archline::serve;
 using serve_tcp_testlib::TcpTransport;
-using serve_tcp_testlib::connect_to;
+using serve_tcp_testlib::connect_tcp;
+using serve_tcp_testlib::kLoopback;
 using serve_tcp_testlib::read_lines;
 using serve_tcp_testlib::send_all;
 using serve_tcp_testlib::wait_for_eof;
@@ -173,7 +174,7 @@ TEST(ServeTcpShard, ReuseportShardsServeConnectionsAndAggregateStats) {
 
   std::vector<int> fds;
   for (int i = 0; i < 32; ++i) {
-    const int fd = connect_to(transport.port());
+    const int fd = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fd, 0);
     ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
     const auto lines = read_lines(fd, 1);
@@ -220,7 +221,7 @@ TEST(ServeTcpShard, HandoffModePlacesConnectionsRoundRobin) {
   // order is the connect order: conn 0 -> shard 0, conn 1 -> shard 1.
   int fds[2];
   for (int i = 0; i < 2; ++i) {
-    fds[i] = connect_to(transport.port());
+    fds[i] = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fds[i], 0);
     ASSERT_TRUE(send_all(fds[i], std::string(kPredict) + "\n"));
     ASSERT_EQ(read_lines(fds[i], 1).size(), 1u);
@@ -246,7 +247,7 @@ TEST(ServeTcpShard, PartitionsAgreeAcrossShardsAndRefitInvalidatesAll) {
   int fds[2];
   std::string before[2];
   for (int i = 0; i < 2; ++i) {
-    fds[i] = connect_to(transport.port());
+    fds[i] = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fds[i], 0);
     ASSERT_TRUE(send_all(fds[i], std::string(kPredict) + "\n"));
     const auto lines = read_lines(fds[i], 1);
@@ -320,7 +321,7 @@ TEST(ServeTcpShard, ChurnedRefitsNeverServeAStaleGeneration) {
   int fds[kShards];
   std::string prev_predict;
   for (int i = 0; i < kShards; ++i) {
-    fds[i] = connect_to(transport.port());
+    fds[i] = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fds[i], 0);
     ASSERT_TRUE(send_all(fds[i], std::string(kPredict) + "\n"));
     const auto lines = read_lines(fds[i], 1);
@@ -442,7 +443,7 @@ TEST(ServeTcpShard, DrainGraceHonoredDespiteLongPollInterval) {
 
   // One request whose reply can never flush: the connection is exactly
   // the "peer stopped reading" shutdown hostage.
-  const int fd = connect_to(t.listener->port());
+  const int fd = connect_tcp(kLoopback, t.listener->port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -451,7 +452,7 @@ TEST(ServeTcpShard, DrainGraceHonoredDespiteLongPollInterval) {
   t.stop.store(true, std::memory_order_release);
   // Wake the loop out of its 5 s epoll_wait so it notices the stop;
   // from that point the grace clock runs.
-  const int waker = connect_to(t.listener->port());
+  const int waker = connect_tcp(kLoopback, t.listener->port());
   while (!t.done.load(std::memory_order_acquire) &&
          std::chrono::steady_clock::now() - t0 < std::chrono::seconds(4))
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -480,7 +481,7 @@ TEST(ServeTcpShard, DrainGraceDeadlineIsExactUnderSimClock) {
   ManualTransport t(tcp);
   ASSERT_TRUE(t.opened);
 
-  const int fd = connect_to(t.listener->port());
+  const int fd = connect_tcp(kLoopback, t.listener->port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(150));

@@ -26,7 +26,8 @@ namespace {
 
 using namespace archline::serve;
 using serve_tcp_testlib::TcpTransport;
-using serve_tcp_testlib::connect_to;
+using serve_tcp_testlib::connect_tcp;
+using serve_tcp_testlib::kLoopback;
 using serve_tcp_testlib::read_lines;
 using serve_tcp_testlib::send_all;
 using serve_tcp_testlib::wait_for_eof;
@@ -45,7 +46,7 @@ ServerOptions small_options() {
 
 TEST(ServeTcp, AnswersPipelinedRequestsInOrder) {
   TcpTransport transport(small_options(), TcpOptions{});
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   std::string block;
   for (int i = 0; i < 20; ++i) {
@@ -70,7 +71,7 @@ TEST(ServeTcp, AnswersPipelinedRequestsInOrder) {
 
 TEST(ServeTcp, HalfCloseStillAnswersFinalUnterminatedLine) {
   TcpTransport transport(small_options(), TcpOptions{});
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   // One complete line, then a final request with no trailing newline,
   // then half-close the write side. Both must be answered.
@@ -92,7 +93,7 @@ TEST(ServeTcp, PipelinedBurstBiggerThanLineLimitIsNotRejected) {
   ServerOptions options = small_options();
   options.limits.max_request_bytes = 512;
   TcpTransport transport(options, TcpOptions{});
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   std::string block;
   constexpr int kRequests = 64;  // ~70 bytes each: way past 2 * 512 total
@@ -111,7 +112,7 @@ TEST(ServeTcp, UnterminatedOversizedLineGetsTooLargeThenClose) {
   ServerOptions options = small_options();
   options.limits.max_request_bytes = 512;
   TcpTransport transport(options, TcpOptions{});
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   // A single "line" that never ends and exceeds the limit.
   const std::string endless(2048, 'x');
@@ -127,8 +128,8 @@ TEST(ServeTcp, ConnectionCapAnswersOverloadedAndCloses) {
   TcpOptions tcp;
   tcp.max_connections = 2;
   TcpTransport transport(small_options(), tcp);
-  const int fd1 = connect_to(transport.port());
-  const int fd2 = connect_to(transport.port());
+  const int fd1 = connect_tcp(kLoopback, transport.port());
+  const int fd2 = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd1, 0);
   ASSERT_GE(fd2, 0);
   // Round-trips prove both are accepted (not just queued in the
@@ -138,7 +139,7 @@ TEST(ServeTcp, ConnectionCapAnswersOverloadedAndCloses) {
   ASSERT_EQ(read_lines(fd1, 1).size(), 1u);
   ASSERT_EQ(read_lines(fd2, 1).size(), 1u);
 
-  const int fd3 = connect_to(transport.port());
+  const int fd3 = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd3, 0);
   const auto rejected = read_lines(fd3, 1);
   ASSERT_EQ(rejected.size(), 1u);
@@ -158,7 +159,7 @@ TEST(ServeTcp, CapFreesUpWhenAConnectionCloses) {
   TcpOptions tcp;
   tcp.max_connections = 1;
   TcpTransport transport(small_options(), tcp);
-  const int fd1 = connect_to(transport.port());
+  const int fd1 = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd1, 0);
   ASSERT_TRUE(send_all(fd1, std::string(kPredict) + "\n"));
   ASSERT_EQ(read_lines(fd1, 1).size(), 1u);
@@ -171,7 +172,7 @@ TEST(ServeTcp, CapFreesUpWhenAConnectionCloses) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   bool served = false;
   while (!served && std::chrono::steady_clock::now() < deadline) {
-    const int fd = connect_to(transport.port());
+    const int fd = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fd, 0);
     if (send_all(fd, std::string(kPredict) + "\n")) {
       const auto lines = read_lines(fd, 1);
@@ -196,7 +197,7 @@ TEST(ServeTcp, IdleConnectionIsClosedAndCounted) {
   tcp.poll_interval_ms = 5;
   tcp.clock = &clock;
   TcpTransport transport(small_options(), tcp);
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   // Activity first, so the close below is provably the idle timer —
   // and proof the connection survives while sim time stands still.
@@ -211,16 +212,17 @@ TEST(ServeTcp, IdleConnectionIsClosedAndCounted) {
 }
 
 TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {
-  // One worker, 1 ms deadline: a large fit occupies the worker for much
-  // longer than 1 ms, so the predicts pipelined behind it expire in the
-  // queue and must be answered with the canned deadline error. The
-  // heavy lane is disabled so the fit shares a lane with the predicts —
-  // with lanes on, the scheduler would serve the predicts first and
-  // defeat the head-of-line blocking this test depends on.
+  // One worker, 1 ms light deadline: a large fit occupies the only
+  // worker for much longer than 1 ms, so predicts queued while it runs
+  // expire in the light lane and must be answered with the canned
+  // deadline error. The fit goes first and alone; the predicts are sent
+  // only once the worker has popped it, so the lane scheduler cannot
+  // serve them ahead of it. The fit's own deadline is generous so it
+  // always executes.
   ServerOptions options = small_options();
   options.threads = 1;
-  options.heavy_lane_capacity = 0;
   options.request_deadline_ms = 1;
+  options.heavy_deadline_ms = 60'000;
   TcpTransport transport(options, TcpOptions{});
 
   Json obs = Json::array();
@@ -236,25 +238,39 @@ TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {
   fit.set("type", "fit");
   fit.set("observations", std::move(obs));
 
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
-  std::string block = fit.dump() + "\n";
+  ASSERT_TRUE(send_all(fd, fit.dump() + "\n"));
+  // The worker publishes the heavy lane's depth after each pop: peak 1
+  // with depth 0 means the fit was admitted and is now executing.
+  const auto fit_executing = [&] {
+    const auto heavy =
+        transport.server().metrics().snapshot().lanes[kHeavyLane];
+    return heavy.peak == 1 && heavy.depth == 0;
+  };
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while (!fit_executing()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::yield();
+  }
   constexpr int kLateRequests = 5;
+  std::string block;
   for (int i = 0; i < kLateRequests; ++i)
     block += std::string(kPredict) + "\n";
   ASSERT_TRUE(send_all(fd, block));
   const auto lines = read_lines(fd, 1 + kLateRequests);
   ASSERT_EQ(lines.size(), 1u + kLateRequests);
-  // The fit itself ran (its deadline had not passed at pop time is not
-  // guaranteed — it may expire too if the loop submitted it late — but
-  // the trailing predicts MUST all be deadline errors).
+  EXPECT_TRUE(Json::parse(lines[0]).bool_or("ok", false)) << lines[0];
   for (int i = 1; i <= kLateRequests; ++i)
     EXPECT_EQ(Json::parse(lines[static_cast<std::size_t>(i)])
                   .string_or("error", ""),
               "deadline_exceeded");
   ::close(fd);
   const auto snap = transport.server().metrics().snapshot();
-  EXPECT_GE(snap.deadline_exceeded, static_cast<std::uint64_t>(kLateRequests));
+  EXPECT_EQ(snap.lanes[kLightLane].deadline_exceeded,
+            static_cast<std::uint64_t>(kLateRequests));
+  EXPECT_EQ(snap.lanes[kHeavyLane].deadline_exceeded, 0u);
 }
 
 TEST(ServeTcp, GracefulStopFlushesAdmittedWork) {
@@ -262,7 +278,7 @@ TEST(ServeTcp, GracefulStopFlushesAdmittedWork) {
   // admitted request must still be answered before the socket closes.
   auto transport =
       std::make_unique<TcpTransport>(small_options(), TcpOptions{});
-  const int fd = connect_to(transport->port());
+  const int fd = connect_tcp(kLoopback, transport->port());
   ASSERT_GE(fd, 0);
   constexpr int kRequests = 16;
   std::string block;
@@ -292,7 +308,7 @@ TEST(ServeTcp, ManyConcurrentConnections) {
   constexpr int kPerConn = 8;
   std::vector<int> fds;
   for (int i = 0; i < kConns; ++i) {
-    const int fd = connect_to(transport.port());
+    const int fd = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fd, 0);
     fds.push_back(fd);
   }

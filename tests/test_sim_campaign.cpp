@@ -331,6 +331,14 @@ TEST(Campaign, ScenarioPresetsAllValidateAndUnknownThrows) {
         bad.validate();
       }(),
       std::invalid_argument);
+  // The modeled server, like serve::Server, has no lane-less mode.
+  EXPECT_THROW(
+      []() {
+        CampaignOptions bad;
+        bad.heavy_capacity = 0;
+        bad.validate();
+      }(),
+      std::invalid_argument);
 }
 
 TEST(Campaign, AssertSloListsEveryViolation) {

@@ -30,7 +30,8 @@ using archline::sim::FaultScript;
 using archline::sim::FaultyTransport;
 using archline::sim::ShardedFaultyTransport;
 using serve_tcp_testlib::TcpTransport;
-using serve_tcp_testlib::connect_to;
+using serve_tcp_testlib::connect_tcp;
+using serve_tcp_testlib::kLoopback;
 using serve_tcp_testlib::read_lines;
 using serve_tcp_testlib::send_all;
 using serve_tcp_testlib::wait_for_eof;
@@ -283,7 +284,7 @@ void run_pipelined_campaign(FaultyTransport& faulty, int count,
   tcp.socket_ops = &faulty;
   tcp.poll_interval_ms = 5;
   TcpTransport transport(options, tcp);
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   std::string block;
   for (int i = 0; i < count; ++i) {
@@ -375,7 +376,7 @@ TEST(SimFault, MidFrameResetClosesConnectionAndCounts) {
   tcp.socket_ops = &faulty;
   tcp.poll_interval_ms = 5;
   TcpTransport transport(small_options(), tcp);
-  const int fd = connect_to(transport.port());
+  const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   (void)send_all(fd, std::string(kPredict) + "\n");
   // The server tears the connection down; because its receive buffer
@@ -404,7 +405,7 @@ TEST(SimFault, AcceptFailuresDelayButNeverLoseConnections) {
   tcp.poll_interval_ms = 5;
   TcpTransport transport(small_options(), tcp);
   for (int i = 0; i < 8; ++i) {
-    const int fd = connect_to(transport.port());
+    const int fd = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fd, 0);
     ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
     const auto lines = read_lines(fd, 1);
@@ -452,7 +453,7 @@ void run_sharded_campaign(SocketOps& ops, TcpOptions tcp, int conns,
   TcpTransport transport(small_options(), tcp);
   std::vector<int> fds;
   for (int c = 0; c < conns; ++c) {
-    const int fd = connect_to(transport.port());
+    const int fd = connect_tcp(kLoopback, transport.port());
     ASSERT_GE(fd, 0);
     std::string block;
     for (int i = 0; i < per_conn; ++i) {

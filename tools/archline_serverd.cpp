@@ -132,10 +132,15 @@ int main(int argc, char** argv) {
     else if (arg == "--queue")
       options.queue_capacity = static_cast<std::size_t>(
           parse_long(argv[0], "--queue", value()));
-    else if (arg == "--heavy-lane-capacity")
+    else if (arg == "--heavy-lane-capacity") {
       options.heavy_lane_capacity = static_cast<std::size_t>(
           parse_long(argv[0], "--heavy-lane-capacity", value()));
-    else if (arg == "--heavy-workers")
+      if (options.heavy_lane_capacity == 0) {
+        std::fprintf(stderr, "%s: --heavy-lane-capacity must be >= 1\n",
+                     argv[0]);
+        usage(argv[0], 2);
+      }
+    } else if (arg == "--heavy-workers")
       options.heavy_workers = static_cast<int>(
           parse_long(argv[0], "--heavy-workers", value()));
     else if (arg == "--cache")
