@@ -17,7 +17,7 @@
 //                    (each a real solver run) while the others send
 //                    predicts one at a time; the reported client batch
 //                    latency IS per-predict latency under the flood —
-//                    the number the server's per-class lanes bound
+//                    the number inline Light execution keeps flat
 //   observe-heavy    a live-learning ingest workload: 70% observe
 //                    (streaming measured tuples, never cached), 20%
 //                    predict, 10% params. Every connection draws from
@@ -26,9 +26,9 @@
 //   batch-predict    pure predict_batch traffic with a deterministic
 //                    spread of batch sizes (1, 8, 64, 256 cycling over
 //                    the key pool), so one run crosses the classifier
-//                    boundary and exercises both the Light and Heavy
-//                    lanes; replies are cacheable, so the determinism
-//                    check replays byte-identically
+//                    boundary and exercises both the inline Light path
+//                    and the Heavy pool; replies are cacheable, so the
+//                    determinism check replays byte-identically
 //   trace-replay     an embedded codec-like trace: 12-frame GOPs
 //                    (IBBPBBPBBPBB) of per-frame predicts whose
 //                    flops/intensity follow the frame type, with one
@@ -70,7 +70,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -369,12 +368,13 @@ void inproc_worker(const Config& cfg, int thread_id, serve::Server& server,
   }
 }
 
-/// --scenario heavy-starvation, in-process. handle_now() bypasses the
-/// queue, so this path goes through Server::submit instead: one flooder
-/// thread keeps up to 32 cache-defeating fits in flight (bounded by the
-/// heavy lane, which bounces the rest), while `connections - 1` threads
-/// run closed-loop predicts and record every per-request latency — the
-/// number the per-class lanes are supposed to keep flat.
+/// --scenario heavy-starvation, in-process. handle_now() runs Heavy
+/// requests inline, so this path goes through Server::submit instead:
+/// one flooder thread keeps up to 32 cache-defeating fits in flight on
+/// the Heavy pool (bounded by its queue, which bounces the rest), while
+/// `connections - 1` threads run closed-loop predicts — each finishes
+/// inside submit, on its own thread — and record every per-request
+/// latency, the number inline Light execution keeps flat.
 void inproc_starvation(const Config& cfg, serve::Server& server,
                        const std::vector<std::string>& predicts,
                        const std::vector<std::string>& fits, long per_conn,
@@ -397,7 +397,7 @@ void inproc_starvation(const Config& cfg, serve::Server& server,
             totals.count(body);
             inflight.fetch_sub(1, std::memory_order_acq_rel);
           });
-      if (!admitted) {  // heavy lane full — exactly the designed backstop
+      if (!admitted) {  // Heavy queue full — exactly the designed backstop
         inflight.fetch_sub(1, std::memory_order_acq_rel);
         std::this_thread::yield();
       }
@@ -410,26 +410,17 @@ void inproc_starvation(const Config& cfg, serve::Server& server,
   for (int t = 0; t < cfg.connections - 1; ++t)
     threads.emplace_back([&, t] {
       stats::Rng rng(cfg.seed, static_cast<std::uint64_t>(t + 1));
-      std::mutex mutex;
-      std::condition_variable cv;
       for (long i = 0; i < per_conn; ++i) {
         const std::string& line =
             predicts[static_cast<std::size_t>(rng.below(predicts.size()))];
         bool answered = false;
         const auto t0 = std::chrono::steady_clock::now();
-        while (!server.submit(line, [&](std::string&& body) {
-          totals.count(body);
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            answered = true;
-          }
-          cv.notify_one();
-        }))
-          std::this_thread::yield();
-        {
-          std::unique_lock<std::mutex> lock(mutex);
-          cv.wait(lock, [&] { return answered; });
-        }
+        if (!server.submit(line, [&](std::string&& body) {
+              totals.count(body);
+              answered = true;
+            }) ||
+            !answered)
+          std::abort();  // a Light request must finish inside submit
         totals.record_batch_latency(
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)

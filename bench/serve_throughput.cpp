@@ -2,7 +2,7 @@
 //
 // Most scenarios drive serve::Server (or one of its parts) directly —
 // no sockets, no pipelining — so the numbers isolate per-request cost:
-// cache lookup, JSON parse, protocol dispatch, queue hand-off. The
+// cache lookup, JSON parse, protocol dispatch. The
 // tcp_* and predict_batch_{1,64,256} scenarios additionally cross the
 // real TCP front end. serve_loadgen measures the whole daemon; this
 // tool answers "what does one request cost, and where".
@@ -10,7 +10,6 @@
 // Scenarios:
 //   cached_hit_1t    handle_now() on a warmed key pool, one thread
 //   cached_hit_mt    same, all hardware threads hammering one server
-//   worker_pool_mt   submit() through the lane scheduler + worker pool
 //   miss_predict_1t  predict with the cache disabled (parse + eval + dump)
 //   predict_batch_{1,64,256}  predict_batch with N elements per request
 //                    through the TCP front end, one request per round
@@ -22,11 +21,13 @@
 //                    handle_into (no transport): the SoA evaluate +
 //                    render marginal cost per element
 //   json_parse_1t    Json::parse of a representative predict line
-//   queue_spsc       LaneScheduler push/pop ping between two threads
-//   queue_spsc_batch same, consumer drains with pop_n(64) (server shape)
-//   predict_no_flood         closed-loop predict latency, idle server
-//   heavy_starvation         same, under a sustained flood of unique-id
-//                            fits: the per-class isolation claim, measured
+//   predict_no_flood         closed-loop warmed predict latency through
+//                            submit(): a Light request completes on the
+//                            submitting thread, so this is the cost of
+//                            submit's inline path (probe + hit + done)
+//   heavy_starvation         same, while a flooder keeps 32 unique-id
+//                            fits in flight on the Heavy pool: the
+//                            isolation claim, measured
 //   observe_ingest_1t        "observe" with an 8-tuple batch: parse +
 //                            per-tuple RLS update + ring-buffer write,
 //                            never cached — the streaming ingest cost
@@ -61,11 +62,9 @@
 // Usage: serve_throughput [--seconds S] [--threads N] [--out FILE]
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -79,7 +78,6 @@
 #include <unistd.h>
 
 #include "serve/json.hpp"
-#include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp.hpp"
 #include "sim/request_pools.hpp"
@@ -274,38 +272,6 @@ ScenarioResult bench_cached_hit_mt(const Config& cfg,
   return r;
 }
 
-ScenarioResult bench_worker_pool_mt(const Config& cfg,
-                                    const std::vector<std::string>& pool,
-                                    int producers) {
-  serve::Server server;
-  server.start();
-  for (const std::string& line : pool) (void)server.handle_now(line);
-  std::atomic<std::uint64_t> submitted{0};
-  std::atomic<std::uint64_t> completed{0};
-  std::size_t next = 0;
-  std::mutex next_mutex;
-  auto r = run_multi("worker_pool_mt", cfg.seconds, producers, [&](int) {
-    std::string line;
-    {
-      std::lock_guard<std::mutex> lock(next_mutex);
-      line = pool[next];
-      if (++next == pool.size()) next = 0;
-    }
-    while (!server.submit(line, [&](std::string&&) {
-      completed.fetch_add(1, std::memory_order_relaxed);
-    })) {
-      std::this_thread::yield();
-    }
-    submitted.fetch_add(1, std::memory_order_relaxed);
-  });
-  // Drain: every submitted done must fire before the server dies.
-  while (completed.load(std::memory_order_acquire) <
-         submitted.load(std::memory_order_acquire))
-    std::this_thread::yield();
-  server.shutdown();
-  return r;
-}
-
 ScenarioResult bench_miss_predict_1t(const Config& cfg,
                                      const std::vector<std::string>& pool) {
   serve::ServerOptions opt;
@@ -356,62 +322,11 @@ ScenarioResult bench_json_parse_insitu_1t(const Config& cfg,
   });
 }
 
-/// One producer pushes, one consumer pops, both full-tilt: the
-/// scheduler hand-off cost with the notify/wait machinery engaged.
-/// Light lane only — the same path a single-class workload takes, so
-/// the numbers compare directly with the single-queue predecessor.
-/// `batch` is the consumer's pop_n size; 1 uses plain pop() (the
-/// pre-batching shape, kept for before/after comparability).
-ScenarioResult bench_queue_spsc(const Config& cfg, const char* name,
-                                std::size_t batch) {
-  serve::LaneScheduler<std::uint64_t> queue(
-      std::array<serve::LaneConfig, serve::kLaneCount>{
-          serve::LaneConfig{1024, 4}, serve::LaneConfig{64, 1}});
-  std::atomic<std::uint64_t> popped{0};
-  std::thread consumer([&] {
-    std::uint64_t n = 0;
-    if (batch <= 1) {
-      while (queue.pop(serve::kAllLanes)) ++n;
-    } else {
-      std::vector<std::uint64_t> items;
-      items.reserve(batch);
-      for (;;) {
-        items.clear();
-        const std::size_t got = queue.pop_n(serve::kAllLanes, items, batch);
-        if (got == 0) break;  // closed and drained
-        n += got;
-      }
-    }
-    popped.store(n, std::memory_order_release);
-  });
-  const auto start = Clock::now();
-  const auto deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(cfg.seconds));
-  std::uint64_t pushed = 0;
-  while (Clock::now() < deadline) {
-    for (int i = 0; i < 256; ++i) {
-      if (queue.try_push(serve::kLightLane, pushed))
-        ++pushed;
-      else
-        std::this_thread::yield();
-    }
-  }
-  queue.close();
-  consumer.join();
-  const auto end = Clock::now();
-  ScenarioResult r;
-  r.name = name;
-  r.ops = popped.load();
-  r.seconds = std::chrono::duration<double>(end - start).count();
-  return r;
-}
-
-/// Closed-loop predict latency through the full submit -> lane -> worker
-/// -> done path (cache warmed, so queueing dominates), optionally under
-/// a sustained flood that keeps up to 32 fits in flight. Each flood fit
-/// is a shared fit-pool line with a unique id, so every one misses the
-/// cache and costs a real solver run.
+/// Closed-loop predict latency through submit() (cache warmed; a Light
+/// request's done fires before submit returns), optionally under a
+/// sustained flood that keeps up to 32 fits in flight on the Heavy
+/// pool. Each flood fit is a shared fit-pool line with a unique id, so
+/// every one misses the cache and costs a real solver run.
 ScenarioResult bench_predict_latency(const char* name, const Config& cfg,
                                      const std::vector<std::string>& pool,
                                      int threads, bool flood) {
@@ -451,8 +366,6 @@ ScenarioResult bench_predict_latency(const char* name, const Config& cfg,
 
   std::vector<double> samples;
   samples.reserve(1 << 20);
-  std::mutex m;
-  std::condition_variable cv;
   const auto start = Clock::now();
   const auto deadline =
       start + std::chrono::duration_cast<Clock::duration>(
@@ -461,19 +374,9 @@ ScenarioResult bench_predict_latency(const char* name, const Config& cfg,
   for (;;) {
     bool answered = false;
     const auto t0 = Clock::now();
-    while (!server.submit(pool[i], [&](std::string&&) {
-      {
-        std::lock_guard<std::mutex> lock(m);
-        answered = true;
-      }
-      cv.notify_one();
-    })) {
-      std::this_thread::yield();
-    }
-    {
-      std::unique_lock<std::mutex> lock(m);
-      cv.wait(lock, [&] { return answered; });
-    }
+    if (!server.submit(pool[i], [&](std::string&&) { answered = true; }) ||
+        !answered)
+      std::abort();  // a Light request must finish inside submit
     const auto t1 = Clock::now();
     if (samples.size() < samples.capacity())
       samples.push_back(
@@ -781,11 +684,10 @@ int main(int argc, char** argv) {
   std::vector<ScenarioResult> results;
   results.push_back(bench_cached_hit_1t(cfg, pool));
   results.push_back(bench_cached_hit_mt(cfg, pool, threads));
-  results.push_back(bench_worker_pool_mt(cfg, pool, std::max(1, threads / 2)));
   results.push_back(bench_miss_predict_1t(cfg, pool));
   // The batching headline, measured where clients feel it: through the
   // TCP front end, one request per round trip, cache off. Everything a
-  // request pays once — framing, shard read, queue hop, reply write —
+  // request pays once — framing, shard read, reply write —
   // amortizes across the batch; per-prediction cost = 1/(ops_per_s*N).
   results.push_back(
       bench_tcp_batch(cfg, "predict_batch_1", sim::make_batch_pool(64, {1})));
@@ -803,8 +705,6 @@ int main(int argc, char** argv) {
                                         sim::make_batch_pool(16, {256})));
   results.push_back(bench_json_parse_1t(cfg, pool));
   results.push_back(bench_json_parse_insitu_1t(cfg, pool));
-  results.push_back(bench_queue_spsc(cfg, "queue_spsc", 1));
-  results.push_back(bench_queue_spsc(cfg, "queue_spsc_batch", 64));
   // The heavy-starvation pair: baseline latency and latency under a fit
   // flood. heavy_starvation/predict_no_flood p99 is the isolation
   // headline.

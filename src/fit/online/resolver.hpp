@@ -4,8 +4,9 @@
 // the full nonlinear re-solve (§V pipeline) for each, publishing a new
 // epoch. This keeps the expensive Nelder-Mead + Levenberg-Marquardt
 // work off the serve hot path entirely: `observe` never waits on a
-// solve, and a forced synchronous "refit" request runs on the Heavy
-// lane where the lane scheduler already bounds its impact.
+// solve, and a forced synchronous "refit" request is Heavy: it runs on
+// the server's bounded worker pool, never on a thread that frames
+// Light requests.
 //
 // Lifecycle mirrors serve::Server: construct, start(), stop() (idempotent,
 // also run by the destructor). poke() wakes the thread immediately —

@@ -13,7 +13,7 @@
 // builds ONE heap string, never copies it, and allocates no per-element
 // Json nodes.
 //
-// Lane choice is size-dependent: small batches are closed-form-cheap
+// The execution class is size-dependent: small batches are closed-form-cheap
 // (Light), large ones do real work (Heavy). The per-endpoint `classify`
 // hook decides from the RAW line via a brace count — each element is
 // one object — without parsing. See classify_batch for the slack.
@@ -122,15 +122,15 @@ Json do_predict_batch(const EndpointContext& ctx) {
 }
 
 /// Admission classifier: batches of <= 64 elements answer in
-/// closed-form microseconds and belong on the Light lane; bigger ones
-/// go Heavy. Element count is estimated from the raw line's '{' count —
+/// closed-form microseconds and run inline as Light; bigger ones go
+/// Heavy. Element count is estimated from the raw line's '{' count —
 /// every element is one object — without parsing: the request object
 /// itself is one brace and an optional inline "machine" object is
 /// another, so the Light cutoff is 64 + 2 braces. The estimate has
 /// deliberate slack (a 65-element batch without an inline machine still
 /// counts 66, '{' bytes inside string values inflate the count): like
-/// classify_line itself, the verdict picks a lane and can never change
-/// reply bytes.
+/// classify_line itself, the verdict picks where the request runs and
+/// can never change reply bytes.
 RequestClass classify_batch(std::string_view line) noexcept {
   constexpr std::size_t kLightBraces = 64 + 2;
   std::size_t braces = 0;

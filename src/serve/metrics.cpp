@@ -125,12 +125,12 @@ bool Metrics::sample_latency_now() noexcept {
   return t < kLatencyWarmupSamples || (t % kLatencySampleEvery) == 0;
 }
 
-void Metrics::on_rejected(std::size_t lane) noexcept {
-  rejected_[lane].fetch_add(1, std::memory_order_relaxed);
+void Metrics::on_rejected() noexcept {
+  rejected_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Metrics::on_deadline_exceeded(std::size_t lane) noexcept {
-  deadline_exceeded_[lane].fetch_add(1, std::memory_order_relaxed);
+void Metrics::on_deadline_exceeded() noexcept {
+  deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Metrics::set_transport_shards(std::size_t n) noexcept {
@@ -164,12 +164,12 @@ void Metrics::on_shard_cached(std::size_t shard) noexcept {
   transport_shard(shard).cached_inline.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Metrics::on_lane_depth(std::size_t lane, std::size_t depth) noexcept {
-  lane_depth_[lane].store(depth, std::memory_order_relaxed);
-  std::uint64_t peak = lane_peak_[lane].load(std::memory_order_relaxed);
+void Metrics::on_queue_depth(std::size_t depth) noexcept {
+  queue_depth_.store(depth, std::memory_order_relaxed);
+  std::uint64_t peak = queue_peak_.load(std::memory_order_relaxed);
   while (depth > peak &&
-         !lane_peak_[lane].compare_exchange_weak(peak, depth,
-                                                 std::memory_order_relaxed)) {
+         !queue_peak_.compare_exchange_weak(peak, depth,
+                                            std::memory_order_relaxed)) {
   }
 }
 
@@ -183,25 +183,16 @@ Metrics::Snapshot Metrics::snapshot() const noexcept {
       s.completed += c;
     }
     s.errors += shard.errors.load(std::memory_order_relaxed);
-    for (std::size_t c = 0; c < kRequestClassCount; ++c) {
-      shard.latency[c].accumulate(s.lanes[c].latency);
-      shard.latency[c].accumulate(s.latency);
-    }
+    for (const LatencyHistogram& h : shard.latency) h.accumulate(s.latency);
+    shard.latency[static_cast<std::size_t>(RequestClass::Heavy)].accumulate(
+        s.heavy_latency);
   }
-  for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
-    LaneSnapshot& l = s.lanes[lane];
-    l.rejected = rejected_[lane].load(std::memory_order_relaxed);
-    l.deadline_exceeded =
-        deadline_exceeded_[lane].load(std::memory_order_relaxed);
-    l.depth = static_cast<std::size_t>(
-        lane_depth_[lane].load(std::memory_order_relaxed));
-    l.peak = static_cast<std::size_t>(
-        lane_peak_[lane].load(std::memory_order_relaxed));
-    s.rejected += l.rejected;
-    s.deadline_exceeded += l.deadline_exceeded;
-    s.queue_depth += l.depth;
-    if (l.peak > s.queue_peak) s.queue_peak = l.peak;
-  }
+  s.rejected = rejected_.load(std::memory_order_relaxed);
+  s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
+  s.queue_depth =
+      static_cast<std::size_t>(queue_depth_.load(std::memory_order_relaxed));
+  s.queue_peak =
+      static_cast<std::size_t>(queue_peak_.load(std::memory_order_relaxed));
   s.transport_shards = transport_shards_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < kMaxTransportShards; ++i) {
     const TransportShard& t = transport_shards_counters_[i];
@@ -235,11 +226,6 @@ Json latency_json(const LatencyHistogram::Snapshot& latency) {
   return out;
 }
 
-/// Wire name of a lane: the class whose requests it runs.
-const char* lane_name(std::size_t lane) noexcept {
-  return request_class_name(static_cast<RequestClass>(lane));
-}
-
 }  // namespace
 
 std::string Metrics::to_json(
@@ -264,17 +250,15 @@ std::string Metrics::to_json(
     by_type.set("invalid", s.by_endpoint[kInvalidSlot]);
   out.set("by_type", std::move(by_type));
   out.set("latency", latency_json(s.latency));
+  // Only Heavy misses queue; the section keeps its historical name.
+  Json heavy = Json::object();
+  heavy.set("depth", s.queue_depth);
+  heavy.set("peak", s.queue_peak);
+  heavy.set("rejected", s.rejected);
+  heavy.set("deadline_exceeded", s.deadline_exceeded);
+  heavy.set("latency", latency_json(s.heavy_latency));
   Json lanes = Json::object();
-  for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
-    const LaneSnapshot& l = s.lanes[lane];
-    Json row = Json::object();
-    row.set("depth", l.depth);
-    row.set("peak", l.peak);
-    row.set("rejected", l.rejected);
-    row.set("deadline_exceeded", l.deadline_exceeded);
-    row.set("latency", latency_json(l.latency));
-    lanes.set(lane_name(lane), std::move(row));
-  }
+  lanes.set("heavy", std::move(heavy));
   out.set("lanes", std::move(lanes));
   Json cache_json = Json::object();
   cache_json.set("hits", cache.hits);
@@ -364,17 +348,9 @@ std::string Metrics::summary(
                 s.latency.quantile(0.95) * 1e6,
                 s.latency.quantile(0.99) * 1e6);
   out += buf;
-  for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
-    const LaneSnapshot& l = s.lanes[lane];
-    std::snprintf(buf, sizeof buf,
-                  "lane %-8s depth %zu, peak %zu, rejected %llu, "
-                  "deadlined %llu, p99 %.1f us\n",
-                  lane_name(lane), l.depth, l.peak,
-                  static_cast<unsigned long long>(l.rejected),
-                  static_cast<unsigned long long>(l.deadline_exceeded),
-                  l.latency.quantile(0.99) * 1e6);
-    out += buf;
-  }
+  std::snprintf(buf, sizeof buf, "heavy        p99 %.1f us\n",
+                s.heavy_latency.quantile(0.99) * 1e6);
+  out += buf;
   std::snprintf(buf, sizeof buf,
                 "cache        %llu hits / %llu misses (%.1f%% hit rate), "
                 "%zu/%zu entries, %llu evictions, %llu stale\n",

@@ -1,6 +1,6 @@
 #pragma once
 // Server observability: lock-free per-endpoint counters (slotted by
-// registry id), per-class latency histograms, per-lane gauges, and
+// registry id), per-class latency histograms, Heavy-queue gauges, and
 // renderers for the "stats" request (JSON) and the SIGUSR1 / shutdown
 // dump (human-readable text).
 
@@ -12,7 +12,6 @@
 
 #include "fit/online/snapshot.hpp"
 #include "serve/cache.hpp"
-#include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "sim/clock.hpp"
 
@@ -48,7 +47,7 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// Per-endpoint counters plus lane and connection gauges. All methods
+/// Per-endpoint counters plus Heavy-queue and connection gauges. All methods
 /// are thread-safe; writers never block.
 class Metrics {
  public:
@@ -88,16 +87,16 @@ class Metrics {
   static constexpr std::uint64_t kLatencyWarmupSamples = 256;
   static constexpr std::uint64_t kLatencySampleEvery = 16;
 
-  /// Request rejected at admission because its lane was full.
-  void on_rejected(std::size_t lane) noexcept;
+  /// Heavy miss rejected at admission because the queue was full.
+  void on_rejected() noexcept;
 
-  /// Request expired in its lane and was answered with
+  /// Heavy miss expired in the queue and was answered with
   /// deadline_exceeded instead of being executed.
-  void on_deadline_exceeded(std::size_t lane) noexcept;
+  void on_deadline_exceeded() noexcept;
 
-  /// Lane depth observed after a push or a batch pop (tracks current
-  /// and high water per lane).
-  void on_lane_depth(std::size_t lane, std::size_t depth) noexcept;
+  /// Queue depth observed after a push or a pop (tracks current and
+  /// high water).
+  void on_queue_depth(std::size_t depth) noexcept;
 
   /// Upper bound on TCP event-loop shards tracked individually
   /// (matches TcpListener::kMaxShards).
@@ -122,23 +121,15 @@ class Metrics {
   /// never touched the worker pool or another core.
   void on_shard_cached(std::size_t shard) noexcept;
 
-  struct LaneSnapshot {
-    std::uint64_t rejected = 0;           ///< overload rejections
-    std::uint64_t deadline_exceeded = 0;  ///< expired while queued
-    std::size_t depth = 0;
-    std::size_t peak = 0;
-    LatencyHistogram::Snapshot latency;   ///< completions of this class
-  };
-
   struct Snapshot {
     std::uint64_t completed = 0;        ///< sum over endpoints
     std::uint64_t errors = 0;           ///< ok == false completions
-    std::uint64_t rejected = 0;         ///< sum over lanes
-    std::uint64_t deadline_exceeded = 0;  ///< sum over lanes
+    std::uint64_t rejected = 0;         ///< Heavy overload rejections
+    std::uint64_t deadline_exceeded = 0;  ///< Heavy, expired while queued
     std::array<std::uint64_t, kEndpointSlots> by_endpoint{};  ///< by id
-    std::array<LaneSnapshot, kLaneCount> lanes{};
-    std::size_t queue_depth = 0;        ///< sum of lane depths
-    std::size_t queue_peak = 0;         ///< max over lane peaks
+    std::size_t queue_depth = 0;        ///< Heavy queue, current
+    std::size_t queue_peak = 0;         ///< Heavy queue, high water
+    LatencyHistogram::Snapshot heavy_latency;  ///< Heavy completions
     std::uint64_t connections_open = 0;      ///< gauge: live connections
     std::uint64_t connections_accepted = 0;  ///< lifetime accepts
     std::uint64_t connections_rejected = 0;  ///< refused at the cap
@@ -164,7 +155,7 @@ class Metrics {
   [[nodiscard]] Snapshot snapshot() const noexcept;
 
   /// The "stats" response body: {"ok":true,"type":"stats",...} with the
-  /// snapshot, latency quantiles, per-lane sections, and the cache's
+  /// snapshot, latency quantiles, the Heavy section, and the cache's
   /// counters folded in. Pass the OnlineStore's stats to append the
   /// "online" section (observation counts, parameter generation,
   /// re-solve latency); the null default keeps pre-online callers and
@@ -190,8 +181,8 @@ class Metrics {
     std::array<std::atomic<std::uint64_t>, kEndpointSlots> by_endpoint{};
     std::atomic<std::uint64_t> errors{0};
     std::atomic<std::uint64_t> sample_tick{0};  ///< sample_latency_now state
-    /// One histogram per request class — the per-class p99 under mixed
-    /// load is the number the lane design is judged by.
+    /// One histogram per request class — the Heavy p99 is reported on
+    /// its own, the merged one covers everything.
     std::array<LatencyHistogram, kRequestClassCount> latency{};
   };
 
@@ -201,10 +192,10 @@ class Metrics {
   const sim::ClockSource* clock_;  ///< never null after construction
   std::chrono::steady_clock::time_point start_;
   std::array<CompletionShard, kCompletionShards> completion_shards_{};
-  std::array<std::atomic<std::uint64_t>, kLaneCount> rejected_{};
-  std::array<std::atomic<std::uint64_t>, kLaneCount> deadline_exceeded_{};
-  std::array<std::atomic<std::uint64_t>, kLaneCount> lane_depth_{};
-  std::array<std::atomic<std::uint64_t>, kLaneCount> lane_peak_{};
+  std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> deadline_exceeded_{0};
+  std::atomic<std::uint64_t> queue_depth_{0};
+  std::atomic<std::uint64_t> queue_peak_{0};
   /// Connection/request counters striped by transport shard: each
   /// event-loop thread writes only its own cache line. Shard indexes at
   /// or beyond kMaxTransportShards clamp to the last slot (counts stay

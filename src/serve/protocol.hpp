@@ -69,7 +69,7 @@ void handle_line(std::string_view line, const ProtocolLimits& limits,
                                      std::string_view message,
                                      const Json* id = nullptr);
 
-/// The canned reply Server sends when the request's lane is full. Built
+/// The canned reply Server sends when the Heavy queue is full. Built
 /// once; contains code "overloaded".
 [[nodiscard]] const std::string& overloaded_body();
 

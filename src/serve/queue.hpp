@@ -1,177 +1,63 @@
 #pragma once
-// LaneScheduler — a bounded multi-lane MPMC scheduler with weighted
-// round-robin draining and per-consumer lane masks.
+// BoundedQueue — the worker pool's one bounded MPMC FIFO.
 //
-// One lane per request class (see serve/registry.hpp): Light requests
-// (closed-form model evaluation, microseconds) and Heavy requests
-// (iterative fitting / batched sweeps, milliseconds) are admitted into
-// SEPARATE bounded lanes. Admission control is per lane: a flood of
-// Heavy requests fills the heavy lane and bounces with "overloaded"
-// while the light lane keeps admitting — the class-isolation property
-// the serve stack is built around.
+// Only Heavy cache misses wait here (see serve/server.hpp): Light
+// requests finish on the thread that framed them, so the queue holds
+// nothing but multi-millisecond work (fit, refit, scenario_sweep, large
+// predict_batch). Admission control is the bound: try_push fails when
+// the queue is full or closed, and the caller answers "overloaded".
 //
-// Consumers pass a LaneMask: a light-only worker drains just the light
-// lane; a heavy-capable worker drains all lanes with weighted
-// round-robin (weight w pops up to w items from a lane before yielding
-// the cursor), so even an all-lanes worker can't be monopolized by a
-// deep heavy backlog.
-//
-// Hot-path design (inherits the single-queue predecessor's reasoning):
-//   * try_push signals only on that lane's empty -> non-empty transition
-//     while a consumer is blocked. Under load waiters_ == 0 and pushes
-//     are signal-free;
-//   * the wake is notify_all, not notify_one: sleepers have different
-//     masks, and a notify_one could land on a consumer that cannot see
-//     the lane that just filled (a light-only worker for a heavy push),
-//     stranding the item while a capable sibling sleeps. Wakeups are
-//     rare (only after an empty spell), so the herd is cheap and every
-//     capable consumer re-checks its own mask under the mutex;
-//   * pop_n hands a consumer up to `max_items` jobs in one lock
-//     acquisition and reports post-pop depths, so callers never re-lock
-//     just to read sizes.
-//
-// Liveness: a consumer blocks only while every lane in its mask is
-// empty (checked under the mutex); every push onto an empty lane wakes
-// all sleepers when any exist, and close() wakes everyone. A consumer
-// that drains items and leaves more behind also wakes sleepers (chain),
-// so a burst fans out across the pool.
+// Every consumer can run every item, so a push wakes at most one
+// sleeper (notify_one, and only when someone sleeps), and close() wakes
+// them all. Items queued before close() stay poppable: pop() returns
+// nullopt only once the queue is closed AND empty, which is what lets
+// Server::shutdown drain admitted work.
 
-#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
-#include <vector>
 
 namespace archline::serve {
 
-/// Lane indices. Kept in sync with RequestClass by serve::Server
-/// (Light request -> lane 0, Heavy -> lane 1).
-inline constexpr std::size_t kLaneCount = 2;
-inline constexpr std::size_t kLightLane = 0;
-inline constexpr std::size_t kHeavyLane = 1;
-
-/// Bit i selects lane i.
-using LaneMask = unsigned;
-inline constexpr LaneMask kAllLanes = (1u << kLaneCount) - 1;
-inline constexpr LaneMask kLightOnly = 1u << kLightLane;
-
-[[nodiscard]] constexpr LaneMask lane_bit(std::size_t lane) noexcept {
-  return 1u << lane;
-}
-
-struct LaneConfig {
-  std::size_t capacity = 0;  ///< 0 = lane disabled (push always fails)
-  /// Round-robin credit: an all-lanes consumer pops up to `weight`
-  /// items from this lane before the cursor moves on.
-  unsigned weight = 1;
-};
-
 template <typename T>
-class LaneScheduler {
+class BoundedQueue {
  public:
-  explicit LaneScheduler(std::array<LaneConfig, kLaneCount> lanes)
-      : lanes_(lanes) {
-    credit_ = lanes_[0].weight;
-  }
+  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  LaneScheduler(const LaneScheduler&) = delete;
-  LaneScheduler& operator=(const LaneScheduler&) = delete;
+  BoundedQueue(const BoundedQueue&) = delete;
+  BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueues onto `lane` unless that lane is full/disabled or the
-  /// scheduler is closed; never blocks. On success writes the lane's
-  /// resulting depth to depth_out (for the per-lane gauge).
-  [[nodiscard]] bool try_push(std::size_t lane, T item,
-                              std::size_t* depth_out = nullptr) {
+  /// Enqueues unless the queue is full or closed; never blocks. On
+  /// success writes the resulting depth to depth_out.
+  [[nodiscard]] bool try_push(T item, std::size_t* depth_out = nullptr) {
     bool wake;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      std::deque<T>& items = items_[lane];
-      if (closed_ || items.size() >= lanes_[lane].capacity) return false;
-      items.push_back(std::move(item));
-      if (depth_out) *depth_out = items.size();
-      // Empty -> non-empty transition with someone blocked. notify_all,
-      // because sleepers with other masks must not absorb the only wake.
-      wake = waiters_ > 0 && items.size() == 1;
+      if (closed_ || items_.size() >= capacity_) return false;
+      items_.push_back(std::move(item));
+      if (depth_out) *depth_out = items_.size();
+      wake = waiters_ > 0;
     }
-    if (wake) not_empty_.notify_all();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
-  /// Blocks until a lane in `mask` has an item or the scheduler is
-  /// closed and those lanes drained; nullopt means "closed and empty"
-  /// (consumer should exit). On success writes the source lane to
-  /// lane_out.
-  [[nodiscard]] std::optional<T> pop(LaneMask mask,
-                                     std::size_t* lane_out = nullptr) {
-    bool wake;
-    std::optional<T> item;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wait_not_empty(lock, mask);
-      // Sole non-empty lane (the common case: heavy traffic is rare):
-      // no arbitration, no credit bookkeeping — fairness only means
-      // something when two lanes actually compete.
-      std::size_t lane = sole_nonempty(mask);
-      if (lane == kArbitrate) {
-        lane = pick_lane(mask);
-        consume_credit(lane);
-      }
-      if (lane == kLaneCount) return std::nullopt;
-      item.emplace(std::move(items_[lane].front()));
-      items_[lane].pop_front();
-      if (lane_out) *lane_out = lane;
-      wake = waiters_ > 0 && total_in(kAllLanes) > 0;
-    }
-    if (wake) not_empty_.notify_all();  // chain: work remains for siblings
+  /// Blocks until an item is available or the queue is closed and
+  /// drained; nullopt means "closed and empty" (the consumer exits). On
+  /// success writes the post-pop depth to depth_out.
+  [[nodiscard]] std::optional<T> pop(std::size_t* depth_out = nullptr) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++waiters_;
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    --waiters_;
+    if (items_.empty()) return std::nullopt;
+    std::optional<T> item(std::move(items_.front()));
+    items_.pop_front();
+    if (depth_out) *depth_out = items_.size();
     return item;
-  }
-
-  /// Blocks like pop, then appends up to `max_items` items from lanes in
-  /// `mask` to `out` in one critical section, draining lanes in weighted
-  /// round-robin order. Returns the number taken; 0 means "closed and
-  /// empty". On success writes each lane's post-pop depth to depths_out.
-  /// Items already in `out` are left untouched.
-  [[nodiscard]] std::size_t pop_n(
-      LaneMask mask, std::vector<T>& out, std::size_t max_items,
-      std::array<std::size_t, kLaneCount>* depths_out = nullptr) {
-    bool wake;
-    std::size_t n = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wait_not_empty(lock, mask);
-      while (n < max_items) {
-        std::size_t lane = sole_nonempty(mask);
-        if (lane == kLaneCount) break;
-        if (lane != kArbitrate) {
-          // Sole non-empty lane: drain it in a run, no per-item
-          // arbitration (fairness is moot with nothing to compete).
-          std::deque<T>& items = items_[lane];
-          std::size_t take = max_items - n;
-          if (items.size() < take) take = items.size();
-          for (std::size_t i = 0; i < take; ++i) {
-            out.push_back(std::move(items.front()));
-            items.pop_front();
-          }
-          n += take;
-          continue;  // re-check: another lane may still be masked-empty
-        }
-        lane = pick_lane(mask);
-        out.push_back(std::move(items_[lane].front()));
-        items_[lane].pop_front();
-        consume_credit(lane);
-        ++n;
-      }
-      if (depths_out)
-        for (std::size_t i = 0; i < kLaneCount; ++i)
-          (*depths_out)[i] = items_[i].size();
-      wake = waiters_ > 0 && total_in(kAllLanes) > 0;
-    }
-    if (wake) not_empty_.notify_all();  // chain: work remains for siblings
-    return n;
   }
 
   /// Rejects future pushes and wakes all blocked consumers. Items
@@ -184,8 +70,7 @@ class LaneScheduler {
     not_empty_.notify_all();
   }
 
-  /// Re-admits pushes after close(); what makes Server restartable. Any
-  /// items still queued simply remain poppable.
+  /// Re-admits pushes after close(); what makes Server restartable.
   void reopen() {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = false;
@@ -196,123 +81,18 @@ class LaneScheduler {
     return closed_;
   }
 
-  /// Total queued items across lanes in `mask`.
-  [[nodiscard]] std::size_t size(LaneMask mask = kAllLanes) const {
+  [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return total_in(mask);
+    return items_.size();
   }
 
-  /// Queued items in one lane.
-  [[nodiscard]] std::size_t lane_size(std::size_t lane) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_[lane].size();
-  }
-
-  [[nodiscard]] std::size_t capacity(std::size_t lane) const noexcept {
-    return lanes_[lane].capacity;
-  }
-
-  [[nodiscard]] unsigned weight(std::size_t lane) const noexcept {
-    return lanes_[lane].weight;
-  }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  /// Sentinel from sole_nonempty: two or more masked lanes hold items,
-  /// so the weighted-round-robin cursor must arbitrate.
-  static constexpr std::size_t kArbitrate = kLaneCount + 1;
-
-  /// The single masked lane holding items, kLaneCount when every masked
-  /// lane is empty, kArbitrate when at least two compete. The fast paths
-  /// in pop/pop_n use this to skip cursor/credit bookkeeping in the
-  /// common one-busy-lane case; the cursor state is simply left as-is,
-  /// so weighted fairness resumes unchanged the next time lanes compete.
-  [[nodiscard]] std::size_t sole_nonempty(LaneMask mask) const {
-    std::size_t found = kLaneCount;
-    for (std::size_t i = 0; i < kLaneCount; ++i) {
-      if (!(mask & lane_bit(i)) || items_[i].empty()) continue;
-      if (found != kLaneCount) return kArbitrate;
-      found = i;
-    }
-    return found;
-  }
-
-  [[nodiscard]] std::size_t total_in(LaneMask mask) const {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < kLaneCount; ++i)
-      if (mask & lane_bit(i)) total += items_[i].size();
-    return total;
-  }
-
-  /// The lane the weighted-round-robin cursor selects next among
-  /// non-empty lanes in `mask`; kLaneCount when all are empty. The
-  /// cursor/credit pair is shared across consumers (it guards the
-  /// SCHEDULER's fairness, not any one consumer's), and a lane outside
-  /// `mask` or out of items just forfeits its turn.
-  [[nodiscard]] std::size_t pick_lane(LaneMask mask) {
-    for (std::size_t step = 0; step < kLaneCount; ++step) {
-      if (credit_ == 0 || items_[cursor_].empty() ||
-          !(mask & lane_bit(cursor_))) {
-        advance_cursor();
-        continue;
-      }
-      return cursor_;
-    }
-    // Every lane either empty or unmasked — but a masked non-empty lane
-    // must still win even if the full rotation above spent its credits
-    // on skips.
-    for (std::size_t i = 0; i < kLaneCount; ++i)
-      if ((mask & lane_bit(i)) && !items_[i].empty()) {
-        cursor_ = i;
-        credit_ = lanes_[i].weight;
-        return i;
-      }
-    return kLaneCount;
-  }
-
-  void consume_credit(std::size_t lane) {
-    if (cursor_ == lane && credit_ > 0) --credit_;
-  }
-
-  void advance_cursor() {
-    cursor_ = (cursor_ + 1) % kLaneCount;
-    credit_ = lanes_[cursor_].weight;
-  }
-
-  /// A consumer that runs dry yields this many times before committing
-  /// to a condition-variable sleep. While it spins, waiters_ stays 0, so
-  /// producer pushes remain signal-free — the spin is what keeps a
-  /// near-balanced producer/consumer pair in the cheap big-batch regime
-  /// instead of degenerating into one futex wake (plus a likely
-  /// preemption) per item. Measured on a 1-CPU host: the no-spin
-  /// scheduler ping-ponged at ~0.35 context switches per job and halved
-  /// worker-pool throughput; with the spin it batches again. A truly
-  /// idle consumer burns ~64 sched_yield calls (a few microseconds)
-  /// once, then sleeps as before.
-  static constexpr int kIdleSpinRounds = 64;
-
-  /// Blocks until a lane in `mask` has an item or the scheduler is
-  /// closed, counting this consumer as a waiter (only once it actually
-  /// sleeps) so pushes and sibling pops know whether a signal can reach
-  /// anyone.
-  void wait_not_empty(std::unique_lock<std::mutex>& lock, LaneMask mask) {
-    if (closed_ || total_in(mask) > 0) return;
-    for (int round = 0; round < kIdleSpinRounds; ++round) {
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
-      if (closed_ || total_in(mask) > 0) return;
-    }
-    ++waiters_;
-    not_empty_.wait(lock, [&] { return closed_ || total_in(mask) > 0; });
-    --waiters_;
-  }
-
-  const std::array<LaneConfig, kLaneCount> lanes_;
+  const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
-  std::array<std::deque<T>, kLaneCount> items_;
-  std::size_t cursor_ = 0;   ///< weighted-RR position
-  unsigned credit_ = 0;      ///< pops left before the cursor advances
+  std::deque<T> items_;
   std::size_t waiters_ = 0;
   bool closed_ = false;
 };

@@ -5,14 +5,6 @@
 
 namespace archline::serve {
 
-const char* request_class_name(RequestClass c) noexcept {
-  switch (c) {
-    case RequestClass::Light: return "light";
-    case RequestClass::Heavy: return "heavy";
-  }
-  return "?";
-}
-
 void Registry::add(Endpoint endpoint) {
   // Both failure modes are programming errors in a registrar, not
   // runtime input: fail loudly at first use instead of serving a

@@ -21,8 +21,9 @@
 // Execution classes (the paper's own split): Light endpoints are
 // closed-form model evaluation (eqs. 1-7 — microseconds), Heavy
 // endpoints run iterative work (§V parameter fitting, batched sweeps —
-// milliseconds). serve::Server maps the class to an execution lane so
-// a flood of Heavy requests cannot starve Light ones (see queue.hpp).
+// milliseconds). serve::Server runs Light requests on the thread that
+// framed them and queues only Heavy misses for its worker pool, so a
+// flood of Heavy requests cannot starve Light ones (see server.hpp).
 
 #include <cstdint>
 #include <string_view>
@@ -36,15 +37,13 @@ class OnlineStore;
 
 namespace archline::serve {
 
-/// Execution class: which lane a request runs on (see LaneScheduler).
+/// Execution class: where a cache miss runs (see serve::Server).
 enum class RequestClass : std::uint8_t {
   Light = 0,  ///< closed-form evaluation, microseconds
   Heavy = 1,  ///< iterative / batched work, milliseconds
 };
 
 inline constexpr std::size_t kRequestClassCount = 2;
-
-[[nodiscard]] const char* request_class_name(RequestClass c) noexcept;
 
 struct Endpoint;
 
@@ -88,10 +87,11 @@ struct Endpoint {
   EndpointHandler handler = nullptr;
   /// Optional per-endpoint admission classifier: refines the static
   /// `klass` from the RAW request line (no parse) so size-dependent
-  /// endpoints can split lanes — predict_batch runs small batches on
-  /// the Light lane and large ones on Heavy. Must be cheap and
+  /// endpoints can split classes — predict_batch runs small batches
+  /// inline as Light and queues large ones as Heavy. Must be cheap and
   /// allocation-free; like classify_line itself, the verdict affects
-  /// lane choice only, never reply bytes. Null means "use klass".
+  /// where the request runs only, never reply bytes. Null means "use
+  /// klass".
   RequestClass (*classify)(std::string_view line) noexcept = nullptr;
   /// Optional per-request cache exemption: a statically cacheable
   /// endpoint can declare that THIS request's reply must not enter (or
@@ -155,8 +155,8 @@ void register_policy_endpoints(Registry& r);
 /// raw request line for its "type" member and returns the matching
 /// endpoint's class. Unknown types, missing types, and malformed lines
 /// classify Light — their replies are cheap errors. Misclassification
-/// can only affect lane choice, never reply bytes (the dispatcher
-/// re-parses properly).
+/// can only affect where the request runs, never reply bytes (the
+/// dispatcher re-parses properly).
 [[nodiscard]] RequestClass classify_line(std::string_view line) noexcept;
 
 }  // namespace archline::serve

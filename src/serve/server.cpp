@@ -26,17 +26,16 @@ int resolve_threads(int requested) {
   return static_cast<int>(std::max(2u, hw));
 }
 
-/// Heavy-capable worker count: explicit request clamped to the pool, or
-/// a quarter of the pool (min 1) by default.
+/// Heavy pool size: explicit request clamped to the thread count, or a
+/// quarter of it (min 1) by default.
 int resolve_heavy_workers(int requested, int threads) {
   if (requested > 0) return std::min(requested, threads);
   return std::max(1, threads / 4);
 }
 
 const ServerOptions& validated(const ServerOptions& options) {
-  if (options.heavy_lane_capacity == 0)
-    throw std::invalid_argument(
-        "ServerOptions: heavy_lane_capacity must be >= 1");
+  if (options.queue_capacity == 0)
+    throw std::invalid_argument("ServerOptions: queue_capacity must be >= 1");
   return options;
 }
 
@@ -45,11 +44,11 @@ const ServerOptions& validated(const ServerOptions& options) {
 Server::Server(ServerOptions options)
     : options_(validated(options)),
       clock_(options.clock ? options.clock : &sim::real_clock()),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(std::make_shared<ShardedLruCache>(options.cache_capacity,
+                                               options.cache_shards)),
+      partitions_{cache_},
       metrics_(options.clock),
-      queue_(std::array<LaneConfig, kLaneCount>{
-          LaneConfig{options.queue_capacity, kLightWeight},
-          LaneConfig{options.heavy_lane_capacity, kHeavyWeight}}),
+      queue_(options.queue_capacity),
       online_(options.online) {
   options_.threads = resolve_threads(options_.threads);
   options_.heavy_workers =
@@ -61,17 +60,12 @@ Server::~Server() { shutdown(); }
 void Server::start() {
   std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   if (running_.load(std::memory_order_acquire)) return;
-  // A previous shutdown() closed the lanes; reopen so submit() admits
-  // again and fresh workers block in pop_n() instead of exiting at once.
+  // A previous shutdown() closed the queue; reopen so Heavy misses are
+  // admitted again and fresh workers block in pop() instead of exiting.
   queue_.reopen();
-  workers_.reserve(static_cast<std::size_t>(options_.threads));
-  // The first heavy_workers threads drain both lanes with weighted
-  // round-robin; the rest are light-only, so Heavy execution concurrency
-  // is capped and a fit flood can never occupy the whole pool.
-  for (int i = 0; i < options_.threads; ++i) {
-    const LaneMask mask = i < options_.heavy_workers ? kAllLanes : kLightOnly;
-    workers_.emplace_back([this, mask] { worker_loop(mask); });
-  }
+  workers_.reserve(static_cast<std::size_t>(options_.heavy_workers));
+  for (int i = 0; i < options_.heavy_workers; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
   if (options_.refit_interval_ms > 0 && !resolver_) {
     resolver_ = std::make_unique<fit::online::BackgroundResolver>(
         online_, options_.refit_interval_ms);
@@ -81,40 +75,58 @@ void Server::start() {
 }
 
 bool Server::submit(std::string line, Done done) {
-  return submit_to_lane(std::move(line), std::move(done), nullptr, false);
+  if (queue_.closed()) return false;  // shut down: refuse Light work too
+  std::string out;
+  if (serve_inline(line, *cache_, out) != Inline::HeavyMiss) {
+    done(std::move(out));
+    return true;
+  }
+  return enqueue(std::move(line), std::move(done), cache_);
 }
 
-bool Server::submit(std::string line, Done done,
-                    std::shared_ptr<ShardedLruCache> cache,
-                    bool cache_prechecked) {
-  return submit_to_lane(std::move(line), std::move(done), std::move(cache),
-                        cache_prechecked);
+Server::Inline Server::serve_inline(std::string_view line,
+                                    ShardedLruCache& cache,
+                                    std::string& out) {
+  const std::string_view key = trim(line);
+  const auto started = stamp();
+  // Donate the caller's capacity to the reply buffer and hand it back
+  // afterwards: repeated calls with the same `out` settle into zero
+  // allocations on the cache-hit path.
+  Reply reply;
+  reply.body.swap(out);
+  reply.body.clear();
+  // Hot path: a byte-identical request skips parsing entirely. The
+  // endpoint id rides out-of-band as the entry's tag and the body is
+  // copied exactly once, into reply.body's reused capacity.
+  std::uint8_t tag = 0;
+  Inline how = Inline::Hit;
+  if (cache.get(key, online_.generation(), reply.body, tag)) {
+    finish(Registry::instance().by_id(tag), true, started);
+  } else if (classify_line(key) == RequestClass::Heavy) {
+    how = Inline::HeavyMiss;
+  } else {
+    how = Inline::Evaluated;
+    evaluate(key, cache, started, reply);
+  }
+  out.swap(reply.body);
+  return how;
 }
 
-bool Server::submit_to_lane(std::string line, Done done,
-                            std::shared_ptr<ShardedLruCache> cache,
-                            bool cache_prechecked) {
-  const std::size_t lane =
-      classify_line(line) == RequestClass::Heavy ? kHeavyLane : kLightLane;
-  const int deadline_ms = lane == kHeavyLane && options_.heavy_deadline_ms > 0
-                              ? options_.heavy_deadline_ms
-                              : options_.request_deadline_ms;
+bool Server::enqueue(std::string line, Done done,
+                     std::shared_ptr<ShardedLruCache> cache) {
+  const int deadline_ms = options_.request_deadline_ms;
   const auto deadline =
       deadline_ms > 0 ? clock_->now() + std::chrono::milliseconds(deadline_ms)
                       : Clock::time_point::max();
-  // `admitted` anchors queue-inclusive latency; like handle_into, it is
-  // only stamped for requests whose latency is sampled.
-  Job job{std::move(line), std::move(done),
-          metrics_.sample_latency_now()
-              ? clock_->now()
-              : std::chrono::steady_clock::time_point{},
-          deadline, lane, std::move(cache), cache_prechecked};
+  // `admitted` anchors queue-inclusive latency.
+  Job job{std::move(line), std::move(done), stamp(), deadline,
+          std::move(cache)};
   std::size_t depth = 0;
-  if (!queue_.try_push(lane, std::move(job), &depth)) {
-    metrics_.on_rejected(lane);
+  if (!queue_.try_push(std::move(job), &depth)) {
+    metrics_.on_rejected();
     return false;
   }
-  metrics_.on_lane_depth(lane, depth);
+  metrics_.on_queue_depth(depth);
   return true;
 }
 
@@ -125,40 +137,11 @@ std::string Server::handle_now(std::string_view line) {
 }
 
 void Server::handle_into(std::string_view line, std::string& out) {
-  // Donate the caller's capacity to the reply buffer and hand it back
-  // afterwards: repeated calls with the same `out` settle into zero
-  // allocations on the cache-hit path. The start timestamp is taken
-  // only when this request's latency is sampled (default-constructed
-  // time_point = unsampled).
+  if (serve_inline(line, *cache_, out) != Inline::HeavyMiss) return;
   Reply reply;
   reply.body.swap(out);
-  const auto started = metrics_.sample_latency_now()
-                           ? clock_->now()
-                           : std::chrono::steady_clock::time_point{};
-  execute_into(line, started, reply);
+  evaluate(trim(line), *cache_, stamp(), reply);
   out.swap(reply.body);
-}
-
-bool Server::try_serve_cached(std::string_view line, ShardedLruCache& cache,
-                              std::string& out) {
-  const std::string_view key = trim(line);
-  if (key.empty()) return false;
-  const auto started = metrics_.sample_latency_now()
-                           ? clock_->now()
-                           : std::chrono::steady_clock::time_point{};
-  const std::uint64_t generation = online_.generation();
-  out.clear();
-  std::uint8_t tag = 0;
-  if (!cache.get(key, generation, out, tag)) return false;
-  const Endpoint* endpoint = Registry::instance().by_id(tag);
-  if (started == std::chrono::steady_clock::time_point{}) {
-    metrics_.on_completed(endpoint, true);
-  } else {
-    metrics_.on_completed(
-        endpoint, true,
-        std::chrono::duration<double>(clock_->now() - started).count());
-  }
-  return true;
 }
 
 void Server::add_cache_partition(
@@ -177,7 +160,7 @@ void Server::remove_cache_partition(const ShardedLruCache* partition) {
 }
 
 ShardedLruCache::Stats Server::cache_stats() const {
-  ShardedLruCache::Stats total = cache_.stats();
+  ShardedLruCache::Stats total;
   std::lock_guard<std::mutex> lock(partitions_mutex_);
   for (const auto& p : partitions_) {
     const ShardedLruCache::Stats s = p->stats();
@@ -193,46 +176,29 @@ ShardedLruCache::Stats Server::cache_stats() const {
   return total;
 }
 
-void Server::execute_into(
-    std::string_view line, std::chrono::steady_clock::time_point started,
-    Reply& reply) {
-  execute_into(line, started, reply, cache_, /*skip_probe=*/false);
+Server::Clock::time_point Server::stamp() noexcept {
+  return metrics_.sample_latency_now() ? clock_->now() : Clock::time_point{};
 }
 
-void Server::execute_into(
-    std::string_view line, std::chrono::steady_clock::time_point started,
-    Reply& reply, ShardedLruCache& cache, bool skip_probe) {
-  const std::string_view key = trim(line);
-  const auto finish = [&](const Endpoint* endpoint, bool ok) {
-    if (started == std::chrono::steady_clock::time_point{}) {
-      metrics_.on_completed(endpoint, ok);  // counted, latency unsampled
-      return;
-    }
-    const double latency =
-        std::chrono::duration<double>(clock_->now() - started).count();
-    metrics_.on_completed(endpoint, ok, latency);
-  };
+void Server::finish(const Endpoint* endpoint, bool ok,
+                    Clock::time_point started) {
+  if (started == Clock::time_point{}) {
+    metrics_.on_completed(endpoint, ok);  // counted, latency unsampled
+    return;
+  }
+  metrics_.on_completed(
+      endpoint, ok,
+      std::chrono::duration<double>(clock_->now() - started).count());
+}
 
-  // The parameter generation is captured BEFORE the lookup and reused
+void Server::evaluate(std::string_view key, ShardedLruCache& cache,
+                      Clock::time_point started, Reply& reply) {
+  // The parameter generation is captured BEFORE evaluation and reused
   // for the put: if a re-solve publishes while this request evaluates,
   // the entry is inserted under the old generation and is stale on
   // arrival — the next lookup recomputes instead of serving a reply
   // that mixes generations.
   const std::uint64_t generation = online_.generation();
-
-  // Hot path: a byte-identical request skips parsing entirely. The
-  // endpoint id rides out-of-band as the entry's tag and the body is
-  // copied exactly once, into reply.body's reused capacity.
-  reply.body.clear();
-  std::uint8_t tag = 0;
-  if (!skip_probe && cache.get(key, generation, reply.body, tag)) {
-    reply.endpoint = Registry::instance().by_id(tag);
-    reply.ok = true;
-    reply.cacheable = true;
-    finish(reply.endpoint, true);
-    return;
-  }
-
   handle_line(key, options_.limits, reply, &online_);
   // server_evaluated endpoints ("stats") render against live server
   // state instead of the request alone; the handler left the body empty.
@@ -241,7 +207,7 @@ void Server::execute_into(
   if (reply.ok && reply.cacheable)
     cache.put(key, reply.body, reply.endpoint->id, generation,
               reply.endpoint->model_scoped);
-  finish(reply.endpoint, reply.ok);
+  finish(reply.endpoint, reply.ok, started);
 }
 
 void Server::run_job(Job& job, Reply& scratch) {
@@ -250,32 +216,23 @@ void Server::run_job(Job& job, Reply& scratch) {
   // has likely given up on.
   if (job.deadline != Clock::time_point::max() &&
       clock_->now() > job.deadline) {
-    metrics_.on_deadline_exceeded(job.lane);
+    metrics_.on_deadline_exceeded();
     job.done(std::string(deadline_exceeded_body()));
     return;
   }
-  execute_into(job.line, job.admitted, scratch,
-               job.cache ? *job.cache : cache_,
-               job.cache != nullptr && job.cache_prechecked);
+  evaluate(trim(job.line), *job.cache, job.admitted, scratch);
   // Ownership of the body transfers to the transport; the scratch
   // buffer re-grows on the next request (one allocation per response is
   // the floor while `done` takes ownership).
   job.done(std::move(scratch.body));
 }
 
-void Server::worker_loop(LaneMask mask) {
-  std::vector<Job> batch;
-  batch.reserve(kWorkerBatch);
+void Server::worker_loop() {
   Reply scratch;
-  std::array<std::size_t, kLaneCount> depths{};
-  for (;;) {
-    batch.clear();
-    if (queue_.pop_n(mask, batch, kWorkerBatch, &depths) == 0) break;
-    // One gauge update per lane per batch, using the depths pop_n
-    // already observed — no extra lock crossings just to read sizes.
-    for (std::size_t lane = 0; lane < kLaneCount; ++lane)
-      if (mask & lane_bit(lane)) metrics_.on_lane_depth(lane, depths[lane]);
-    for (Job& job : batch) run_job(job, scratch);
+  std::size_t depth = 0;
+  while (std::optional<Job> job = queue_.pop(&depth)) {
+    metrics_.on_queue_depth(depth);
+    run_job(*job, scratch);
   }
 }
 
@@ -292,11 +249,10 @@ void Server::shutdown() {
     if (t.joinable()) t.join();
   workers_.clear();
   // If shutdown raced start (or start was never called), drain whatever
-  // was admitted on this thread so every submit()'s done still fires.
+  // was admitted on this thread so every enqueue()'s done still fires.
   Reply scratch;
-  while (std::optional<Job> job = queue_.pop(kAllLanes)) run_job(*job, scratch);
-  for (std::size_t lane = 0; lane < kLaneCount; ++lane)
-    metrics_.on_lane_depth(lane, 0);
+  while (std::optional<Job> job = queue_.pop()) run_job(*job, scratch);
+  metrics_.on_queue_depth(0);
   running_.store(false, std::memory_order_release);
 }
 

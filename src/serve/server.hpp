@@ -1,40 +1,40 @@
 #pragma once
 // serve::Server — the concurrent request engine behind archline_serverd.
 //
-// Architecture (one box, four moving parts):
+// Architecture: a request runs to completion on the thread that framed
+// it, unless it is a Heavy cache miss.
 //
-//   submit(line) --classify--> LaneScheduler --pop_n--> worker pool
-//        |  lane full?      (light | heavy lane)     (lane-affine)
-//        v                                               |
-//   "overloaded" reply                      cache lookup -> registry
-//                                               dispatch  |
-//                                            done(response) callback
+//   line --probe cache--> hit ------------------------> reply (caller)
+//             |
+//             +-- miss --classify--> Light: evaluate, fill --> reply
+//                             |
+//                             +--> Heavy: BoundedQueue --> worker pool
+//                                   (full? "overloaded")   evaluate, fill
+//                                                          done(reply)
 //
-// The transport (TCP listener, stdio loop, in-process loadgen) owns
-// connections and ordering; the Server owns admission, execution,
-// caching, and metrics. Responses are delivered by callback from worker
-// threads; OrderedWriter (below) restores per-connection FIFO order
-// when requests from one connection complete out of order.
+// The transport (TCP shard loop, stdio loop, in-process caller) owns
+// connections and ordering; the Server owns the cache partitions, the
+// execution path, the Heavy pool, and metrics. A Light miss costs about
+// as much to evaluate as a hop to another thread would, so it never
+// takes one. Heavy misses (fit, refit, scenario_sweep, predict_batch
+// over 64 elements) queue for a pool of `heavy_workers` threads, so a
+// flood of multi-millisecond fits bounces with "overloaded" and never
+// occupies the threads that frame and answer Light requests.
+// OrderedWriter (below) restores per-connection FIFO order when a
+// Heavy reply completes after later Light ones.
 //
-// Class isolation: requests are classified at admission (a registry
-// scan of the raw line — no parse) and queued per class. The heavy lane
-// is small and separately bounded, so a flood of multi-millisecond
-// "fit" requests bounces with "overloaded" while microsecond "predict"s
-// keep flowing. Execution concurrency is bounded too: only
-// `heavy_workers` threads drain the heavy lane (weighted round-robin
-// against light work); the remaining workers are light-only, so heavy
-// requests can never occupy the whole pool.
+// Cache: every caller probes exactly one partition, once, before
+// anything is queued, and the miss-fill goes to the same partition. The
+// TCP transport brings one partition per shard; everyone else uses the
+// server's own (cache()). cache_stats() sums the registered partitions.
 //
 // Hot-path invariants (see docs/SERVER.md "Performance"):
 //   * a cache hit copies the response body exactly once, into a buffer
 //     whose capacity is reused across requests (the endpoint id rides
 //     out-of-band as the cache entry's tag, so there is no prefix to
 //     strip);
-//   * workers drain their lanes in batches (one lock crossing per
-//     batch, not three per job) and only wake sleeping peers when one
-//     exists;
-//   * in-process callers can use handle_into() to execute into a
-//     caller-owned buffer — the zero-allocation steady state.
+//   * serve_inline() and handle_into() execute into a caller-owned
+//     buffer — the zero-allocation steady state.
 
 #include <atomic>
 #include <chrono>
@@ -64,31 +64,24 @@
 namespace archline::serve {
 
 struct ServerOptions {
-  /// Worker threads; 0 means hardware_concurrency (min 2).
+  /// Requested thread count; 0 means hardware_concurrency (min 2). It
+  /// only sizes the Heavy pool through heavy_workers' default.
   int threads = 0;
-  /// Light-lane capacity: admitted-but-incomplete Light requests. Past
-  /// this, submit rejects with the canned "overloaded" reply.
-  std::size_t queue_capacity = 1024;
-  /// Heavy-lane capacity, at least 1 (the Server constructor throws
-  /// std::invalid_argument on 0). Deliberately much smaller than the
-  /// light lane: a heavy request is worth milliseconds of worker time,
-  /// so a short queue keeps the backlog (and thus heavy queue latency)
-  /// bounded.
-  std::size_t heavy_lane_capacity = 64;
-  /// Workers allowed to execute Heavy requests; 0 means max(1,
-  /// threads/4). Clamped to [1, threads]. The remaining workers are
-  /// light-only.
+  /// Heavy misses admitted but not yet running, at least 1 (the Server
+  /// constructor throws std::invalid_argument on 0). Past this, the
+  /// request is answered with the canned "overloaded" reply. Light
+  /// requests never queue, so they are never bounced here.
+  std::size_t queue_capacity = 64;
+  /// Worker threads in the Heavy pool; 0 means max(1, threads/4).
+  /// Clamped to [1, threads].
   int heavy_workers = 0;
   /// Response cache entries across all shards; 0 disables caching.
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 16;
-  /// Default per-request deadline applied at submit (Light lane, and
-  /// Heavy too unless heavy_deadline_ms overrides): a job still queued
-  /// this long after admission is answered with deadline_exceeded_body()
-  /// instead of occupying a worker. 0 disables deadlines.
+  /// Queue-wait deadline for Heavy misses: a job still queued this long
+  /// after admission is answered with deadline_exceeded_body() instead
+  /// of occupying a worker. 0 disables deadlines.
   int request_deadline_ms = 0;
-  /// Heavy-lane deadline override; 0 falls back to request_deadline_ms.
-  int heavy_deadline_ms = 0;
   /// Time source for deadlines, latency stamps, and uptime (null = the
   /// real steady clock). Tests inject a sim::SimClock so deadline and
   /// uptime assertions are exact instead of sleep-calibrated.
@@ -110,13 +103,14 @@ class Server {
   using Done = std::function<void(std::string&&)>;
   using Clock = std::chrono::steady_clock;
 
-  /// Weighted round-robin credits for heavy-capable workers: up to
-  /// kLightWeight light pops per kHeavyWeight heavy pop, so even the
-  /// heavy-capable subset keeps serving light traffic under a flood.
-  static constexpr unsigned kLightWeight = 4;
-  static constexpr unsigned kHeavyWeight = 1;
+  /// How serve_inline() disposed of a request.
+  enum class Inline : std::uint8_t {
+    Hit,        ///< answered from the cache partition
+    Evaluated,  ///< a Light miss, evaluated and filled on this thread
+    HeavyMiss,  ///< nothing rendered: pass the line to enqueue()
+  };
 
-  /// Throws std::invalid_argument when heavy_lane_capacity is 0.
+  /// Throws std::invalid_argument when queue_capacity is 0.
   explicit Server(ServerOptions options = {});
 
   /// Joins workers (calls shutdown() if still running).
@@ -125,64 +119,64 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Spawns the worker pool. Idempotent while running; after a
-  /// shutdown() the lanes are reopened, so start/shutdown cycles
-  /// restart a fully functional server.
+  /// Spawns the Heavy pool. Idempotent while running; after a
+  /// shutdown() the queue is reopened, so start/shutdown cycles restart
+  /// a fully functional server.
   void start();
 
-  /// Admits one request line for asynchronous execution. On success,
-  /// `done` is invoked exactly once from a worker thread with the
-  /// response body (no trailing newline). Returns false — and never
-  /// calls `done` — when the request's lane is full or the server is
-  /// shutting down; the caller should reply with overloaded_body().
-  ///
-  /// The request carries its lane's default deadline (none when the
-  /// configured ms is 0): if it is still queued when the deadline
-  /// passes, `done` receives deadline_exceeded_body() and the request
-  /// is never executed.
+  /// Serves one request line against the server's own cache partition:
+  /// serve_inline() on the calling thread, and enqueue() when that
+  /// reports a Heavy miss. `done` is invoked exactly once with the
+  /// response body (no trailing newline): before submit returns for a
+  /// hit or a Light request, from a worker for a Heavy miss. Returns
+  /// false — and never calls `done` — when the server is shut down or
+  /// the Heavy queue is full; the caller should reply with
+  /// overloaded_body().
   [[nodiscard]] bool submit(std::string line, Done done);
 
-  /// Submit against a transport-owned response-cache partition instead
-  /// of the server-wide cache: the lookup and the miss-fill both go to
-  /// `cache` (null falls back to the server cache). `cache_prechecked`
-  /// means the transport already probed the partition on its own thread
-  /// (and counted the miss), so the worker skips the re-probe and goes
-  /// straight to evaluation. The sharded TCP loop uses this so each
-  /// shard's hits never leave its core while misses still fill that
-  /// shard's partition.
-  [[nodiscard]] bool submit(std::string line, Done done,
-                            std::shared_ptr<ShardedLruCache> cache,
-                            bool cache_prechecked);
+  /// The synchronous half of submit, for transports that frame replies
+  /// themselves: probes `cache` once under the current parameter
+  /// generation; a hit, or a Light miss evaluated here and filled into
+  /// `cache`, renders into `out` (capacity reused) and is recorded in
+  /// metrics. A Heavy miss renders nothing (the miss is already
+  /// counted) and returns Inline::HeavyMiss.
+  [[nodiscard]] Inline serve_inline(std::string_view line,
+                                    ShardedLruCache& cache, std::string& out);
 
-  /// Loop-thread cache probe: trims `line`, looks it up in `cache`
-  /// under the current parameter generation, and on a hit renders the
-  /// body into `out` (capacity reused) and records the completion in
-  /// metrics. Returns false on a miss (which is counted — pair with
-  /// submit(..., cache, /*cache_prechecked=*/true) to avoid counting
-  /// it twice).
-  [[nodiscard]] bool try_serve_cached(std::string_view line,
-                                      ShardedLruCache& cache,
-                                      std::string& out);
+  /// The asynchronous half: queues a line serve_inline() reported as a
+  /// Heavy miss. A worker evaluates it, fills `cache` (shared: the job
+  /// may outlive the transport shard that owns the partition), and
+  /// calls `done`. The job carries the request_deadline_ms deadline: if
+  /// it is still queued when that passes, `done` receives
+  /// deadline_exceeded_body() and the request is never executed.
+  /// Returns false, without calling `done`, when the queue is full or
+  /// closed.
+  [[nodiscard]] bool enqueue(std::string line, Done done,
+                             std::shared_ptr<ShardedLruCache> cache);
+
+  /// The partition callers without their own use (submit, handle_into).
+  [[nodiscard]] const std::shared_ptr<ShardedLruCache>& cache()
+      const noexcept {
+    return cache_;
+  }
 
   /// Registers / unregisters a transport-owned cache partition so
-  /// cache_stats() and the "stats" endpoint aggregate it. The registry
-  /// holds a shared_ptr: a partition stays valid for queued jobs even
-  /// after its transport shard is gone.
+  /// cache_stats() and the "stats" endpoint aggregate it.
   void add_cache_partition(std::shared_ptr<const ShardedLruCache> partition);
   void remove_cache_partition(const ShardedLruCache* partition);
 
-  /// Synchronous execution on the calling thread (tests, simple
-  /// transports, the in-process loadgen). Same cache/metrics path as
-  /// the worker pool; lanes are bypassed (no queueing happens).
+  /// Synchronous execution on the calling thread, Heavy requests
+  /// included (tests, the in-process loadgen, the campaign harness).
   [[nodiscard]] std::string handle_now(std::string_view line);
 
   /// Synchronous execution into a caller-owned buffer whose capacity is
   /// reused across calls — the zero-allocation steady state for
-  /// in-process callers (benchmarks, embedding applications). `out` is
-  /// replaced by the response body (no trailing newline).
+  /// in-process callers (benchmarks, embedding applications). Runs
+  /// Heavy requests inline too. `out` is replaced by the response body
+  /// (no trailing newline).
   void handle_into(std::string_view line, std::string& out);
 
-  /// Graceful shutdown: stop admitting, drain the lanes (every admitted
+  /// Graceful shutdown: stop admitting, drain the queue (every admitted
   /// request's `done` fires), join workers. Safe to call twice.
   void shutdown();
 
@@ -194,8 +188,8 @@ class Server {
   [[nodiscard]] const ServerOptions& options() const noexcept {
     return options_;
   }
-  /// Aggregated cache statistics: the server-wide cache plus every
-  /// registered transport partition (hits/misses/entries/... summed).
+  /// Aggregated cache statistics over every registered partition
+  /// (hits/misses/entries/... summed).
   [[nodiscard]] ShardedLruCache::Stats cache_stats() const;
 
   /// The server-owned online-fitting store (observe/params/refit state).
@@ -228,63 +222,43 @@ class Server {
   }
 
  private:
+  /// A queued Heavy miss.
   struct Job {
     std::string line;
     Done done;
-    std::chrono::steady_clock::time_point admitted;
+    Clock::time_point admitted;  ///< default = latency not sampled
     Clock::time_point deadline = Clock::time_point::max();
-    std::size_t lane = kLightLane;
-    /// Transport-owned cache partition for this job (null = the server
-    /// cache). shared_ptr: the job may outlive the transport shard.
-    std::shared_ptr<ShardedLruCache> cache;
-    /// The transport already probed (and miss-counted) the partition.
-    bool cache_prechecked = false;
+    std::shared_ptr<ShardedLruCache> cache;  ///< probed, missed, to fill
   };
 
-  /// How many jobs a worker takes from its lanes per lock crossing.
-  /// Small enough that a batch never starves sibling workers under
-  /// bursty load, large enough to amortize the mutex when the queue
-  /// runs deep.
-  static constexpr std::size_t kWorkerBatch = 16;
+  /// The latency start stamp for the request about to run: now() when
+  /// Metrics samples this one, else a default time_point ("unsampled").
+  [[nodiscard]] Clock::time_point stamp() noexcept;
 
-  /// Shared body of the submit overloads: classifies the line into its
-  /// lane, stamps the lane's deadline, and pushes the job.
-  [[nodiscard]] bool submit_to_lane(std::string line, Done done,
-                                    std::shared_ptr<ShardedLruCache> cache,
-                                    bool cache_prechecked);
+  /// Records a completion, with latency when `started` was sampled.
+  void finish(const Endpoint* endpoint, bool ok, Clock::time_point started);
 
-  /// Cache + registry execution shared by workers and handle_now /
-  /// handle_into. The response is rendered into reply.body (capacity
-  /// reused); reply.endpoint / reply.ok feed the metrics. A
-  /// default-constructed `started` means "latency not sampled for this
-  /// request" (see Metrics::sample_latency_now): the completion is
-  /// counted without reading the clock.
-  void execute_into(std::string_view line,
-                    std::chrono::steady_clock::time_point started,
-                    Reply& reply);
+  /// The evaluation half of the execute path, after a probe of `cache`
+  /// missed: handler dispatch, stats substitution, miss-fill, metrics.
+  /// Renders into reply.body (capacity reused).
+  void evaluate(std::string_view key, ShardedLruCache& cache,
+                Clock::time_point started, Reply& reply);
 
-  /// Same, against an explicit cache. `skip_probe` suppresses the
-  /// lookup (the transport already probed and counted the miss); the
-  /// miss-fill still goes to `cache`.
-  void execute_into(std::string_view line,
-                    std::chrono::steady_clock::time_point started,
-                    Reply& reply, ShardedLruCache& cache, bool skip_probe);
-
-  /// Deadline check + execute + done; shared by workers and the
+  /// Deadline check + evaluate + done; shared by workers and the
   /// shutdown drain so queue-expired jobs are answered identically on
   /// both paths. `scratch` is the worker's reusable reply buffer.
   void run_job(Job& job, Reply& scratch);
 
-  void worker_loop(LaneMask mask);
+  void worker_loop();
 
   ServerOptions options_;
   const sim::ClockSource* clock_;  ///< never null after construction
-  ShardedLruCache cache_;
-  /// Transport-owned cache partitions registered for stats aggregation.
+  const std::shared_ptr<ShardedLruCache> cache_;
+  /// Every cache partition, the server's own first, for cache_stats().
   mutable std::mutex partitions_mutex_;
   std::vector<std::shared_ptr<const ShardedLruCache>> partitions_;
   Metrics metrics_;
-  LaneScheduler<Job> queue_;
+  BoundedQueue<Job> queue_;
   fit::online::OnlineStore online_;
   /// Created by start() when refit_interval_ms > 0; stopped and
   /// destroyed by shutdown(). Declared after online_ (it holds a
@@ -339,9 +313,10 @@ class OrderedWriter {
   std::vector<std::string> flush_batch_;  ///< flusher-owned scratch
 };
 
-/// Serves newline-delimited requests from `in` to `out` through the
-/// worker pool, preserving input order; returns after EOF once every
-/// response has been written. Used by `archline_serverd --stdio` and
+/// Serves newline-delimited requests from `in` to `out` through
+/// Server::submit — Light requests on this thread, Heavy misses on the
+/// pool — preserving input order; returns after EOF once every response
+/// has been written. Used by `archline_serverd --stdio` and
 /// the protocol tests. The server must be started; it is NOT shut down
 /// on return.
 void run_stream(Server& server, std::istream& in, std::ostream& out);

@@ -182,8 +182,7 @@ class ShardLoop {
  private:
   void update_interest(Conn& c) {
     const std::uint32_t want =
-        (c.half_closed ? 0u : EPOLLIN) | (has_outbound(c) ? 0u : 0u) |
-        (has_outbound(c) ? EPOLLOUT : 0u);
+        (c.half_closed ? 0u : EPOLLIN) | (has_outbound(c) ? EPOLLOUT : 0u);
     if (want == c.interest) return;
     epoll_event mod{};
     mod.events = want;
@@ -244,6 +243,11 @@ class ShardLoop {
   /// destroyed).
   bool flush(Conn& c) {
     while (has_outbound(c)) {
+      // Stamped BEFORE the send: once the bytes are out, the peer may
+      // read them and advance a SimClock before this thread runs again,
+      // and a later stamp would then make the connection look freshly
+      // active forever (the idle sweep would never fire).
+      const Clock::time_point sent_at = clock_.now();
       std::array<iovec, kMaxIov> iov;
       int cnt = 0;
       if (!c.out.empty()) {
@@ -266,7 +270,7 @@ class ShardLoop {
         return false;
       }
       if (n == 0) break;  // defensive: no progress, no spin
-      c.last_activity = clock_.now();
+      c.last_activity = sent_at;
       consume_outbound(c, static_cast<std::size_t>(n));
     }
     return true;
@@ -288,10 +292,10 @@ class ShardLoop {
     c.pending.push_back(std::move(body));
   }
 
-  /// An inline cache hit: the body lives in the loop's reusable scratch
-  /// buffer, so it is copied out — into `out` when FIFO allows (its
-  /// capacity is reused across hits; zero allocations steady-state),
-  /// else into pending.
+  /// A reply finished on this thread: the body lives in the loop's
+  /// reusable scratch buffer, so it is copied out — into `out` when
+  /// FIFO allows (its capacity is reused across requests; zero
+  /// allocations steady-state), else into pending.
   void frame_copy(Conn& c, const std::string& body) {
     ++c.written;
     if (c.pending_next == c.pending.size()) {
@@ -307,36 +311,34 @@ class ShardLoop {
   void submit_line(Conn& c, std::string_view line) {
     if (line.empty() || line == "\r") return;
     metrics_.on_shard_request(shard_);
-    if (cache_) {
-      // Shard-local cache probe on the loop thread: a hit never
-      // touches the worker pool or another core. FIFO safety: with
-      // nothing in flight the reply is framed directly; otherwise it
-      // is sequenced through the OrderedWriter behind the in-flight
-      // responses.
-      const bool in_order = c.submitted == c.written;
-      if (server_.try_serve_cached(line, *cache_, scratch_)) {
-        metrics_.on_shard_cached(shard_);
-        ++c.submitted;
-        if (in_order) {
-          frame_copy(c, scratch_);
-        } else {
-          const std::uint64_t seq = c.writer->next_sequence();
-          c.writer->complete(seq, std::string(scratch_));
-        }
-        return;
-      }
-      // Probe missed (and was counted); the worker skips the re-probe
-      // and its miss-fill lands in this shard's partition.
-    }
-    const std::uint64_t seq = c.writer->next_sequence();
+    // A cache hit or a Light miss finishes here, on the loop thread,
+    // against this shard's partition: it never touches the worker pool
+    // or another core. FIFO safety: with nothing in flight the reply is
+    // framed directly; otherwise it is sequenced through the
+    // OrderedWriter behind the in-flight responses.
+    const bool in_order = c.submitted == c.written;
     ++c.submitted;
+    const Server::Inline how = server_.serve_inline(line, *cache_, scratch_);
+    if (how != Server::Inline::HeavyMiss) {
+      if (how == Server::Inline::Hit) metrics_.on_shard_cached(shard_);
+      if (in_order) {
+        frame_copy(c, scratch_);
+      } else {
+        const std::uint64_t seq = c.writer->next_sequence();
+        c.writer->complete(seq, std::string(scratch_));
+      }
+      return;
+    }
+    // A Heavy miss (already probed and counted) goes to the pool; the
+    // worker's miss-fill lands in this shard's partition.
+    const std::uint64_t seq = c.writer->next_sequence();
     std::shared_ptr<OrderedWriter> writer = c.writer;
-    const bool admitted = server_.submit(
+    const bool admitted = server_.enqueue(
         std::string(line),
         [writer, seq](std::string&& body) {
           writer->complete(seq, std::move(body));
         },
-        cache_, /*cache_prechecked=*/cache_ != nullptr);
+        cache_);
     if (!admitted)
       c.writer->complete(seq, std::string(overloaded_body()));
   }
@@ -389,6 +391,9 @@ class ShardLoop {
       c.in.append(chunk, static_cast<std::size_t>(n));
       process_input(c, /*eof=*/false);
     }
+    // Replies finished on this thread leave in one sendv now, not after
+    // another epoll round trip for EPOLLOUT.
+    if (!flush(c)) return false;
     if (!maybe_close(c)) return false;
     update_interest(c);
     return true;
@@ -496,7 +501,7 @@ class ShardLoop {
   const std::size_t shard_;
   const std::uint64_t shard_count_;
   const int listen_fd_;  ///< -1: this shard does not accept
-  const std::shared_ptr<ShardedLruCache> cache_;  ///< null: no caching
+  const std::shared_ptr<ShardedLruCache> cache_;  ///< never null
   const std::size_t max_conns_;
   HandoffQueue* const inbox_;  ///< null unless handoff-mode non-acceptor
   const std::vector<HandoffQueue*> targets_;  ///< non-empty: acceptor
@@ -825,7 +830,8 @@ bool TcpListener::open(std::string* error) {
   // Per-shard response-cache partitions, each a slice of the server's
   // configured capacity. Generation scoping (entries remember the
   // online-parameter generation they were filled under) makes refit
-  // invalidation work per-partition for free.
+  // invalidation work per-partition for free. With caching off the
+  // shards share the server's own (disabled) partition.
   const std::size_t cache_capacity = server_.options().cache_capacity;
   if (cache_capacity > 0) {
     const std::size_t per_shard = std::max<std::size_t>(
@@ -898,7 +904,8 @@ void TcpListener::run(const std::atomic<bool>& stop) {
     const int lfd = reuseport_ ? listen_fds_[i]
                                : (shard == 0 ? listen_fds_[0] : -1);
     ShardLoop loop(server_, options_, shard, shards_, lfd,
-                   partitions_.empty() ? nullptr : partitions_[i], caps[i],
+                   partitions_.empty() ? server_.cache() : partitions_[i],
+                   caps[i],
                    handoff_mode && shard > 0 ? handoff[i].get() : nullptr,
                    handoff_mode && shard == 0 ? targets
                                               : std::vector<HandoffQueue*>{});

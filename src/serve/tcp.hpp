@@ -2,19 +2,22 @@
 // TCP transport for serve::Server: N thread-per-core epoll event-loop
 // shards. Each shard owns its listen socket (SO_REUSEPORT — the kernel
 // load-balances accepts by 4-tuple hash), its connection table, its
-// completion eventfd, a partition of the response cache served inline
-// from the loop thread, and a Metrics stripe — so the steady-state
-// cached-hit path never crosses a core boundary. Only heavy-lane /
-// miss traffic is handed to the shared worker pool through the
-// LaneScheduler. Where SO_REUSEPORT is unavailable (or disabled for
-// deterministic placement in tests), shard 0 accepts and round-robins
-// fds to its peers over eventfd-signalled handoff queues.
+// completion eventfd, a partition of the response cache, and a Metrics
+// stripe. A cache hit or a Light miss runs to completion on the loop
+// thread that framed it (probe, parse, evaluate, render, miss-fill into
+// the shard's partition, frame), so Light work never crosses a core
+// boundary. Only Heavy misses are handed to the Server's worker pool.
+// Where SO_REUSEPORT is unavailable (or disabled for deterministic
+// placement in tests), shard 0 accepts and round-robins fds to its
+// peers over eventfd-signalled handoff queues.
 //
-// Workers hand finished responses back to the owning shard through an
-// eventfd-signalled completion channel; the shard frames them and
-// coalesces every reply buffered for a connection into one writev()
-// per epoll wake, falling back to EPOLLOUT when the socket's send
-// buffer is full.
+// Workers hand finished Heavy replies back to the owning shard through
+// an eventfd-signalled completion channel; a per-connection
+// OrderedWriter keeps them in request order with the inline replies.
+// The shard coalesces every reply buffered for a connection into one
+// writev() per epoll wake, falling back to EPOLLOUT when the socket's
+// send buffer is full. A busy shard simply stops reading, which is the
+// transport's backpressure.
 //
 // Connection lifecycle is bounded and explicit:
 //   * at most `max_connections` sockets are admitted (split across
@@ -22,7 +25,7 @@
 //     canned "overloaded" error and closes immediately;
 //   * a connection idle longer than `idle_timeout_ms` with no pending
 //     work is closed by its shard;
-//   * requests inherit the Server's per-request deadline, so a job that
+//   * Heavy misses inherit the Server's queue deadline, so a job that
 //     out-waits the queue is answered with "deadline_exceeded";
 //   * on peer half-close (EOF with buffered bytes), the final
 //     un-terminated line is still processed and answered before the
@@ -180,10 +183,11 @@ class TcpListener {
   Server& server_;
   TcpOptions options_;
   std::vector<int> listen_fds_;
-  /// Per-shard response-cache partitions, created by open() and served
-  /// inline by the owning shard's loop thread. shared_ptr because jobs
-  /// in the worker queue hold a reference for miss-fill after a shard
-  /// force-closes its connections at shutdown.
+  /// Per-shard response-cache partitions, created by open() when
+  /// caching is on and probed by the owning shard's loop thread.
+  /// shared_ptr because Heavy jobs in the worker queue hold a reference
+  /// for miss-fill after a shard force-closes its connections at
+  /// shutdown.
   std::vector<std::shared_ptr<ShardedLruCache>> partitions_;
   std::uint16_t port_ = 0;
   int shards_ = 1;

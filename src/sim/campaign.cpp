@@ -25,6 +25,12 @@ namespace {
 constexpr std::uint64_t kNoDeadline =
     std::numeric_limits<std::uint64_t>::max();
 
+/// Light pops a heavy-capable modeled worker takes per Heavy pop. The
+/// modeled scheduler is the two-lane, credit-weighted one serve::Server
+/// ran before Light requests moved inline onto their framing thread;
+/// it is kept as-is so same-seed reports stay byte-identical.
+constexpr unsigned kLightCredits = 4;
+
 [[nodiscard]] std::uint64_t to_ns(double seconds) noexcept {
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
@@ -528,8 +534,8 @@ struct Campaign::Impl {
         1, static_cast<std::uint64_t>(static_cast<double>(base) * jitter));
   }
 
-  /// Assigns queued jobs to idle workers (weighted 4:1 light:heavy for
-  /// the heavy-capable subset, mirroring serve::Server's credits).
+  /// Assigns queued jobs to idle workers (weighted kLightCredits:1
+  /// light:heavy for the heavy-capable subset).
   /// Queue-expired jobs are answered with deadline_exceeded without
   /// occupying a worker, exactly like Server::run_job.
   void dispatch(std::uint64_t t_ns) {
@@ -555,8 +561,7 @@ struct Campaign::Impl {
           lane->pop_front();
           --pending_work;
           if (from_heavy) {
-            worker_credits[static_cast<std::size_t>(w)] =
-                serve::Server::kLightWeight;
+            worker_credits[static_cast<std::size_t>(w)] = kLightCredits;
           } else if (heavy_capable &&
                      worker_credits[static_cast<std::size_t>(w)] > 0) {
             --worker_credits[static_cast<std::size_t>(w)];
@@ -717,7 +722,7 @@ struct Campaign::Impl {
     conns.resize(static_cast<std::size_t>(options.connections));
     worker_busy.assign(static_cast<std::size_t>(options.workers), 0);
     worker_credits.assign(static_cast<std::size_t>(options.workers),
-                          serve::Server::kLightWeight);
+                          kLightCredits);
     worker_reply.resize(static_cast<std::size_t>(options.workers));
     service_rng = stats::Rng(options.seed, /*stream=*/3);
     stats::Rng assign_rng(options.seed, /*stream=*/2);

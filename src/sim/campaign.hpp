@@ -11,8 +11,10 @@
 // (for observe/refit traffic) fed to the online-fit store by the
 // production code, on the campaign thread, under a sim::SimClock. Only
 // the *scheduling* is modeled: admission lanes, worker occupancy,
-// service times, deadlines, and idle reaping replay the server's
-// queueing discipline in virtual nanoseconds, so a ten-virtual-minute
+// service times, deadlines, and idle reaping replay a two-lane queueing
+// discipline in virtual nanoseconds (the one serve::Server ran before
+// Light requests moved inline; kept so reports stay byte-stable across
+// that change), so a ten-virtual-minute
 // million-request campaign costs seconds of wall clock and is
 // bit-reproducible from its seed.
 //

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -66,7 +68,13 @@ using archline::sim::send_all;
 inline const std::string kLoopback = "127.0.0.1";
 
 /// recv() until EOF (or error); true when the peer closed cleanly.
-inline bool wait_for_eof(int fd) {
+/// Each recv() waits at most `timeout`, so a connection the server
+/// never closes fails the caller's check instead of hanging the suite.
+inline bool wait_for_eof(
+    int fd, std::chrono::seconds timeout = std::chrono::seconds(10)) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count());
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);

@@ -18,6 +18,7 @@
 namespace {
 
 using namespace archline;
+using sim::make_analysis_pool;
 using sim::make_bad_json_pool;
 using sim::make_batch_pool;
 using sim::make_fit_pool;
@@ -60,6 +61,7 @@ TEST(RequestPools, EveryLineIsAnsweredOk) {
   expect_all_ok(make_params_pool(), store, "params");
   expect_all_ok(make_policy_pool(), store, "policy");
   expect_all_ok(make_trace_pool(), store, "trace");
+  expect_all_ok(make_analysis_pool(), store, "analysis");
   expect_all_ok(make_fit_pool(4, 42), store, "fit");
   // Observations first, so every refit has data to re-solve.
   expect_all_ok(make_observe_pool(24, 42), store, "observe");
@@ -119,6 +121,12 @@ TEST(RequestPools, BytesMatchThePinnedDigests) {
             0xd9eddc6ee3539071ull);
   EXPECT_EQ(make_trace_pool().size(), 156u);
   EXPECT_EQ(make_policy_pool().size(), 36u);
+}
+
+TEST(RequestPools, AnalysisPoolBytesArePinned) {
+  const auto pool = make_analysis_pool();
+  EXPECT_EQ(pool.size(), 36u);
+  EXPECT_EQ(digest(pool), 0xf07874aef50547fdull);
 }
 
 }  // namespace

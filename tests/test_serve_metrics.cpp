@@ -96,7 +96,7 @@ TEST(ServeMetrics, ConnectionLifecycleCounters) {
   m.on_connection_closed();
   m.on_connection_rejected();
   m.on_connection_idle_closed();
-  m.on_deadline_exceeded(kLightLane);
+  m.on_deadline_exceeded();
   const auto snap = m.snapshot();
   EXPECT_EQ(snap.connections_accepted, 3u);
   EXPECT_EQ(snap.connections_open, 2u);
@@ -109,7 +109,7 @@ TEST(ServeMetrics, StatsJsonCarriesConnectionAndDeadlineFields) {
   Metrics m;
   m.on_connection_opened();
   m.on_connection_rejected();
-  m.on_deadline_exceeded(kHeavyLane);
+  m.on_deadline_exceeded();
   m.on_completed(Registry::instance().find("predict"), true, 1e-4);
   const Json stats = Json::parse(m.to_json(ShardedLruCache::Stats{}));
   const Json* conns = stats.find("connections");
@@ -124,36 +124,32 @@ TEST(ServeMetrics, StatsJsonCarriesConnectionAndDeadlineFields) {
 TEST(ServeMetrics, SummaryMentionsConnectionsAndDeadlines) {
   Metrics m;
   m.on_connection_opened();
-  m.on_deadline_exceeded(kLightLane);
+  m.on_deadline_exceeded();
   const std::string text = m.summary(ShardedLruCache::Stats{});
   EXPECT_NE(text.find("connections"), std::string::npos);
   EXPECT_NE(text.find("1 open, 1 accepted"), std::string::npos);
   EXPECT_NE(text.find("deadlined    1"), std::string::npos);
 }
 
-// ---- Per-lane and per-endpoint accounting ----------------------------------
+// ---- Heavy-lane and per-endpoint accounting ---------------------------------
 
 TEST(ServeMetrics, LaneCountersStaySeparate) {
+  // The Heavy queue's counters and gauges are separate from each other
+  // and from completions: a Light completion touches none of them.
   Metrics m;
-  m.on_rejected(kHeavyLane);
-  m.on_rejected(kHeavyLane);
-  m.on_rejected(kLightLane);
-  m.on_deadline_exceeded(kHeavyLane);
-  m.on_lane_depth(kLightLane, 5);
-  m.on_lane_depth(kLightLane, 2);  // depth is a gauge, peak sticks at 5
-  m.on_lane_depth(kHeavyLane, 7);
+  m.on_rejected();
+  m.on_rejected();
+  m.on_deadline_exceeded();
+  m.on_queue_depth(5);
+  m.on_queue_depth(2);  // depth is a gauge, peak sticks at 5
+  m.on_completed(Registry::instance().find("predict"), true, 1e-6);
   const auto snap = m.snapshot();
-  EXPECT_EQ(snap.lanes[kLightLane].rejected, 1u);
-  EXPECT_EQ(snap.lanes[kHeavyLane].rejected, 2u);
-  EXPECT_EQ(snap.lanes[kHeavyLane].deadline_exceeded, 1u);
-  EXPECT_EQ(snap.lanes[kLightLane].depth, 2u);
-  EXPECT_EQ(snap.lanes[kLightLane].peak, 5u);
-  EXPECT_EQ(snap.lanes[kHeavyLane].peak, 7u);
-  // Aggregates: rejected/deadline sum, depth sums, peak is the max.
-  EXPECT_EQ(snap.rejected, 3u);
+  EXPECT_EQ(snap.rejected, 2u);
   EXPECT_EQ(snap.deadline_exceeded, 1u);
-  EXPECT_EQ(snap.queue_depth, 9u);
-  EXPECT_EQ(snap.queue_peak, 7u);
+  EXPECT_EQ(snap.queue_depth, 2u);
+  EXPECT_EQ(snap.queue_peak, 5u);
+  EXPECT_EQ(snap.completed, 1u);
+  EXPECT_EQ(snap.heavy_latency.total, 0u);
 }
 
 TEST(ServeMetrics, LatencyLandsInTheEndpointsClassHistogram) {
@@ -166,8 +162,7 @@ TEST(ServeMetrics, LatencyLandsInTheEndpointsClassHistogram) {
   m.on_completed(fit, true, 1e-3);      // Heavy
   m.on_completed(nullptr, false, 1e-6);  // pre-dispatch error -> Light
   const auto snap = m.snapshot();
-  EXPECT_EQ(snap.lanes[kLightLane].latency.total, 2u);
-  EXPECT_EQ(snap.lanes[kHeavyLane].latency.total, 1u);
+  EXPECT_EQ(snap.heavy_latency.total, 1u);
   EXPECT_EQ(snap.latency.total, 3u);
   EXPECT_EQ(snap.by_endpoint[predict->id], 1u);
   EXPECT_EQ(snap.by_endpoint[fit->id], 1u);
@@ -177,20 +172,23 @@ TEST(ServeMetrics, LatencyLandsInTheEndpointsClassHistogram) {
 
 TEST(ServeMetrics, StatsJsonCarriesPerLaneSections) {
   Metrics m;
-  m.on_rejected(kHeavyLane);
+  m.on_rejected();
+  m.on_queue_depth(3);
   m.on_completed(Registry::instance().find("fit"), true, 2e-3);
+  m.on_completed(Registry::instance().find("predict"), true, 1e-6);
   const Json stats = Json::parse(m.to_json(ShardedLruCache::Stats{}));
   const Json* lanes = stats.find("lanes");
   ASSERT_NE(lanes, nullptr);
   const Json* heavy = lanes->find("heavy");
   ASSERT_NE(heavy, nullptr);
   EXPECT_DOUBLE_EQ(heavy->number_or("rejected", -1), 1.0);
+  EXPECT_DOUBLE_EQ(heavy->number_or("peak", -1), 3.0);
   const Json* heavy_latency = heavy->find("latency");
   ASSERT_NE(heavy_latency, nullptr);
   EXPECT_DOUBLE_EQ(heavy_latency->number_or("count", -1), 1.0);
-  const Json* light = lanes->find("light");
-  ASSERT_NE(light, nullptr);
-  EXPECT_DOUBLE_EQ(light->find("latency")->number_or("count", -1), 0.0);
+  // Light requests never queue, so there is no light section.
+  EXPECT_EQ(lanes->find("light"), nullptr);
+  EXPECT_DOUBLE_EQ(stats.find("latency")->number_or("count", -1), 2.0);
   // by_type keys by endpoint name.
   EXPECT_DOUBLE_EQ(stats.find("by_type")->number_or("fit", -1), 1.0);
 }

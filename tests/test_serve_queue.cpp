@@ -1,14 +1,11 @@
-// LaneScheduler tests: per-lane bounded admission, weighted round-robin
-// draining, lane masks, batch pop_n semantics, drain-after-close, and a
-// multi-producer / multi-consumer stress over the notify-gated wake
-// path with mixed lane masks.
+// BoundedQueue tests: bounded admission, FIFO pops with post-pop
+// depth, drain-after-close, reopen, and a multi-producer /
+// multi-consumer stress over the waiter-gated wake path.
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -17,187 +14,60 @@
 
 namespace {
 
-using archline::serve::kAllLanes;
-using archline::serve::kHeavyLane;
-using archline::serve::kLaneCount;
-using archline::serve::kLightLane;
-using archline::serve::kLightOnly;
-using archline::serve::lane_bit;
-using archline::serve::LaneConfig;
-using archline::serve::LaneScheduler;
+using archline::serve::BoundedQueue;
 
-/// light capacity 16 weight 4, heavy capacity 4 weight 1 — the
-/// Server's shape, shrunk.
-LaneScheduler<int> make_sched(std::size_t light_cap = 16,
-                              std::size_t heavy_cap = 4) {
-  return LaneScheduler<int>(std::array<LaneConfig, kLaneCount>{
-      LaneConfig{light_cap, 4}, LaneConfig{heavy_cap, 1}});
-}
-
-TEST(ServeQueue, LanesAreBoundedIndependently) {
-  auto q = make_sched(/*light_cap=*/16, /*heavy_cap=*/2);
-  // Fill the heavy lane to capacity...
-  ASSERT_TRUE(q.try_push(kHeavyLane, 100));
-  ASSERT_TRUE(q.try_push(kHeavyLane, 101));
-  EXPECT_FALSE(q.try_push(kHeavyLane, 102));  // heavy full: rejected
-  // ...and the light lane still admits: the class-isolation property.
+TEST(ServeQueue, TryPushReportsDepthAndBackpressure) {
+  BoundedQueue<int> q(2);
+  EXPECT_EQ(q.capacity(), 2u);
   std::size_t depth = 0;
-  ASSERT_TRUE(q.try_push(kLightLane, 1, &depth));
+  ASSERT_TRUE(q.try_push(1, &depth));
   EXPECT_EQ(depth, 1u);
-  EXPECT_EQ(q.lane_size(kLightLane), 1u);
-  EXPECT_EQ(q.lane_size(kHeavyLane), 2u);
-  EXPECT_EQ(q.size(kAllLanes), 3u);
-  EXPECT_EQ(q.size(kLightOnly), 1u);
+  ASSERT_TRUE(q.try_push(2, &depth));
+  EXPECT_EQ(depth, 2u);
+  EXPECT_FALSE(q.try_push(3));  // full: rejected, never blocks
+  EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(ServeQueue, DisabledLaneRejectsEveryPush) {
-  auto q = make_sched(/*light_cap=*/4, /*heavy_cap=*/0);
-  EXPECT_FALSE(q.try_push(kHeavyLane, 1));
-  EXPECT_TRUE(q.try_push(kLightLane, 1));
+  BoundedQueue<int> q(0);
+  EXPECT_FALSE(q.try_push(1));
+  EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(ServeQueue, WeightedRoundRobinPopsLightHeavierThanHeavy) {
-  // 8 light + 4 heavy queued; an all-lanes consumer popping one at a
-  // time must see the 4:1 pattern — 4 light, 1 heavy, 4 light, 1 heavy —
-  // so a deep heavy backlog cannot monopolize a heavy-capable worker.
-  auto q = make_sched(16, 4);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.try_push(kLightLane, i));
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push(kHeavyLane, 100 + i));
-  std::vector<std::size_t> lanes;
-  for (int i = 0; i < 10; ++i) {
-    std::size_t lane = 99;
-    const std::optional<int> item = q.pop(kAllLanes, &lane);
-    ASSERT_TRUE(item.has_value());
-    lanes.push_back(lane);
-  }
-  EXPECT_EQ(lanes, (std::vector<std::size_t>{
-                       kLightLane, kLightLane, kLightLane, kLightLane,
-                       kHeavyLane, kLightLane, kLightLane, kLightLane,
-                       kLightLane, kHeavyLane}));
-  // Light drained; the remaining heavy items are still reachable.
-  std::size_t lane = 99;
-  EXPECT_TRUE(q.pop(kAllLanes, &lane).has_value());
-  EXPECT_EQ(lane, kHeavyLane);
-  EXPECT_TRUE(q.pop(kAllLanes, &lane).has_value());
-  EXPECT_EQ(lane, kHeavyLane);
+TEST(ServeQueue, PopTakesItemsInFifoOrder) {
+  BoundedQueue<int> q(16);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(i));
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop(), i);
+  EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(ServeQueue, MaskHidesLanesFromConsumer) {
-  auto q = make_sched();
-  ASSERT_TRUE(q.try_push(kHeavyLane, 7));
-  ASSERT_TRUE(q.try_push(kLightLane, 1));
-  // A light-only consumer sees just the light item...
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_n(kLightOnly, out, 8), 1u);
-  EXPECT_EQ(out, (std::vector<int>{1}));
-  EXPECT_EQ(q.size(kLightOnly), 0u);
-  // ...while the heavy item waits for a capable consumer.
-  EXPECT_EQ(q.lane_size(kHeavyLane), 1u);
-  std::size_t lane = 99;
-  const std::optional<int> heavy = q.pop(kAllLanes, &lane);
-  ASSERT_TRUE(heavy.has_value());
-  EXPECT_EQ(*heavy, 7);
-  EXPECT_EQ(lane, kHeavyLane);
-}
-
-TEST(ServeQueue, PopNTakesUpToMaxItemsInOrder) {
-  auto q = make_sched();
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(kLightLane, i));
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_n(kLightOnly, out, 4), 4u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  // A larger max takes only what is there; earlier items untouched.
-  EXPECT_EQ(q.pop_n(kLightOnly, out, 100), 6u);
-  EXPECT_EQ(out.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ServeQueue, PopNDrainsBothLanesWeighted) {
-  auto q = make_sched();
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(kLightLane, i));
-  ASSERT_TRUE(q.try_push(kHeavyLane, 100));
-  std::vector<int> out;
-  std::array<std::size_t, kLaneCount> depths{99, 99};
-  EXPECT_EQ(q.pop_n(kAllLanes, out, 16, &depths), 6u);
-  // 4 light (credit), 1 heavy, then the last light.
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 100, 4}));
-  EXPECT_EQ(depths[kLightLane], 0u);
-  EXPECT_EQ(depths[kHeavyLane], 0u);
-}
-
-TEST(ServeQueue, PopNReportsPostPopDepths) {
-  auto q = make_sched();
-  for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_push(kLightLane, i));
-  ASSERT_TRUE(q.try_push(kHeavyLane, 100));
-  std::vector<int> out;
-  std::array<std::size_t, kLaneCount> depths{99, 99};
-  EXPECT_EQ(q.pop_n(kLightOnly, out, 3, &depths), 3u);
-  EXPECT_EQ(depths[kLightLane], 4u);  // 7 pushed - 3 taken
-  EXPECT_EQ(depths[kHeavyLane], 1u);  // untouched by the mask
-}
-
-TEST(ServeQueue, TryPushReportsDepthAndBackpressure) {
-  auto q = make_sched(/*light_cap=*/2, /*heavy_cap=*/4);
-  std::size_t depth = 0;
-  ASSERT_TRUE(q.try_push(kLightLane, 1, &depth));
-  EXPECT_EQ(depth, 1u);
-  ASSERT_TRUE(q.try_push(kLightLane, 2, &depth));
-  EXPECT_EQ(depth, 2u);
-  EXPECT_FALSE(q.try_push(kLightLane, 3));  // full: rejected, never blocks
-  EXPECT_EQ(q.lane_size(kLightLane), 2u);
+TEST(ServeQueue, PopReportsPostPopDepth) {
+  BoundedQueue<int> q(16);
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_push(i));
+  std::size_t depth = 99;
+  ASSERT_TRUE(q.pop(&depth).has_value());
+  EXPECT_EQ(depth, 6u);  // 7 pushed - 1 taken
 }
 
 TEST(ServeQueue, DrainAfterCloseWithBatches) {
-  auto q = make_sched();
-  for (int i = 0; i < 9; ++i) ASSERT_TRUE(q.try_push(kLightLane, i));
+  BoundedQueue<int> q(16);
+  for (int i = 0; i < 9; ++i) ASSERT_TRUE(q.try_push(i));
   q.close();
-  EXPECT_FALSE(q.try_push(kLightLane, 99));  // closed: no new admissions
-  // Items admitted before close() still drain, batch by batch...
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_n(kAllLanes, out, 4), 4u);
-  EXPECT_EQ(q.pop_n(kAllLanes, out, 4), 4u);
-  EXPECT_EQ(q.pop_n(kAllLanes, out, 4), 1u);
-  for (int i = 0; i < 9; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-  // ...and only then does pop_n report "closed and empty".
-  EXPECT_EQ(q.pop_n(kAllLanes, out, 4), 0u);
-  EXPECT_EQ(out.size(), 9u);
-  EXPECT_FALSE(q.pop(kAllLanes).has_value());
+  EXPECT_FALSE(q.try_push(99));  // closed: no new admissions
+  // The batch admitted before close() still drains, in order...
+  for (int i = 0; i < 9; ++i) EXPECT_EQ(q.pop(), i);
+  // ...and only then does pop report "closed and empty".
+  EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(ServeQueue, HeavyPushWakesHeavyCapableConsumerNotStrandedByLightOnly) {
-  // Both a light-only and an all-lanes consumer sleep on the empty
-  // scheduler; a heavy push must reach the all-lanes consumer even
-  // though the light-only one also wakes (notify_all, re-checks, and
-  // goes back to sleep). A notify_one design deadlocks here.
-  auto q = make_sched();
-  std::atomic<bool> got_heavy{false};
-  std::thread light_only([&] {
-    std::vector<int> out;
-    // Blocks until close(): the heavy item is never visible to it.
-    while (q.pop_n(kLightOnly, out, 4) != 0) out.clear();
-  });
-  std::thread all_lanes([&] {
-    std::size_t lane = 99;
-    const std::optional<int> item = q.pop(kAllLanes, &lane);
-    if (item.has_value() && lane == kHeavyLane) got_heavy.store(true);
-  });
-  ASSERT_TRUE(q.try_push(kHeavyLane, 7));
-  all_lanes.join();
-  EXPECT_TRUE(got_heavy.load());
-  q.close();
-  light_only.join();
-  EXPECT_EQ(q.size(kAllLanes), 0u);
-}
-
-TEST(ServeQueue, CloseWakesBlockedBatchConsumers) {
-  auto q = make_sched();
+TEST(ServeQueue, CloseWakesBlockedConsumers) {
+  BoundedQueue<int> q(16);
   std::atomic<int> exited{0};
   std::vector<std::thread> consumers;
   for (int i = 0; i < 3; ++i)
-    consumers.emplace_back([&, i] {
-      std::vector<int> out;
-      const auto mask = i == 0 ? kAllLanes : kLightOnly;
-      while (q.pop_n(mask, out, 4) != 0) out.clear();
+    consumers.emplace_back([&] {
+      while (q.pop()) {
+      }
       exited.fetch_add(1);
     });
   q.close();
@@ -206,30 +76,23 @@ TEST(ServeQueue, CloseWakesBlockedBatchConsumers) {
 }
 
 TEST(ServeQueue, MpmcBatchesDeliverEveryItemExactlyOnce) {
-  // 4 producers x 4 consumers (two light-only, two all-lanes) through
-  // small lanes: exercises the transition-gated notify_all and consumer
-  // wake chaining under real contention, with heavy items only
-  // reachable by half the pool. Sum check catches both lost and
-  // duplicated items.
+  // 4 producers pushing in bursts x 4 consumers through a small queue:
+  // exercises the waiter-gated notify_one under real contention. Sum
+  // check catches both lost and duplicated items.
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 5000;
-  LaneScheduler<long> q(std::array<LaneConfig, kLaneCount>{
-      LaneConfig{64, 4}, LaneConfig{16, 1}});
+  BoundedQueue<long> q(16);
   std::atomic<long> sum{0};
   std::atomic<long> count{0};
 
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c)
-    consumers.emplace_back([&, c] {
-      const auto mask = c < 2 ? kAllLanes : kLightOnly;
-      std::vector<long> batch;
+    consumers.emplace_back([&] {
       long local_sum = 0, local_count = 0;
-      for (;;) {
-        batch.clear();
-        const std::size_t n = q.pop_n(mask, batch, 16);
-        if (n == 0) break;
-        for (long v : batch) ++local_count, local_sum += v;
+      while (const std::optional<long> v = q.pop()) {
+        ++local_count;
+        local_sum += *v;
       }
       sum.fetch_add(local_sum);
       count.fetch_add(local_count);
@@ -240,15 +103,11 @@ TEST(ServeQueue, MpmcBatchesDeliverEveryItemExactlyOnce) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         const long value = static_cast<long>(p) * kPerProducer + i;
-        // Every 8th item rides the heavy lane.
-        const std::size_t lane = i % 8 == 0 ? kHeavyLane : kLightLane;
-        while (!q.try_push(lane, value)) std::this_thread::yield();
+        while (!q.try_push(value)) std::this_thread::yield();
       }
     });
   for (auto& t : producers) t.join();
-  // Light-only consumers exit on "closed and light lane empty"; heavy
-  // leftovers drain through the all-lanes pair.
-  q.close();
+  q.close();  // consumers drain what is left, then exit
   for (auto& t : consumers) t.join();
 
   const long total = static_cast<long>(kProducers) * kPerProducer;
@@ -257,21 +116,14 @@ TEST(ServeQueue, MpmcBatchesDeliverEveryItemExactlyOnce) {
 }
 
 TEST(ServeQueue, ReopenAfterCloseAdmitsAgain) {
-  auto q = make_sched(4, 4);
+  BoundedQueue<int> q(4);
   q.close();
-  EXPECT_FALSE(q.try_push(kLightLane, 1));
+  EXPECT_TRUE(q.closed());
+  EXPECT_FALSE(q.try_push(1));
   q.reopen();
-  EXPECT_TRUE(q.try_push(kLightLane, 1));
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_n(kAllLanes, out, 4), 1u);
-}
-
-TEST(ServeQueue, CapacityAndWeightAccessors) {
-  auto q = make_sched(16, 4);
-  EXPECT_EQ(q.capacity(kLightLane), 16u);
-  EXPECT_EQ(q.capacity(kHeavyLane), 4u);
-  EXPECT_EQ(q.weight(kLightLane), 4u);
-  EXPECT_EQ(q.weight(kHeavyLane), 1u);
+  EXPECT_FALSE(q.closed());
+  EXPECT_TRUE(q.try_push(1));
+  EXPECT_EQ(q.pop(), 1);
 }
 
 }  // namespace

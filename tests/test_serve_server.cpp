@@ -1,7 +1,7 @@
-// Server engine tests: worker pool execution, response caching and
-// metrics on the live path, backpressure, ordered delivery, the stdio
-// transport, and graceful shutdown (every admitted request completes,
-// the queue drains, counters reconcile).
+// Server engine tests: inline Light execution and the Heavy worker
+// pool, response caching and metrics on the live path, backpressure,
+// ordered delivery, the stdio transport, and graceful shutdown (every
+// admitted request completes, the queue drains, counters reconcile).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -28,6 +29,28 @@ using namespace archline::serve;
 
 const char* kPredict =
     R"({"type":"predict","platform":"GTX Titan","flops":1e9,"intensity":4})";
+
+/// A small fit request (6 observations): Heavy class, a few hundred µs
+/// of solver work. Distinct `seed` values defeat the response cache.
+std::string fit_request(int seed) {
+  Json obs = Json::array();
+  for (int p = 0; p < 6; ++p) {
+    const double intensity = std::exp2(-2.0 + p);
+    const double flops = 1e9 + seed;
+    const double bytes = flops / intensity;
+    const double t = std::max(flops * 3e-11, bytes * 1.2e-10);
+    Json row = Json::object();
+    row.set("flops", flops);
+    row.set("bytes", bytes);
+    row.set("seconds", t);
+    row.set("joules", flops * 4.7e-11 + bytes * 3.8e-10 + 2.7 * t);
+    obs.push_back(std::move(row));
+  }
+  Json req = Json::object();
+  req.set("type", "fit");
+  req.set("observations", std::move(obs));
+  return req.dump();
+}
 
 ServerOptions small_options() {
   ServerOptions o;
@@ -94,12 +117,14 @@ TEST(ServeServer, WorkerPoolCompletesAllSubmissions) {
   std::mutex m;
   std::condition_variable cv;
   for (int i = 0; i < kRequests; ++i) {
-    // Vary intensity so some requests miss the cache and some hit.
+    // Vary intensity so some requests miss the cache and some hit;
+    // every tenth is a fit, which runs on the pool.
     Json req = Json::object();
     req.set("type", "predict");
     req.set("platform", "GTX Titan");
     req.set("intensity", 1.0 + (i % 10));
-    while (!server.submit(req.dump(), [&](std::string&& body) {
+    const std::string line = i % 10 == 0 ? fit_request(i) : req.dump();
+    while (!server.submit(line, [&](std::string&& body) {
       if (Json::parse(body).bool_or("ok", false))
         ok.fetch_add(1, std::memory_order_relaxed);
       if (done.fetch_add(1) + 1 == kRequests) {
@@ -124,10 +149,10 @@ TEST(ServeServer, BackpressureRejectsWhenQueueFull) {
   ServerOptions options = small_options();
   options.queue_capacity = 8;
   Server server(options);
-  // Workers not started: the queue fills and then rejects.
+  // Workers not started: Heavy misses fill the queue and then bounce.
   int admitted = 0;
   std::atomic<int> completed{0};
-  while (server.submit(kPredict,
+  while (server.submit(fit_request(admitted),
                        [&](std::string&&) { completed.fetch_add(1); })) {
     ++admitted;
     ASSERT_LE(admitted, 8);
@@ -149,12 +174,9 @@ TEST(ServeServer, GracefulShutdownDrainsInFlightRequests) {
   server.start();
   std::atomic<int> completed{0};
   int admitted = 0;
-  for (int i = 0; i < 50; ++i) {
-    Json req = Json::object();
-    req.set("type", "predict");
-    req.set("platform", "Arndale GPU");
-    req.set("intensity", 0.5 + i);  // distinct keys: all real evaluations
-    if (server.submit(req.dump(),
+  for (int i = 0; i < 20; ++i) {
+    // Distinct fits: all real solver runs on the pool.
+    if (server.submit(fit_request(i),
                       [&](std::string&&) { completed.fetch_add(1); }))
       ++admitted;
   }
@@ -179,11 +201,12 @@ TEST(ServeServer, ShutdownIsIdempotentAndDestructorSafe) {
 TEST(ServeServer, RestartAfterShutdownServesAgain) {
   // Regression: shutdown() used to close the queue permanently,
   // so a restarted server spawned workers that exited immediately while
-  // submit() rejected everything. start() must reopen the queue.
+  // submit() rejected everything. start() must reopen the queue. Fits,
+  // because only Heavy misses reach the workers.
   Server server(small_options());
   server.start();
   std::atomic<int> completed{0};
-  ASSERT_TRUE(server.submit(kPredict,
+  ASSERT_TRUE(server.submit(fit_request(0),
                             [&](std::string&&) { completed.fetch_add(1); }));
   server.shutdown();
   EXPECT_EQ(completed.load(), 1);
@@ -197,7 +220,7 @@ TEST(ServeServer, RestartAfterShutdownServesAgain) {
   std::mutex m;
   std::condition_variable cv;
   std::string body;
-  ASSERT_TRUE(server.submit(kPredict, [&](std::string&& response) {
+  ASSERT_TRUE(server.submit(fit_request(1), [&](std::string&& response) {
     {
       std::lock_guard<std::mutex> lock(m);
       body = std::move(response);
@@ -213,22 +236,21 @@ TEST(ServeServer, RestartAfterShutdownServesAgain) {
 }
 
 TEST(ServeServer, ExpiredDeadlineAnswersWithoutExecuting) {
-  // Workers not started: jobs sit in the queue past their deadline, and
-  // the shutdown drain must answer them with the canned deadline error
-  // (same code path the worker loop uses).
+  // Workers not started: Heavy jobs sit in the queue past their
+  // deadline, and the shutdown drain must answer them with the canned
+  // deadline error (same code path the worker loop uses).
   archline::sim::SimClock clock;
   ServerOptions options = small_options();
   options.request_deadline_ms = 1;
   options.clock = &clock;
   Server server(options);
   std::vector<std::string> bodies;
-  ASSERT_TRUE(server.submit(
-      kPredict, [&](std::string&& b) { bodies.push_back(std::move(b)); }));
+  const auto keep = [&](std::string&& b) { bodies.push_back(std::move(b)); };
+  ASSERT_TRUE(server.submit(fit_request(0), keep));
   clock.advance_ms(2);  // the first job is now 1 ms past its deadline
   // Admitted after the advance: still in time, so it must execute
   // normally even on the drain path.
-  ASSERT_TRUE(server.submit(
-      kPredict, [&](std::string&& b) { bodies.push_back(std::move(b)); }));
+  ASSERT_TRUE(server.submit(fit_request(1), keep));
   server.shutdown();
   ASSERT_EQ(bodies.size(), 2u);
   EXPECT_EQ(Json::parse(bodies[0]).string_or("error", ""),
@@ -251,8 +273,8 @@ TEST(ServeServer, DefaultDeadlineComesFromOptions) {
   options.clock = &clock;
   Server server(options);
   std::string body;
-  ASSERT_TRUE(
-      server.submit(kPredict, [&](std::string&& b) { body = std::move(b); }));
+  ASSERT_TRUE(server.submit(fit_request(0),
+                            [&](std::string&& b) { body = std::move(b); }));
   clock.advance(std::chrono::milliseconds(10) + std::chrono::nanoseconds(1));
   server.shutdown();  // drains; the job expired 1 ns ago
   EXPECT_EQ(Json::parse(body).string_or("error", ""), "deadline_exceeded");
@@ -269,8 +291,8 @@ TEST(ServeServer, DeadlineBoundaryIsExclusive) {
   options.clock = &clock;
   Server server(options);
   std::string body;
-  ASSERT_TRUE(
-      server.submit(kPredict, [&](std::string&& b) { body = std::move(b); }));
+  ASSERT_TRUE(server.submit(fit_request(0),
+                            [&](std::string&& b) { body = std::move(b); }));
   clock.advance_ms(10);  // exactly at the deadline, not past it
   server.shutdown();
   EXPECT_TRUE(Json::parse(body).bool_or("ok", false));
@@ -314,97 +336,122 @@ TEST(ServeServer, RunStreamPreservesOrderAndHandlesBadLines) {
   EXPECT_EQ(Json::parse(lines[3]).string_or("type", ""), "stats");
 }
 
-// ---- Lanes ------------------------------------------------------------------
+// ---- Light inline, Heavy on the pool ----------------------------------------
 
-/// A small fit request (6 observations): Heavy class, a few hundred µs
-/// of solver work. Distinct `seed` values defeat the response cache.
-std::string fit_request(int seed) {
-  Json obs = Json::array();
-  for (int p = 0; p < 6; ++p) {
-    const double intensity = std::exp2(-2.0 + p);
-    const double flops = 1e9 + seed;
-    const double bytes = flops / intensity;
-    const double t = std::max(flops * 3e-11, bytes * 1.2e-10);
-    Json row = Json::object();
-    row.set("flops", flops);
-    row.set("bytes", bytes);
-    row.set("seconds", t);
-    row.set("joules", flops * 4.7e-11 + bytes * 3.8e-10 + 2.7 * t);
-    obs.push_back(std::move(row));
+TEST(ServeServer, LightRunsOnTheSubmittingThreadHeavyOnThePool) {
+  // The execution split itself: a Light request's done fires on the
+  // caller's thread before submit returns; a Heavy miss's fires later,
+  // on a worker.
+  Server server(small_options());
+  server.start();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id light_thread;
+  ASSERT_TRUE(server.submit(kPredict, [&](std::string&&) {
+    light_thread = std::this_thread::get_id();
+  }));
+  EXPECT_EQ(light_thread, caller);
+
+  std::mutex m;
+  std::condition_variable cv;
+  std::thread::id heavy_thread;
+  bool heavy_done = false;
+  ASSERT_TRUE(server.submit(fit_request(0), [&](std::string&&) {
+    std::lock_guard<std::mutex> lock(m);
+    heavy_thread = std::this_thread::get_id();
+    heavy_done = true;
+    cv.notify_one();
+  }));
+  {
+    std::unique_lock<std::mutex> lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return heavy_done; }));
   }
-  Json req = Json::object();
-  req.set("type", "fit");
-  req.set("observations", std::move(obs));
-  return req.dump();
+  EXPECT_NE(heavy_thread, caller);
+  server.shutdown();
+}
+
+TEST(ServeServer, ServeInlineProbesOnceAndHeavyFillsTheCallersPartition) {
+  // serve_inline probes the caller's partition exactly once; a Heavy
+  // miss renders nothing, and enqueue's worker fills that same
+  // partition, so the repeat is a hit there.
+  Server server(small_options());
+  server.start();
+  auto partition = std::make_shared<ShardedLruCache>(64, 4);
+  server.add_cache_partition(partition);
+  std::string out = "stale";
+  const std::string fit = fit_request(0);
+  ASSERT_EQ(server.serve_inline(fit, *partition, out),
+            Server::Inline::HeavyMiss);
+  EXPECT_EQ(partition->stats().misses, 1u);
+
+  std::mutex m;
+  std::condition_variable cv;
+  std::string body;
+  ASSERT_TRUE(server.enqueue(fit,
+                             [&](std::string&& b) {
+                               std::lock_guard<std::mutex> lock(m);
+                               body = std::move(b);
+                               cv.notify_one();
+                             },
+                             partition));
+  {
+    std::unique_lock<std::mutex> lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return !body.empty(); }));
+  }
+  EXPECT_EQ(partition->stats().misses, 1u);  // the worker did not re-probe
+  ASSERT_EQ(server.serve_inline(fit, *partition, out), Server::Inline::Hit);
+  EXPECT_EQ(out, body);
+  EXPECT_EQ(server.serve_inline(kPredict, *partition, out),
+            Server::Inline::Evaluated);
+  EXPECT_EQ(server.serve_inline(kPredict, *partition, out),
+            Server::Inline::Hit);
+  // The server's own partition was never touched; the stats sum both.
+  EXPECT_EQ(server.cache()->stats().misses, 0u);
+  EXPECT_EQ(server.cache_stats().hits, 2u);
+  EXPECT_EQ(server.cache_stats().misses, 2u);
+  server.shutdown();
+  server.remove_cache_partition(partition.get());
 }
 
 TEST(ServeServer, HeavyLaneFullStillAdmitsLightRequests) {
-  // Workers not started: pushes pile up per lane. Once the heavy lane
-  // is full, fit submissions bounce while predicts keep getting in —
-  // the isolation property the lanes exist for.
+  // Workers not started: fits pile up in the Heavy queue. Once it is
+  // full, fit submissions bounce while predicts keep being answered —
+  // they run inline and never queue.
   ServerOptions options = small_options();
-  options.heavy_lane_capacity = 2;
+  options.queue_capacity = 2;
   Server server(options);
   std::atomic<int> completed{0};
   const auto count = [&](std::string&&) { completed.fetch_add(1); };
   ASSERT_TRUE(server.submit(fit_request(0), count));
   ASSERT_TRUE(server.submit(fit_request(1), count));
-  EXPECT_FALSE(server.submit(fit_request(2), count));  // heavy lane full
+  EXPECT_FALSE(server.submit(fit_request(2), count));  // queue full
   for (int i = 0; i < 4; ++i)
     EXPECT_TRUE(server.submit(kPredict, count)) << i;
+  EXPECT_EQ(completed.load(), 4);  // the predicts, already answered
   const auto snap = server.metrics().snapshot();
-  EXPECT_EQ(snap.lanes[kHeavyLane].rejected, 1u);
-  EXPECT_EQ(snap.lanes[kLightLane].rejected, 0u);
-  EXPECT_EQ(snap.lanes[kHeavyLane].peak, 2u);
-  EXPECT_EQ(snap.lanes[kLightLane].peak, 4u);
-  server.shutdown();  // drain answers all six admitted requests
+  EXPECT_EQ(snap.rejected, 1u);
+  EXPECT_EQ(snap.queue_peak, 2u);
+  server.shutdown();  // drain answers the two queued fits
   EXPECT_EQ(completed.load(), 6);
 }
 
 TEST(ServeServer, ZeroHeavyLaneCapacityIsRejected) {
-  // There is no lane-less mode: Heavy work always has its own lane.
+  // There is no queue-less mode: Heavy work always has room for one.
   ServerOptions options = small_options();
-  options.heavy_lane_capacity = 0;
+  options.queue_capacity = 0;
   EXPECT_THROW({ Server server(options); }, std::invalid_argument);
 }
 
-TEST(ServeServer, HeavyDeadlineOverridesDefault) {
-  // Heavy deadline 1 ms, light deadline none: advance sim time past the
-  // heavy deadline and the queued fit expires while the queued predict
-  // still executes on the drain.
-  archline::sim::SimClock clock;
-  ServerOptions options = small_options();
-  options.request_deadline_ms = 0;
-  options.heavy_deadline_ms = 1;
-  options.clock = &clock;
-  Server server(options);
-  std::string fit_body;
-  std::string predict_body;
-  ASSERT_TRUE(server.submit(fit_request(0), [&](std::string&& b) {
-    fit_body = std::move(b);
-  }));
-  ASSERT_TRUE(server.submit(kPredict, [&](std::string&& b) {
-    predict_body = std::move(b);
-  }));
-  clock.advance_ms(2);
-  server.shutdown();
-  EXPECT_EQ(Json::parse(fit_body).string_or("error", ""),
-            "deadline_exceeded");
-  EXPECT_TRUE(Json::parse(predict_body).bool_or("ok", false));
-  const auto snap = server.metrics().snapshot();
-  EXPECT_EQ(snap.lanes[kHeavyLane].deadline_exceeded, 1u);
-  EXPECT_EQ(snap.lanes[kLightLane].deadline_exceeded, 0u);
-}
-
 TEST(ServeServer, PredictP99StaysBoundedUnderFitFlood) {
-  // The starvation property, in miniature: saturate the heavy lane with
-  // fits, then check that concurrently submitted predicts all complete
-  // and none is stuck behind the flood. With heavy execution capped at
-  // one worker, the other workers stay dedicated to the light lane.
+  // The starvation property, in miniature: saturate the Heavy queue
+  // with fits, then check that concurrently submitted predicts all
+  // complete and none is stuck behind the flood. Predicts run on the
+  // submitting thread, so the one busy worker cannot delay them.
   ServerOptions options = small_options();
   options.threads = 4;
   options.heavy_workers = 1;
-  options.heavy_lane_capacity = 16;
+  options.queue_capacity = 16;
   Server server(options);
   server.start();
   std::atomic<int> fit_done{0};
@@ -422,19 +469,16 @@ TEST(ServeServer, PredictP99StaysBoundedUnderFitFlood) {
     req.set("type", "predict");
     req.set("platform", "GTX Titan");
     req.set("intensity", 1.0 + i);
-    while (!server.submit(req.dump(), [&](std::string&&) {
+    ASSERT_TRUE(server.submit(req.dump(), [&](std::string&&) {
       if (predict_done.fetch_add(1) + 1 == kPredicts) {
         std::lock_guard<std::mutex> lock(m);
         cv.notify_one();
       }
-    })) {
-      std::this_thread::yield();
-    }
+    }));
   }
   {
     std::unique_lock<std::mutex> lock(m);
-    // All predicts complete long before the fit backlog could drain
-    // through a single shared queue.
+    // All predicts complete long before the fit backlog could drain.
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                             [&] { return predict_done.load() == kPredicts; }));
   }

@@ -2,11 +2,12 @@
 // loop's framing contract (half-close answers the final un-terminated
 // line), pipelined bursts whose total size exceeds the per-line limit,
 // the hard connection cap, idle timeouts (on a SimClock — exact, no
-// wall-clock waits), queue deadlines, and graceful stop flushing.
+// wall-clock waits), Heavy-queue deadlines, and graceful stop flushing.
 // Linux-only, like the transport itself.
 
 #include <gtest/gtest.h>
 
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -21,6 +22,7 @@
 #include "serve/tcp.hpp"
 #include "serve_tcp_testlib.hpp"
 #include "sim/clock.hpp"
+#include "sim/request_pools.hpp"
 
 namespace {
 
@@ -211,18 +213,63 @@ TEST(ServeTcp, IdleConnectionIsClosedAndCounted) {
   EXPECT_EQ(snap.connections_open, 0u);
 }
 
+/// Wraps the real socket API; every successful sendv() advances the
+/// SimClock by `advance_ms` AFTER the bytes are out — the schedule a
+/// peer produces when it reads a reply and moves sim time on before the
+/// loop thread runs again.
+class ClockAdvancingSendOps : public SocketOps {
+ public:
+  ClockAdvancingSendOps(archline::sim::SimClock& clock, int advance_ms)
+      : clock_(clock), advance_ms_(advance_ms) {}
+
+  ssize_t sendv(int fd, const struct iovec* iov, int iovcnt) noexcept override {
+    const ssize_t n = real_socket_ops().sendv(fd, iov, iovcnt);
+    if (n > 0) clock_.advance_ms(advance_ms_);
+    return n;
+  }
+
+ private:
+  archline::sim::SimClock& clock_;
+  const int advance_ms_;
+};
+
+TEST(ServeTcp, IdleTimerCountsFromBeforeTheSendNotAfterIt) {
+  // Regression: the loop stamped last_activity AFTER sendv returned, so
+  // sim time advanced by the peer in between made the connection look
+  // freshly active forever and the idle sweep never fired (this hung
+  // IdleConnectionIsClosedAndCounted under parallel ctest). Here the
+  // advance happens inside sendv, so the old order fails every time.
+  archline::sim::SimClock clock;
+  ClockAdvancingSendOps ops(clock, 60'001);
+  TcpOptions tcp;
+  tcp.idle_timeout_ms = 60'000;
+  tcp.poll_interval_ms = 5;
+  tcp.clock = &clock;
+  tcp.socket_ops = &ops;
+  TcpTransport transport(small_options(), tcp);
+  const int fd = connect_tcp(kLoopback, transport.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
+  ASSERT_EQ(read_lines(fd, 1).size(), 1u);
+  // 60 001 ms passed since the last read and the last send began.
+  EXPECT_TRUE(wait_for_eof(fd));
+  ::close(fd);
+  EXPECT_EQ(transport.server().metrics().snapshot().connections_idle_closed,
+            1u);
+}
+
 TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {
-  // One worker, 1 ms light deadline: a large fit occupies the only
-  // worker for much longer than 1 ms, so predicts queued while it runs
-  // expire in the light lane and must be answered with the canned
-  // deadline error. The fit goes first and alone; the predicts are sent
-  // only once the worker has popped it, so the lane scheduler cannot
-  // serve them ahead of it. The fit's own deadline is generous so it
-  // always executes.
+  // One worker, 1 ms queue deadline on a SimClock. A large fit occupies
+  // the only worker; small fits queued behind it, interleaved with
+  // predicts, wait while sim time moves 2 ms on. The fits must be
+  // answered with the canned deadline error; the predicts never queue
+  // (they run on the shard loop) and are answered normally — all of it
+  // in request order.
+  archline::sim::SimClock clock;
   ServerOptions options = small_options();
   options.threads = 1;
   options.request_deadline_ms = 1;
-  options.heavy_deadline_ms = 60'000;
+  options.clock = &clock;
   TcpTransport transport(options, TcpOptions{});
 
   Json obs = Json::array();
@@ -241,36 +288,39 @@ TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {
   const int fd = connect_tcp(kLoopback, transport.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, fit.dump() + "\n"));
-  // The worker publishes the heavy lane's depth after each pop: peak 1
-  // with depth 0 means the fit was admitted and is now executing.
-  const auto fit_executing = [&] {
-    const auto heavy =
-        transport.server().metrics().snapshot().lanes[kHeavyLane];
-    return heavy.peak == 1 && heavy.depth == 0;
-  };
+  // The worker publishes the queue depth after each pop: peak 1 with
+  // depth 0 means the big fit was admitted and is now executing.
   const auto give_up = std::chrono::steady_clock::now() +
                        std::chrono::seconds(30);
-  while (!fit_executing()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
-    std::this_thread::yield();
-  }
-  constexpr int kLateRequests = 5;
+  const auto wait_for = [&](auto predicate) {
+    while (!predicate(transport.server().metrics().snapshot()))
+      if (std::chrono::steady_clock::now() > give_up) return false;
+    return true;
+  };
+  ASSERT_TRUE(wait_for([](const Metrics::Snapshot& s) {
+    return s.queue_peak == 1 && s.queue_depth == 0;
+  }));
+  constexpr int kLateFits = 5;
   std::string block;
-  for (int i = 0; i < kLateRequests; ++i)
-    block += std::string(kPredict) + "\n";
+  for (const std::string& late : archline::sim::make_fit_pool(kLateFits, 1))
+    block += late + "\n" + kPredict + "\n";
   ASSERT_TRUE(send_all(fd, block));
-  const auto lines = read_lines(fd, 1 + kLateRequests);
-  ASSERT_EQ(lines.size(), 1u + kLateRequests);
+  ASSERT_TRUE(wait_for([&](const Metrics::Snapshot& s) {
+    return s.queue_depth == static_cast<std::size_t>(kLateFits);
+  }));
+  clock.advance_ms(2);  // every queued fit is now past its deadline
+  const auto lines = read_lines(fd, 1 + 2 * kLateFits);
+  ASSERT_EQ(lines.size(), 1u + 2 * kLateFits);
   EXPECT_TRUE(Json::parse(lines[0]).bool_or("ok", false)) << lines[0];
-  for (int i = 1; i <= kLateRequests; ++i)
-    EXPECT_EQ(Json::parse(lines[static_cast<std::size_t>(i)])
-                  .string_or("error", ""),
+  for (int i = 0; i < kLateFits; ++i) {
+    const auto at = static_cast<std::size_t>(1 + 2 * i);
+    EXPECT_EQ(Json::parse(lines[at]).string_or("error", ""),
               "deadline_exceeded");
+    EXPECT_EQ(Json::parse(lines[at + 1]).string_or("type", ""), "predict");
+  }
   ::close(fd);
-  const auto snap = transport.server().metrics().snapshot();
-  EXPECT_EQ(snap.lanes[kLightLane].deadline_exceeded,
-            static_cast<std::uint64_t>(kLateRequests));
-  EXPECT_EQ(snap.lanes[kHeavyLane].deadline_exceeded, 0u);
+  EXPECT_EQ(transport.server().metrics().snapshot().deadline_exceeded,
+            static_cast<std::uint64_t>(kLateFits));
 }
 
 TEST(ServeTcp, GracefulStopFlushesAdmittedWork) {

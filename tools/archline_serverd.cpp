@@ -8,13 +8,20 @@
 // Usage:
 //   archline_serverd [--port N] [--bind ADDR] [--shards N]
 //                    [--no-reuseport] [--pin-shards]
-//                    [--threads N] [--queue N]
-//                    [--heavy-lane-capacity N] [--heavy-workers N]
+//                    [--threads N] [--heavy-workers N] [--queue N]
 //                    [--cache N] [--cache-shards N] [--max-conns N]
 //                    [--idle-timeout-ms N] [--drain-grace-ms N]
-//                    [--deadline-ms N] [--heavy-deadline-ms N]
+//                    [--deadline-ms N]
 //                    [--refit-interval-ms N] [--forgetting-factor F]
 //                    [--stdio]
+//
+// Light requests run to completion on the thread that framed them (a
+// shard loop, or the stdio reader). Only Heavy cache misses (fit,
+// refit, scenario_sweep, predict_batch over 64 elements) queue for the
+// worker pool: --heavy-workers threads (default a quarter of --threads,
+// at least 1), --queue bounds the queued ones (default 64, at least 1;
+// past it they are answered "overloaded"), and --deadline-ms answers
+// one still queued after N ms with "deadline_exceeded".
 //
 // --shards N runs N thread-per-core event-loop shards, each with its
 // own SO_REUSEPORT listener (or a round-robin fd handoff from shard 0
@@ -39,8 +46,8 @@
 //             printed on startup)
 //   --stdio   read requests from stdin, write responses to stdout
 //             (for tests, pipes, and socket-less sandboxes)
-//   --serial  with --stdio: handle each line synchronously on the main
-//             thread instead of through the worker pool. Requests then
+//   --serial  with --stdio: handle Heavy lines on the main thread too,
+//             instead of through the worker pool. Requests then
 //             EXECUTE in input order — required when regenerating the
 //             golden corpus, whose observe/refit lines mutate server
 //             state and so must replay in exactly the order written
@@ -73,12 +80,10 @@ void on_usr1(int) { g_dump_stats = 1; }
       stderr,
       "usage: %s [--port N] [--bind ADDR] [--shards N] [--no-reuseport]\n"
       "          [--pin-shards]\n"
-      "          [--threads N] [--queue N]\n"
-      "          [--heavy-lane-capacity N] [--heavy-workers N]\n"
+      "          [--threads N] [--heavy-workers N] [--queue N]\n"
       "          [--cache N] [--cache-shards N] [--max-conns N]\n"
       "          [--idle-timeout-ms N] [--drain-grace-ms N]\n"
-      "          [--deadline-ms N]\n"
-      "          [--heavy-deadline-ms N] [--refit-interval-ms N]\n"
+      "          [--deadline-ms N] [--refit-interval-ms N]\n"
       "          [--forgetting-factor F] [--stdio] [--serial] [--quiet]\n",
       argv0);
   std::exit(code);
@@ -129,15 +134,11 @@ int main(int argc, char** argv) {
     else if (arg == "--threads")
       options.threads = static_cast<int>(
           parse_long(argv[0], "--threads", value()));
-    else if (arg == "--queue")
+    else if (arg == "--queue") {
       options.queue_capacity = static_cast<std::size_t>(
           parse_long(argv[0], "--queue", value()));
-    else if (arg == "--heavy-lane-capacity") {
-      options.heavy_lane_capacity = static_cast<std::size_t>(
-          parse_long(argv[0], "--heavy-lane-capacity", value()));
-      if (options.heavy_lane_capacity == 0) {
-        std::fprintf(stderr, "%s: --heavy-lane-capacity must be >= 1\n",
-                     argv[0]);
+      if (options.queue_capacity == 0) {
+        std::fprintf(stderr, "%s: --queue must be >= 1\n", argv[0]);
         usage(argv[0], 2);
       }
     } else if (arg == "--heavy-workers")
@@ -168,9 +169,6 @@ int main(int argc, char** argv) {
     else if (arg == "--deadline-ms")
       options.request_deadline_ms = static_cast<int>(
           parse_long(argv[0], "--deadline-ms", value()));
-    else if (arg == "--heavy-deadline-ms")
-      options.heavy_deadline_ms = static_cast<int>(
-          parse_long(argv[0], "--heavy-deadline-ms", value()));
     else if (arg == "--refit-interval-ms")
       options.refit_interval_ms = static_cast<int>(
           parse_long(argv[0], "--refit-interval-ms", value()));
@@ -235,13 +233,12 @@ int main(int argc, char** argv) {
   if (!quiet)
     std::fprintf(stderr,
                  "archline_serverd: listening on %s:%u (%d shards via %s, "
-                 "%d workers, %d heavy-capable, lanes %zu/%zu, "
+                 "%d heavy workers, queue %zu, "
                  "cache %zu/%zu shards, max %zu conns)\n",
                  tcp.bind_address.c_str(), listener.port(),
                  listener.shard_count(),
                  listener.reuseport_active() ? "SO_REUSEPORT" : "handoff",
-                 server.options().threads, server.options().heavy_workers,
-                 options.queue_capacity, options.heavy_lane_capacity,
+                 server.options().heavy_workers, options.queue_capacity,
                  options.cache_capacity, options.cache_shards,
                  tcp.max_connections);
 
