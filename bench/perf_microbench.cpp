@@ -6,7 +6,9 @@
 
 #include "core/roofline.hpp"
 #include "fit/model_fit.hpp"
+#include "microbench/intensity.hpp"
 #include "microbench/native_kernels.hpp"
+#include "microbench/parallel.hpp"
 #include "microbench/suite.hpp"
 #include "platforms/platform_db.hpp"
 #include "sim/factory.hpp"
@@ -56,6 +58,28 @@ void BM_SamplerOneSecondCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerOneSecondCapture);
 
+// One default-suite run's capture (the DRAM sweep's balance point, sized
+// to the suite's 0.25 s target) through the default sampler, as
+// run_suite does for every repeat.
+void BM_PowermonSample(benchmark::State& state) {
+  const sim::SimMachine m =
+      sim::make_machine(platforms::platform("GTX Titan"));
+  const microbench::SuiteOptions opt;
+  const sim::SimConfig& cfg = m.config();
+  const double intensity = 4.0;
+  const sim::KernelDesc k = microbench::intensity_kernel(
+      intensity,
+      microbench::bytes_for_duration(intensity, cfg.sp.tau, cfg.sp.eps,
+                                     cfg.dram.tau_byte, cfg.dram.eps_byte,
+                                     cfg.delta_pi, opt.target_seconds),
+      core::Precision::Single, core::MemLevel::DRAM);
+  stats::Rng rng(6);
+  const powermon::Capture cap = m.run(k, rng).capture;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(powermon::sample(cap, opt.sampler, rng));
+}
+BENCHMARK(BM_PowermonSample);
+
 void BM_SuiteRunDramSweep(benchmark::State& state) {
   const sim::SimMachine m =
       sim::make_machine(platforms::platform("Xeon Phi"));
@@ -86,6 +110,23 @@ void BM_FitCappedModel(benchmark::State& state) {
     benchmark::DoNotOptimize(fit::fit_observations(data.dram_sp));
 }
 BENCHMARK(BM_FitCappedModel);
+
+// The shape paper-fit runs per campaign: the default full suite of one
+// Table I platform, fitted capped then uncapped (idle and max-power
+// hints, DP, cache levels and random access included).
+void BM_FitMachinePaperShape(benchmark::State& state) {
+  const platforms::PlatformSpec& spec = platforms::platform("GTX 680");
+  stats::Rng rng(microbench::campaign_seed(20140519, spec.name));
+  const microbench::SuiteData data = microbench::run_suite(
+      sim::make_machine(spec), microbench::SuiteOptions{}, rng);
+  fit::FitOptions uncapped;
+  uncapped.kind = fit::ModelKind::Uncapped;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fit::fit_machine(data));
+    benchmark::DoNotOptimize(fit::fit_machine(data, uncapped));
+  }
+}
+BENCHMARK(BM_FitMachinePaperShape);
 
 void BM_NativeIntensityLadder(benchmark::State& state) {
   const auto elements = static_cast<std::size_t>(state.range(0));

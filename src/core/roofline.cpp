@@ -23,15 +23,6 @@ char regime_letter(Regime r) noexcept {
   return '?';
 }
 
-double time(const MachineParams& m, const Workload& w) noexcept {
-  const double t_flop = w.flops * m.tau_flop;
-  const double t_mem = w.bytes * m.tau_mem;
-  const double t_cap =
-      m.uncapped() ? 0.0
-                   : (w.flops * m.eps_flop + w.bytes * m.eps_mem) / m.delta_pi;
-  return std::max({t_flop, t_mem, t_cap});
-}
-
 double energy(const MachineParams& m, const Workload& w) noexcept {
   return w.flops * m.eps_flop + w.bytes * m.eps_mem + m.pi1 * time(m, w);
 }

@@ -7,6 +7,8 @@
 // delta_pi = kUncapped recovers the authors' prior model [Choi et al.,
 // IPDPS 2013], which the paper's Fig. 4 compares against.
 
+#include <algorithm>
+
 #include "core/machine_params.hpp"
 
 namespace archline::core {
@@ -23,7 +25,16 @@ enum class Regime {
 
 /// Best-case execution time, eq. (3):
 ///   T = max(W tau_flop, Q tau_mem, (W eps_flop + Q eps_mem) / delta_pi).
-[[nodiscard]] double time(const MachineParams& m, const Workload& w) noexcept;
+/// Defined here so the fit objective's per-observation loop inlines it.
+[[nodiscard]] inline double time(const MachineParams& m,
+                                 const Workload& w) noexcept {
+  const double t_flop = w.flops * m.tau_flop;
+  const double t_mem = w.bytes * m.tau_mem;
+  const double t_cap =
+      m.uncapped() ? 0.0
+                   : (w.flops * m.eps_flop + w.bytes * m.eps_mem) / m.delta_pi;
+  return std::max({t_flop, t_mem, t_cap});
+}
 
 /// Total energy, eq. (1): E = W eps_flop + Q eps_mem + pi1 * T.
 [[nodiscard]] double energy(const MachineParams& m,

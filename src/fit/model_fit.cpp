@@ -50,19 +50,38 @@ core::MachineParams optimize_machine(
     if (capped) x.push_back(std::log(m.delta_pi));
     return x;
   };
+  // The idle and max-power anchors, appended after the observation
+  // residuals in this order by both objectives.
+  const bool idle_hint = opt.idle_watts_hint > 0.0;
+  const bool max_hint = capped && opt.max_watts_hint > 0.0;
+  const auto idle_residual = [&](const core::MachineParams& m) {
+    return opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0);
+  };
+  const auto max_residual = [&](const core::MachineParams& m) {
+    return opt.max_watts_weight * (m.max_power() / opt.max_watts_hint - 1.0);
+  };
   const auto residual_fn = [&](std::span<const double> x) {
     const core::MachineParams m = decode(x);
-    std::vector<double> r = time_energy_residuals(m, obs);
-    if (opt.idle_watts_hint > 0.0)
-      r.push_back(opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0));
-    if (capped && opt.max_watts_hint > 0.0)
-      r.push_back(opt.max_watts_weight *
-                  (m.max_power() / opt.max_watts_hint - 1.0));
+    std::vector<double> r;
+    r.reserve(3 * obs.size() + 2);
+    append_time_energy_residuals(m, obs, r);
+    if (idle_hint) r.push_back(idle_residual(m));
+    if (max_hint) r.push_back(max_residual(m));
     return r;
   };
+  // The same sum as squaring residual_fn's elements in order, without
+  // building the vector.
   const auto scalar_objective = [&](std::span<const double> x) {
-    double acc = 0.0;
-    for (const double v : residual_fn(x)) acc += v * v;
+    const core::MachineParams m = decode(x);
+    double acc = sum_squared_residuals(m, obs);
+    if (idle_hint) {
+      const double r = idle_residual(m);
+      acc += r * r;
+    }
+    if (max_hint) {
+      const double r = max_residual(m);
+      acc += r * r;
+    }
     return acc;
   };
 

@@ -44,6 +44,12 @@ NelderMeadResult nelder_mead(const ObjectiveFn& f, std::span<const double> x0,
   }
 
   std::vector<std::size_t> order(n + 1);
+  // Centroid and trial points live across iterations: an accepted trial
+  // point is swapped into the simplex, and the displaced vertex's storage
+  // becomes the next trial buffer.
+  std::vector<double> centroid(n);
+  std::vector<double> reflected(n);
+  std::vector<double> trial(n);
 
   while (result.evaluations < options.max_evaluations) {
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -67,46 +73,42 @@ NelderMeadResult nelder_mead(const ObjectiveFn& f, std::span<const double> x0,
     }
 
     // Centroid of all but the worst vertex.
-    std::vector<double> centroid(n, 0.0);
+    std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t v = 0; v <= n; ++v) {
       if (v == worst) continue;
       for (std::size_t i = 0; i < n; ++i) centroid[i] += simplex[v][i];
     }
     for (double& c : centroid) c /= dn;
 
-    const auto blend = [&](double coef) {
-      std::vector<double> p(n);
+    const auto blend = [&](double coef, std::vector<double>& p) {
       for (std::size_t i = 0; i < n; ++i)
         p[i] = centroid[i] + coef * (centroid[i] - simplex[worst][i]);
-      return p;
+    };
+    const auto accept = [&](std::vector<double>& p, double fp) {
+      simplex[worst].swap(p);
+      fvals[worst] = fp;
     };
 
-    std::vector<double> reflected = blend(alpha);
+    blend(alpha, reflected);
     const double f_reflected = eval(reflected);
 
     if (f_reflected < fvals[best]) {
-      std::vector<double> expanded = blend(alpha * beta);
-      const double f_expanded = eval(expanded);
-      if (f_expanded < f_reflected) {
-        simplex[worst] = std::move(expanded);
-        fvals[worst] = f_expanded;
-      } else {
-        simplex[worst] = std::move(reflected);
-        fvals[worst] = f_reflected;
-      }
+      blend(alpha * beta, trial);
+      const double f_expanded = eval(trial);
+      if (f_expanded < f_reflected)
+        accept(trial, f_expanded);
+      else
+        accept(reflected, f_reflected);
     } else if (f_reflected < fvals[second_worst]) {
-      simplex[worst] = std::move(reflected);
-      fvals[worst] = f_reflected;
+      accept(reflected, f_reflected);
     } else {
       // Contraction: outside if the reflected point improved the worst.
       const bool outside = f_reflected < fvals[worst];
-      std::vector<double> contracted =
-          blend(outside ? alpha * gamma : -gamma);
-      const double f_contracted = eval(contracted);
+      blend(outside ? alpha * gamma : -gamma, trial);
+      const double f_contracted = eval(trial);
       const double reference = outside ? f_reflected : fvals[worst];
       if (f_contracted < reference) {
-        simplex[worst] = std::move(contracted);
-        fvals[worst] = f_contracted;
+        accept(trial, f_contracted);
       } else {
         // Shrink toward the best vertex.
         for (std::size_t v = 0; v <= n; ++v) {

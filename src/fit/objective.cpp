@@ -35,26 +35,57 @@ core::MachineParams unpack(std::span<const double> x, ModelKind kind) {
   return m;
 }
 
+namespace {
+
+/// The (t, e, p) relative residuals of one observation. energy() would
+/// call time() a second time; this evaluates it once and then the same
+/// expression energy() does, W eps_flop + Q eps_mem + pi1 t, so every bit
+/// matches the time()/energy() pair.
+struct Residuals {
+  double t, e, p;
+};
+
+inline Residuals residuals(const core::MachineParams& m,
+                           const microbench::Observation& o) noexcept {
+  const core::Workload w = o.kernel.workload();
+  const double t_model = core::time(m, w);
+  const double e_model =
+      w.flops * m.eps_flop + w.bytes * m.eps_mem + m.pi1 * t_model;
+  return {t_model / o.seconds - 1.0, e_model / o.joules - 1.0,
+          (e_model / t_model) / o.watts - 1.0};
+}
+
+}  // namespace
+
+void append_time_energy_residuals(
+    const core::MachineParams& m,
+    std::span<const microbench::Observation> obs, std::vector<double>& out) {
+  for (const microbench::Observation& o : obs) {
+    const Residuals r = residuals(m, o);
+    out.push_back(r.t);
+    out.push_back(r.e);
+    out.push_back(r.p);
+  }
+}
+
 std::vector<double> time_energy_residuals(
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs) {
   std::vector<double> r;
   r.reserve(3 * obs.size());
-  for (const microbench::Observation& o : obs) {
-    const core::Workload w = o.kernel.workload();
-    const double t_model = core::time(m, w);
-    const double e_model = core::energy(m, w);
-    r.push_back(t_model / o.seconds - 1.0);
-    r.push_back(e_model / o.joules - 1.0);
-    r.push_back((e_model / t_model) / o.watts - 1.0);
-  }
+  append_time_energy_residuals(m, obs, r);
   return r;
 }
 
 double sum_squared_residuals(const core::MachineParams& m,
                              std::span<const microbench::Observation> obs) {
   double acc = 0.0;
-  for (const double v : time_energy_residuals(m, obs)) acc += v * v;
+  for (const microbench::Observation& o : obs) {
+    const Residuals r = residuals(m, o);
+    acc += r.t * r.t;
+    acc += r.e * r.e;
+    acc += r.p * r.p;
+  }
   return acc;
 }
 

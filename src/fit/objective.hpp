@@ -6,6 +6,21 @@
 // positive physical quantity, and log-parameterization both enforces that
 // and equalizes scales across parameters that differ by 12 orders of
 // magnitude (tau_flop in ps vs pi1 in watts).
+//
+// CONTRACT — bit identity. The residuals and their sum are the inner loop
+// of every fit (Nelder-Mead evaluates the objective thousands of times
+// per fit_machine), and the golden-reply corpus pins the fitted constants
+// of the `fit` endpoint to the last bit. The rules that keep them fixed:
+//
+//   * one core::time() per observation; the energy is then the same
+//     expression core::energy() evaluates, W eps_flop + Q eps_mem +
+//     pi1 * t, in the same order, so it equals energy() exactly;
+//   * sum_squared_residuals adds r_t^2, r_e^2, r_p^2 per observation, in
+//     observation order, into one serial accumulator — the same sum as
+//     squaring time_energy_residuals() element by element;
+//   * no reassociation, hence no SIMD path: the ordered sum is the
+//     critical path, and splitting it into lanes changes the rounding
+//     and with it the golden `fit` bytes.
 
 #include <span>
 #include <vector>
@@ -46,8 +61,14 @@ enum class ModelKind {
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs);
 
+/// Appends time_energy_residuals(m, obs) to `out`, for callers that add
+/// residuals of their own and size `out` once for all of them.
+void append_time_energy_residuals(
+    const core::MachineParams& m,
+    std::span<const microbench::Observation> obs, std::vector<double>& out);
+
 /// Sum of squared time_energy_residuals — the scalar objective for
-/// Nelder-Mead seeding.
+/// Nelder-Mead seeding. Allocates nothing.
 [[nodiscard]] double sum_squared_residuals(
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs);

@@ -8,9 +8,9 @@ namespace archline::powermon {
 
 namespace {
 
-/// Quantizes `value` onto a `bits`-bit grid spanning [0, full_scale].
-double quantize_adc(double value, int bits, double full_scale) {
-  const double levels = std::exp2(bits) - 1.0;
+/// Quantizes `value` onto a grid of `levels` + 1 codes spanning
+/// [0, full_scale]; a `bits`-bit ADC has levels = 2^bits - 1.
+double quantize_adc(double value, double levels, double full_scale) {
   const double clamped = std::clamp(value, 0.0, full_scale);
   const double code = std::round(clamped / full_scale * levels);
   return code / levels * full_scale;
@@ -43,11 +43,23 @@ SampledCapture sample(const Capture& capture, const SamplerConfig& cfg,
   out.window_end = capture.window_end;
   out.channels.reserve(capture.rails.size());
 
+  const double levels = std::exp2(cfg.adc_bits) - 1.0;
+  // The timestamps every channel walks; the count sizes each channel's
+  // samples once (dropout only ever leaves it short).
+  std::size_t ticks = 0;
+  for (double t = capture.window_begin; t <= capture.window_end; t += dt)
+    ++ticks;
+
   for (const Capture::Rail& rail : capture.rails) {
     ChannelSamples cs;
     cs.channel = rail.channel;
     cs.effective_hz = rate;
+    cs.samples.reserve(ticks);
     const double volts = rail.channel.nominal_volts;
+    // The rail's voltage is constant, so its reading is too.
+    const double volts_reading =
+        cfg.quantize ? quantize_adc(volts, levels, cfg.adc_full_scale_volts)
+                     : volts;
     for (double t = capture.window_begin; t <= capture.window_end;
          t += dt) {
       if (cfg.dropout_rate > 0.0 && rng.uniform() < cfg.dropout_rate)
@@ -60,16 +72,12 @@ SampledCapture sample(const Capture& capture, const SamplerConfig& cfg,
           std::clamp(t + jitter, capture.window_begin, capture.window_end);
       const double watts = rail.trace.value(true_t);
       const double amps = volts > 0.0 ? watts / volts : 0.0;
-      Sample s;
-      s.t = t;
-      if (cfg.quantize) {
-        s.volts = quantize_adc(volts, cfg.adc_bits, cfg.adc_full_scale_volts);
-        s.amps = quantize_adc(amps, cfg.adc_bits, cfg.adc_full_scale_amps);
-      } else {
-        s.volts = volts;
-        s.amps = amps;
-      }
-      cs.samples.push_back(s);
+      cs.samples.push_back(
+          {.t = t,
+           .volts = volts_reading,
+           .amps = cfg.quantize
+                       ? quantize_adc(amps, levels, cfg.adc_full_scale_amps)
+                       : amps});
     }
     if (cs.samples.empty())
       throw std::invalid_argument("sample: window shorter than one period");

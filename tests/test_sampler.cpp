@@ -2,8 +2,9 @@
 // quantization, determinism.
 
 #include <gtest/gtest.h>
-#include <cmath>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "powermon/sampler.hpp"
@@ -26,6 +27,85 @@ pm::Capture constant_capture(double watts, double duration,
   cap.window_begin = 0.0;
   cap.window_end = duration;
   return cap;
+}
+
+/// The sampler as first written: the ADC grid (exp2 included) and the
+/// constant voltage are recomputed for every sample. sample() hoists both
+/// and must agree with this to the bit, RNG draw order included.
+double reference_quantize(double value, int bits, double full_scale) {
+  const double levels = std::exp2(bits) - 1.0;
+  const double clamped = std::clamp(value, 0.0, full_scale);
+  const double code = std::round(clamped / full_scale * levels);
+  return code / levels * full_scale;
+}
+
+std::vector<std::vector<pm::Sample>> reference_sample(
+    const pm::Capture& capture, const pm::SamplerConfig& cfg, Rng& rng) {
+  const double dt = 1.0 / pm::effective_rate(cfg, capture.rails.size());
+  std::vector<std::vector<pm::Sample>> out;
+  for (const pm::Capture::Rail& rail : capture.rails) {
+    std::vector<pm::Sample>& xs = out.emplace_back();
+    const double volts = rail.channel.nominal_volts;
+    for (double t = capture.window_begin; t <= capture.window_end; t += dt) {
+      if (cfg.dropout_rate > 0.0 && rng.uniform() < cfg.dropout_rate)
+        continue;
+      const double jitter =
+          rng.uniform(-cfg.timestamp_jitter_s, cfg.timestamp_jitter_s);
+      const double true_t =
+          std::clamp(t + jitter, capture.window_begin, capture.window_end);
+      const double watts = rail.trace.value(true_t);
+      const double amps = volts > 0.0 ? watts / volts : 0.0;
+      pm::Sample s;
+      s.t = t;
+      if (cfg.quantize) {
+        s.volts = reference_quantize(volts, cfg.adc_bits,
+                                     cfg.adc_full_scale_volts);
+        s.amps = reference_quantize(amps, cfg.adc_bits,
+                                    cfg.adc_full_scale_amps);
+      } else {
+        s.volts = volts;
+        s.amps = amps;
+      }
+      xs.push_back(s);
+    }
+  }
+  return out;
+}
+
+/// A two-rail ramp capture (so every sample reads a different current)
+/// whose peak draws `peak_amps` on the 12 V rail.
+pm::Capture ramp_capture(double peak_amps) {
+  pm::PowerTrace t;
+  t.add_point(0.0, 0.0);
+  t.add_point(0.3, 12.0 * peak_amps);
+  pm::Capture cap;
+  cap.rails.push_back({.channel = {.name = "12v", .nominal_volts = 12.0},
+                       .trace = t});
+  cap.rails.push_back({.channel = {.name = "3v3", .nominal_volts = 3.3},
+                       .trace = t.scaled(0.1)});
+  cap.window_end = 0.3;
+  return cap;
+}
+
+void expect_matches_reference(const pm::Capture& cap,
+                              const pm::SamplerConfig& cfg) {
+  Rng rng(77);
+  Rng ref_rng(77);
+  const pm::SampledCapture got = pm::sample(cap, cfg, rng);
+  const auto want = reference_sample(cap, cfg, ref_rng);
+  ASSERT_EQ(got.channels.size(), want.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    const std::vector<pm::Sample>& xs = got.channels[c].samples;
+    ASSERT_EQ(xs.size(), want[c].size()) << "channel " << c;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      // Bit equality: EXPECT_EQ on doubles compares with ==.
+      EXPECT_EQ(xs[i].t, want[c][i].t) << c << ":" << i;
+      EXPECT_EQ(xs[i].volts, want[c][i].volts) << c << ":" << i;
+      EXPECT_EQ(xs[i].amps, want[c][i].amps) << c << ":" << i;
+    }
+  }
+  // Both consumed the same draws.
+  EXPECT_EQ(rng.uniform(), ref_rng.uniform());
 }
 
 TEST(EffectiveRate, FullRateUpToThreeChannels) {
@@ -156,6 +236,33 @@ TEST(Sampler, RampTraceCapturedFaithfully) {
   const auto& xs = sampled.channels[0].samples;
   const pm::Sample& mid = xs[xs.size() / 2];
   EXPECT_NEAR(mid.watts(), 100.0 * mid.t, 1.0);
+}
+
+TEST(SamplerReference, MatchesPerSampleFormulaAcrossAdcWidths) {
+  for (const int bits : {1, 8, 16}) {
+    SCOPED_TRACE(bits);
+    pm::SamplerConfig cfg;
+    cfg.adc_bits = bits;
+    expect_matches_reference(ramp_capture(30.0), cfg);
+  }
+}
+
+TEST(SamplerReference, MatchesWhenCurrentClampsAtFullScale) {
+  pm::SamplerConfig cfg;
+  cfg.adc_full_scale_amps = 10.0;
+  expect_matches_reference(ramp_capture(30.0), cfg);
+}
+
+TEST(SamplerReference, MatchesWithoutQuantization) {
+  pm::SamplerConfig cfg;
+  cfg.quantize = false;
+  expect_matches_reference(ramp_capture(30.0), cfg);
+}
+
+TEST(SamplerReference, MatchesUnderDropout) {
+  pm::SamplerConfig cfg;
+  cfg.dropout_rate = 0.2;
+  expect_matches_reference(ramp_capture(30.0), cfg);
 }
 
 }  // namespace

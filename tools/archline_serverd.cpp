@@ -57,6 +57,7 @@
 //                   queue, print a metrics summary, exit 0
 //   SIGUSR1         dump the metrics summary to stderr, keep serving
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -69,11 +70,15 @@
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-volatile std::sig_atomic_t g_dump_stats = 0;
+// Set by the signal handlers, read by the watcher thread. Lock-free
+// atomics are both async-signal-safe and race-free across threads,
+// which a volatile sig_atomic_t is not.
+static_assert(std::atomic<bool>::is_always_lock_free);
+std::atomic<bool> g_stop{false};
+std::atomic<bool> g_dump_stats{false};
 
-void on_terminate(int) { g_stop = 1; }
-void on_usr1(int) { g_dump_stats = 1; }
+void on_terminate(int) { g_stop.store(true); }
+void on_usr1(int) { g_dump_stats.store(true); }
 
 [[noreturn]] void usage(const char* argv0, int code) {
   std::fprintf(
@@ -247,11 +252,9 @@ int main(int argc, char** argv) {
   // keep the accept path simple.
   std::atomic<bool> stop{false};
   std::thread signal_watcher([&] {
-    while (!g_stop) {
-      if (g_dump_stats) {
-        g_dump_stats = 0;
+    while (!g_stop.load()) {
+      if (g_dump_stats.exchange(false))
         std::fprintf(stderr, "%s\n", server.stats_text().c_str());
-      }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     stop.store(true, std::memory_order_release);
