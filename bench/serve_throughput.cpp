@@ -48,6 +48,10 @@
 //                            headline (aggregate replies/s vs N). Run on
 //                            a multi-core host; a 1-CPU container
 //                            serializes the shards and shows ~flat scaling
+//   tcp_paced_predict        one connection, one warmed cached predict
+//                            every 200 us (sleep-until, open loop):
+//                            p50/p99 round trip when the shard is idle
+//                            between requests, as in perfbench cold-open
 //
 // Request lines come from the shared vocabulary (sim/request_pools.hpp),
 // the same pools serve_loadgen and the traffic campaigns send.
@@ -551,18 +555,31 @@ ScenarioResult bench_tcp_cached_shards(const Config& cfg, const char* name,
 }
 
 
-/// predict_batch through the real TCP front end, one request per round
-/// trip (depth 1, cache off): the per-PREDICTION cost a client actually
-/// pays — frame + shard read + queue + SoA evaluate + render + reply
-/// write — is latency / batch size. This is the batching headline:
-/// every term but the per-element evaluate/render amortizes across the
-/// batch, so ops here are REQUESTS and per-prediction cost is
-/// 1 / (ops_per_s * batch). The inproc predict_batch_inproc_* trio
-/// isolates the handle_into marginal cost without the transport.
-ScenarioResult bench_tcp_batch(const Config& cfg, const char* name,
-                               const std::vector<std::string>& pool) {
+/// One connection, one request per round trip, through a one-shard TCP
+/// front end.
+///
+/// pace == 0: closed loop, cache off — predict_batch through the front
+/// end. The per-PREDICTION cost a client actually pays — frame + shard
+/// read + queue + SoA evaluate + render + reply write — is latency /
+/// batch size.
+/// This is the batching headline: every term but the per-element
+/// evaluate/render amortizes across the batch, so ops here are REQUESTS
+/// and per-prediction cost is 1 / (ops_per_s * batch). The inproc
+/// predict_batch_inproc_* trio isolates the handle_into marginal cost
+/// without the transport.
+///
+/// pace > 0: cache on and warmed by one pass over the pool, then one
+/// request every `pace` on a fixed schedule (sleep-until, open loop).
+/// Every reply is an inline hit and the shard has no work between
+/// requests, so the round trip is the transport plus what the shard
+/// pays to notice a request after a gap: a park/wake unless it is still
+/// spinning — the cold-open shape (tcp_paced_predict).
+ScenarioResult bench_tcp_round_trips(const Config& cfg, const char* name,
+                                     const std::vector<std::string>& pool,
+                                     std::chrono::microseconds pace = {}) {
+  const bool paced = pace.count() > 0;
   serve::ServerOptions opt;
-  opt.cache_capacity = 0;  // every request takes the full miss path
+  if (!paced) opt.cache_capacity = 0;  // every request takes the miss path
   opt.threads = 2;
   serve::Server server(opt);
   server.start();
@@ -582,33 +599,44 @@ ScenarioResult bench_tcp_batch(const Config& cfg, const char* name,
   std::uint64_t ops = 0;
   std::vector<double> samples;
   samples.reserve(1 << 20);
+  const int fd = sim::connect_tcp("127.0.0.1", listener.port());
+  char chunk[65536];
+  // Sends one line and blocks until its reply's newline arrives.
+  const auto round_trip = [&](const std::string& line) {
+    if (!sim::send_all(fd, line)) return false;
+    for (;;) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n <= 0) {
+        if (n < 0 && errno == EINTR) continue;
+        return false;
+      }
+      if (std::memchr(chunk, '\n', static_cast<std::size_t>(n)))
+        return true;
+    }
+  };
+  if (fd >= 0 && paced)
+    for (const std::string& request : pool)
+      if (!round_trip(request + '\n')) break;
+
   const auto start = Clock::now();
   const auto deadline =
       start + std::chrono::duration_cast<Clock::duration>(
                   std::chrono::duration<double>(cfg.seconds));
   auto end = start;
-  const int fd = sim::connect_tcp("127.0.0.1", listener.port());
+  auto next_send = start;
   if (fd >= 0) {
     std::size_t at = 0;
     std::string line;
-    char chunk[65536];
     for (;;) {
       line.assign(pool[at]);
       line += '\n';
       if (++at == pool.size()) at = 0;
-      const auto t0 = Clock::now();
-      if (!sim::send_all(fd, line)) break;
-      bool got = false;
-      while (!got) {
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          break;
-        }
-        for (ssize_t b = 0; b < n; ++b)
-          if (chunk[b] == '\n') got = true;
+      if (paced) {
+        std::this_thread::sleep_until(next_send);
+        next_send += pace;
       }
-      if (!got) break;
+      const auto t0 = Clock::now();
+      if (!round_trip(line)) break;
       const auto t1 = Clock::now();
       ++ops;
       if (samples.size() < samples.capacity())
@@ -689,12 +717,12 @@ int main(int argc, char** argv) {
   // TCP front end, one request per round trip, cache off. Everything a
   // request pays once — framing, shard read, reply write —
   // amortizes across the batch; per-prediction cost = 1/(ops_per_s*N).
-  results.push_back(
-      bench_tcp_batch(cfg, "predict_batch_1", sim::make_batch_pool(64, {1})));
-  results.push_back(bench_tcp_batch(cfg, "predict_batch_64",
-                                    sim::make_batch_pool(64, {64})));
-  results.push_back(bench_tcp_batch(cfg, "predict_batch_256",
-                                    sim::make_batch_pool(16, {256})));
+  results.push_back(bench_tcp_round_trips(cfg, "predict_batch_1",
+                                          sim::make_batch_pool(64, {1})));
+  results.push_back(bench_tcp_round_trips(cfg, "predict_batch_64",
+                                          sim::make_batch_pool(64, {64})));
+  results.push_back(bench_tcp_round_trips(cfg, "predict_batch_256",
+                                          sim::make_batch_pool(16, {256})));
   // The same trio without the transport: bare handle_into marginal
   // cost, isolating the SoA evaluate + render per element.
   results.push_back(bench_miss_batch_1t(cfg, "predict_batch_inproc_1",
@@ -729,6 +757,10 @@ int main(int argc, char** argv) {
   results.push_back(bench_tcp_cached_shards(cfg, "tcp_cached_shard1", pool, 1));
   results.push_back(bench_tcp_cached_shards(cfg, "tcp_cached_shard2", pool, 2));
   results.push_back(bench_tcp_cached_shards(cfg, "tcp_cached_shard4", pool, 4));
+  // A warmed hit every 200 us on one connection: the shard idles between
+  // requests, so this is the round trip a sparse client sees.
+  results.push_back(bench_tcp_round_trips(cfg, "tcp_paced_predict", pool,
+                                          std::chrono::microseconds(200)));
 
   for (const ScenarioResult& r : results)
     std::fprintf(stderr,

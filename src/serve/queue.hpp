@@ -30,15 +30,24 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
+  /// Callback type for callers that do not track the depth.
+  struct IgnoreDepth {
+    void operator()(std::size_t) const noexcept {}
+  };
+
   /// Enqueues unless the queue is full or closed; never blocks. On
-  /// success writes the resulting depth to depth_out.
-  [[nodiscard]] bool try_push(T item, std::size_t* depth_out = nullptr) {
+  /// success calls on_depth(resulting depth) before the lock is
+  /// released, so every push's and pop's depth report arrives in queue
+  /// order and the last one is the true depth (a report made after the
+  /// unlock could land after a consumer's newer one).
+  template <typename OnDepth = IgnoreDepth>
+  [[nodiscard]] bool try_push(T item, OnDepth&& on_depth = {}) {
     bool wake;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
-      if (depth_out) *depth_out = items_.size();
+      on_depth(items_.size());
       wake = waiters_ > 0;
     }
     if (wake) not_empty_.notify_one();
@@ -47,8 +56,9 @@ class BoundedQueue {
 
   /// Blocks until an item is available or the queue is closed and
   /// drained; nullopt means "closed and empty" (the consumer exits). On
-  /// success writes the post-pop depth to depth_out.
-  [[nodiscard]] std::optional<T> pop(std::size_t* depth_out = nullptr) {
+  /// success calls on_depth(post-pop depth) under the lock.
+  template <typename OnDepth = IgnoreDepth>
+  [[nodiscard]] std::optional<T> pop(OnDepth&& on_depth = {}) {
     std::unique_lock<std::mutex> lock(mutex_);
     ++waiters_;
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
@@ -56,7 +66,7 @@ class BoundedQueue {
     if (items_.empty()) return std::nullopt;
     std::optional<T> item(std::move(items_.front()));
     items_.pop_front();
-    if (depth_out) *depth_out = items_.size();
+    on_depth(items_.size());
     return item;
   }
 

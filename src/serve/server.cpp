@@ -121,12 +121,13 @@ bool Server::enqueue(std::string line, Done done,
   // `admitted` anchors queue-inclusive latency.
   Job job{std::move(line), std::move(done), stamp(), deadline,
           std::move(cache)};
-  std::size_t depth = 0;
-  if (!queue_.try_push(std::move(job), &depth)) {
+  const auto publish = [this](std::size_t depth) {
+    metrics_.on_queue_depth(depth);
+  };
+  if (!queue_.try_push(std::move(job), publish)) {
     metrics_.on_rejected();
     return false;
   }
-  metrics_.on_queue_depth(depth);
   return true;
 }
 
@@ -229,11 +230,10 @@ void Server::run_job(Job& job, Reply& scratch) {
 
 void Server::worker_loop() {
   Reply scratch;
-  std::size_t depth = 0;
-  while (std::optional<Job> job = queue_.pop(&depth)) {
+  const auto publish = [this](std::size_t depth) {
     metrics_.on_queue_depth(depth);
-    run_job(*job, scratch);
-  }
+  };
+  while (std::optional<Job> job = queue_.pop(publish)) run_job(*job, scratch);
 }
 
 void Server::shutdown() {

@@ -41,6 +41,14 @@ constexpr char kNewline = '\n';
 /// 2-segments-per-reply layout stays far under the kernel limit.
 constexpr int kMaxIov = 64;
 
+/// Spin, then park: a shard whose last non-empty epoll_wait returned
+/// less than this long ago polls with timeout 0 (yielding its CPU after
+/// each empty poll) instead of blocking, so a request that follows
+/// within the window skips the park/wake. Measured on the steady clock
+/// itself, never the injectable ClockSource: a frozen SimClock would
+/// keep the window open forever.
+constexpr auto kSpinBeforePark = std::chrono::milliseconds(1);
+
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -547,6 +555,7 @@ void ShardLoop::run(const std::atomic<bool>& stop) {
   }
 
   std::array<epoll_event, 64> events;
+  Clock::time_point last_events_at{};  // epoch: the first wait parks
 
   while (true) {
     if (!stopping_ && stop.load(std::memory_order_acquire)) {
@@ -578,7 +587,11 @@ void ShardLoop::run(const std::atomic<bool>& stop) {
       break;
     }
 
-    int timeout = options_.poll_interval_ms;
+    // Spin only while traffic keeps arriving; otherwise (and always
+    // while stopping) block for the poll interval.
+    const bool spin =
+        !stopping_ && Clock::now() - last_events_at < kSpinBeforePark;
+    int timeout = spin ? 0 : options_.poll_interval_ms;
     if (stopping_) {
       // The grace check above only runs when epoll_wait returns, so the
       // wait itself must never outlive the remaining grace: clamp the
@@ -599,6 +612,14 @@ void ShardLoop::run(const std::atomic<bool>& stop) {
       if (errno == EINTR) continue;
       break;
     }
+    if (n_events == 0 && spin) {
+      // Give the CPU to whoever shares it (workers, peers, other
+      // shards) before the next poll; skip the idle sweep, which walks
+      // every connection.
+      ::sched_yield();
+      continue;
+    }
+    if (n_events > 0) last_events_at = Clock::now();
 
     for (int i = 0; i < n_events; ++i) {
       const std::uint64_t id = events[static_cast<std::size_t>(i)].data.u64;
@@ -705,6 +726,16 @@ class RealSocketOps final : public SocketOps {
 };
 
 }  // namespace
+
+std::vector<int> shard_cpus(const cpu_set_t& allowed, int shards) {
+  if (shards < 1 || CPU_COUNT(&allowed) < shards) return {};
+  std::vector<int> cpus;
+  cpus.reserve(static_cast<std::size_t>(shards));
+  for (int cpu = 0; static_cast<int>(cpus.size()) < shards; ++cpu)
+    if (CPU_ISSET(static_cast<std::size_t>(cpu), &allowed))
+      cpus.push_back(cpu);
+  return cpus;
+}
 
 SocketOps& real_socket_ops() noexcept {
   static RealSocketOps ops;
@@ -872,34 +903,39 @@ void TcpListener::run(const std::atomic<bool>& stop) {
     }
   }
 
-  // Shard-thread pinning: shard i -> CPU i, applied by each loop thread
-  // to itself (shard 0 pins the caller of run()). Requested but
-  // impossible (fewer online CPUs than shards) degrades to a logged
-  // no-op — a laptop running a 4-shard config should serve, not die.
-  bool pin = options_.pin_shards;
-  if (pin) {
-    const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
-    if (ncpu > 0 && ncpu < static_cast<long>(shards_)) {
+  // Shard-thread pinning: shard i -> the i-th CPU this process may run
+  // on, applied by each loop thread to itself (shard 0 pins the caller
+  // of run()). Requested but impossible (fewer allowed CPUs than
+  // shards) degrades to a logged no-op — a laptop running a 4-shard
+  // config should serve, not die.
+  std::vector<int> cpus;
+  if (options_.pin_shards) {
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (::sched_getaffinity(0, sizeof allowed, &allowed) == 0)
+      cpus = shard_cpus(allowed, shards_);
+    if (cpus.empty())
       std::fprintf(stderr,
                    "archline-serve: --pin-shards ignored: %d shards but only "
-                   "%ld online CPUs\n",
-                   shards_, ncpu);
-      pin = false;
-    }
+                   "%d allowed CPUs\n",
+                   shards_, CPU_COUNT(&allowed));
   }
 
   const auto run_shard = [&](int shard) {
     const std::size_t i = static_cast<std::size_t>(shard);
-    if (pin) {
+    if (!cpus.empty()) {
       cpu_set_t set;
       CPU_ZERO(&set);
-      CPU_SET(static_cast<std::size_t>(shard), &set);
-      if (const int rc =
-              ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
-          rc != 0)
+      CPU_SET(static_cast<std::size_t>(cpus[i]), &set);
+      const int rc =
+          ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
+      if (rc == 0)
+        std::fprintf(stderr, "archline-serve: shard %d pinned to CPU %d\n",
+                     shard, cpus[i]);
+      else
         std::fprintf(stderr,
                      "archline-serve: pinning shard %d to CPU %d failed: %s\n",
-                     shard, shard, std::strerror(rc));
+                     shard, cpus[i], std::strerror(rc));
     }
     const int lfd = reuseport_ ? listen_fds_[i]
                                : (shard == 0 ? listen_fds_[0] : -1);

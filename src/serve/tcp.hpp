@@ -17,7 +17,10 @@
 // The shard coalesces every reply buffered for a connection into one
 // writev() per epoll wake, falling back to EPOLLOUT when the socket's
 // send buffer is full. A busy shard simply stops reading, which is the
-// transport's backpressure.
+// transport's backpressure. For 1 ms after its last events a shard
+// polls without blocking (yielding its CPU between empty polls), then
+// parks in epoll_wait, so steady traffic skips the wake-up and an idle
+// server uses no CPU.
 //
 // Connection lifecycle is bounded and explicit:
 //   * at most `max_connections` sockets are admitted (split across
@@ -34,6 +37,7 @@
 // Linux-only (epoll + eventfd); the stdio transport in server.hpp is
 // the portable fallback.
 
+#include <sched.h>
 #include <sys/types.h>
 #include <sys/uio.h>
 
@@ -85,12 +89,18 @@ class SocketOps {
 /// The process-wide pass-through — what a null SocketOps* resolves to.
 [[nodiscard]] SocketOps& real_socket_ops() noexcept;
 
+/// The CPUs `TcpOptions::pin_shards` pins to: shard i gets the i-th
+/// CPU (ascending) set in `allowed`, the process's sched_getaffinity
+/// mask. Empty when `allowed` holds fewer than `shards` CPUs.
+[[nodiscard]] std::vector<int> shard_cpus(const cpu_set_t& allowed,
+                                          int shards);
+
 struct TcpOptions {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 7411;  ///< 0 = pick an ephemeral port
   int backlog = 128;
-  /// epoll_wait timeout; bounds how fast a shard notices a stop
-  /// request and how precisely idle timeouts fire.
+  /// Timeout of a parked shard's epoll_wait; bounds how fast it
+  /// notices a stop request and how precisely idle timeouts fire.
   int poll_interval_ms = 100;
   /// Hard cap on concurrently open connections, divided across shards
   /// (shard i gets the remainder spread first); accepts beyond a
@@ -109,11 +119,13 @@ struct TcpOptions {
   /// in accept order, which is deterministic and therefore what the
   /// cross-shard tests pin.
   bool use_reuseport = true;
-  /// Pin each shard's loop thread to CPU `shard` (shard 0 pins the
-  /// thread that called run()). Off by default: pinning helps steady
-  /// benchmark numbers on a quiet machine but fights the scheduler on a
-  /// shared one. When the machine has fewer online CPUs than shards the
-  /// request is logged to stderr and ignored (no-op, not an error).
+  /// Pin shard i's loop thread to the i-th CPU of the process's
+  /// affinity mask (shard_cpus(); shard 0 pins the thread that called
+  /// run()), so pinning stays inside the set taskset or a cgroup cpuset
+  /// allows. Each pin is logged to stderr. Off by default: pinning
+  /// helps steady benchmark numbers on a quiet machine but fights the
+  /// scheduler on a shared one. When the mask holds fewer CPUs than
+  /// shards the request is logged and ignored (no-op, not an error).
   bool pin_shards = false;
   /// Once a stop is requested, how long shards keep flushing pending
   /// responses to peers that have stopped reading before force-closing

@@ -20,9 +20,10 @@ TEST(ServeQueue, TryPushReportsDepthAndBackpressure) {
   BoundedQueue<int> q(2);
   EXPECT_EQ(q.capacity(), 2u);
   std::size_t depth = 0;
-  ASSERT_TRUE(q.try_push(1, &depth));
+  const auto record = [&depth](std::size_t d) { depth = d; };
+  ASSERT_TRUE(q.try_push(1, record));
   EXPECT_EQ(depth, 1u);
-  ASSERT_TRUE(q.try_push(2, &depth));
+  ASSERT_TRUE(q.try_push(2, record));
   EXPECT_EQ(depth, 2u);
   EXPECT_FALSE(q.try_push(3));  // full: rejected, never blocks
   EXPECT_EQ(q.size(), 2u);
@@ -45,7 +46,7 @@ TEST(ServeQueue, PopReportsPostPopDepth) {
   BoundedQueue<int> q(16);
   for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_push(i));
   std::size_t depth = 99;
-  ASSERT_TRUE(q.pop(&depth).has_value());
+  ASSERT_TRUE(q.pop([&depth](std::size_t d) { depth = d; }).has_value());
   EXPECT_EQ(depth, 6u);  // 7 pushed - 1 taken
 }
 
@@ -113,6 +114,34 @@ TEST(ServeQueue, MpmcBatchesDeliverEveryItemExactlyOnce) {
   const long total = static_cast<long>(kProducers) * kPerProducer;
   EXPECT_EQ(count.load(), total);
   EXPECT_EQ(sum.load(), total * (total - 1) / 2);
+}
+
+TEST(ServeQueue, DepthReportsArriveInQueueOrder) {
+  // Regression: the depth of a push was reported after try_push had
+  // released the lock and woken a consumer, so the consumer's newer
+  // report (0) could land first and leave the gauge at 1 over an empty
+  // queue for good. Each round hands one item to a blocked consumer;
+  // once it is popped, the last report must be 0.
+  BoundedQueue<int> q(1);
+  std::atomic<std::size_t> gauge{0};
+  const auto publish = [&gauge](std::size_t d) {
+    gauge.store(d, std::memory_order_relaxed);
+  };
+  std::atomic<int> popped{0};
+  std::thread consumer([&] {
+    while (q.pop(publish)) popped.fetch_add(1, std::memory_order_release);
+  });
+  constexpr int kRounds = 2000;
+  int stale = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    ASSERT_TRUE(q.try_push(i, publish));
+    while (popped.load(std::memory_order_acquire) <= i)
+      std::this_thread::yield();
+    if (gauge.load(std::memory_order_relaxed) != 0) ++stale;
+  }
+  q.close();
+  consumer.join();
+  EXPECT_EQ(stale, 0);
 }
 
 TEST(ServeQueue, ReopenAfterCloseAdmitsAgain) {

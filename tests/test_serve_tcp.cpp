@@ -2,16 +2,20 @@
 // loop's framing contract (half-close answers the final un-terminated
 // line), pipelined bursts whose total size exceeds the per-line limit,
 // the hard connection cap, idle timeouts (on a SimClock — exact, no
-// wall-clock waits), Heavy-queue deadlines, and graceful stop flushing.
+// wall-clock waits), Heavy-queue deadlines, graceful stop flushing,
+// shards parking once traffic stops, and the --pin-shards CPU mapping.
 // Linux-only, like the transport itself.
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <ctime>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,6 +260,53 @@ TEST(ServeTcp, IdleTimerCountsFromBeforeTheSendNotAfterIt) {
   ::close(fd);
   EXPECT_EQ(transport.server().metrics().snapshot().connections_idle_closed,
             1u);
+}
+
+/// CPU time consumed by every thread of this process so far, in ms.
+double process_cpu_ms() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST(ServeTcp, ShardParksAfterSpinWindow) {
+  // After traffic a shard polls without blocking for 1 ms, then parks in
+  // epoll_wait. The injected clock is a frozen SimClock: a spin window
+  // read from it would never close, and an idle server would burn a
+  // CPU per shard. Idle, the process must use (almost) no CPU at all.
+  archline::sim::SimClock clock;
+  TcpOptions tcp;
+  tcp.shards = 2;
+  tcp.clock = &clock;
+  TcpTransport transport(small_options(), tcp);
+  const int fd = connect_tcp(kLoopback, transport.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
+  ASSERT_EQ(read_lines(fd, 1).size(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double cpu_before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(process_cpu_ms() - cpu_before, 20.0);
+  ::close(fd);
+}
+
+TEST(ServeTcp, ShardCpusFollowTheAffinityMask) {
+  const auto mask = [](std::initializer_list<int> cpus) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (const int cpu : cpus) CPU_SET(static_cast<std::size_t>(cpu), &set);
+    return set;
+  };
+  EXPECT_EQ(shard_cpus(mask({0, 1, 2, 3}), 4), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(shard_cpus(mask({0, 1, 2, 3}), 2), (std::vector<int>{0, 1}));
+  // taskset -c 2,3: the shards stay on the CPUs the operator chose.
+  EXPECT_EQ(shard_cpus(mask({2, 3}), 2), (std::vector<int>{2, 3}));
+  // A cpuset without CPU 0 (and with holes) is walked in order.
+  EXPECT_EQ(shard_cpus(mask({1, 3}), 2), (std::vector<int>{1, 3}));
+  // Too small a mask: no pinning at all, rather than doubling up.
+  EXPECT_TRUE(shard_cpus(mask({1, 3}), 3).empty());
+  EXPECT_TRUE(shard_cpus(mask({}), 1).empty());
 }
 
 TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {

@@ -29,8 +29,8 @@
 // table, and response-cache partition. NOTE: before the sharded front
 // end, --shards set the cache's internal lock striping — that knob is
 // now --cache-shards. --pin-shards additionally pins shard i's loop
-// thread to CPU i (ignored, with a stderr note, when the machine has
-// fewer online CPUs than shards).
+// thread to the i-th CPU of the process's affinity mask (ignored, with
+// a stderr note, when the mask holds fewer CPUs than shards).
 //
 // Online fitting (docs/MODEL.md "Online fitting"): the "observe"
 // endpoint streams measured (flops, bytes, seconds, joules) tuples into
