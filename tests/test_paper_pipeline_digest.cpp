@@ -1,5 +1,6 @@
 // Bit-level pin of the paper pipeline (sim -> microbench -> powermon ->
-// fit) over the twelve Table I campaigns.
+// fit) over the twelve Table I campaigns, the twelve campaigns of suite
+// seed 1000, and one robust (outlier-trimming) fit per Table I platform.
 //
 // Every double the pipeline produces is rendered with %a (exact hex
 // float) and folded into a 64-bit FNV-1a digest: one digest over the
@@ -70,13 +71,15 @@ struct Digests {
   std::uint64_t fit = 0;
 };
 
-Digests table1_digests() {
+/// The twelve Table I platforms' suites at `suite_seed`, each fitted
+/// capped and uncapped.
+Digests campaign_digests(std::uint64_t suite_seed) {
   Fnv1a suite;
   Fnv1a fits;
   fit::FitOptions uncapped;
   uncapped.kind = fit::ModelKind::Uncapped;
   for (const platforms::PlatformSpec& spec : platforms::all_platforms()) {
-    archline::stats::Rng rng(microbench::campaign_seed(kTable1Seed, spec.name));
+    archline::stats::Rng rng(microbench::campaign_seed(suite_seed, spec.name));
     const microbench::SuiteData data = microbench::run_suite(
         archline::sim::make_machine(spec), microbench::SuiteOptions{}, rng);
     for (const microbench::Observation* o : data.all()) {
@@ -93,11 +96,38 @@ Digests table1_digests() {
 
 TEST(PaperPipelineDigest, Table1CampaignsAreBitIdentical) {
   ASSERT_EQ(platforms::all_platforms().size(), 12u);
-  const Digests d = table1_digests();
+  const Digests d = campaign_digests(kTable1Seed);
   EXPECT_EQ(d.suite, 0xe52c2e17c7059c11ULL)
       << std::hex << "suite digest 0x" << d.suite;
   EXPECT_EQ(d.fit, 0x06f4babb3870ee5cULL)
       << std::hex << "fit digest 0x" << d.fit;
+}
+
+// Suite seed 1000 is one of the extra seeds the paper-fit benchmark runs.
+TEST(PaperPipelineDigest, Seed1000CampaignsAreBitIdentical) {
+  const Digests d = campaign_digests(1000);
+  EXPECT_EQ(d.suite, 0x34d8f1d75403ee02ULL) << std::hex << "suite digest 0x" << d.suite;
+  EXPECT_EQ(d.fit, 0xbf8958e17cc3b3faULL) << std::hex << "fit digest 0x" << d.fit;
+}
+
+// The robust fit refits on survivor subsets, where a kernel's run of
+// repeats can lose members; the observation count it kept is pinned too.
+TEST(PaperPipelineDigest, RobustTable1FitsAreBitIdentical) {
+  Fnv1a fits;
+  fit::FitOptions robust;
+  robust.outlier_mad_threshold = 3.0;
+  std::size_t dropped = 0;
+  for (const platforms::PlatformSpec& spec : platforms::all_platforms()) {
+    archline::stats::Rng rng(microbench::campaign_seed(kTable1Seed, spec.name));
+    const microbench::SuiteData data = microbench::run_suite(
+        archline::sim::make_machine(spec), microbench::SuiteOptions{}, rng);
+    const fit::FitResult r = fit::fit_machine(data, robust);
+    add_fit(fits, r);
+    fits.add(static_cast<double>(r.observations));
+    dropped += data.dram_sp.size() - r.observations;
+  }
+  EXPECT_GT(dropped, 0u) << "no robust fit refitted on a subset";
+  EXPECT_EQ(fits.value(), 0x2394fa963ff9274bULL) << std::hex << "fit digest 0x" << fits.value();
 }
 
 }  // namespace
