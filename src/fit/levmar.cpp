@@ -10,9 +10,11 @@ namespace archline::fit {
 
 namespace {
 
-/// Central-difference Jacobian of r at x.
-Mat jacobian(const ResidualFn& r, std::span<const double> x,
-             std::size_t m, double rel_step) {
+/// Central-difference Jacobian of r at x; `rp` and `rm` are the
+/// evaluation buffers, reused across columns.
+Mat jacobian(const ResidualIntoFn& r, std::span<const double> x,
+             std::size_t m, double rel_step, std::vector<double>& rp,
+             std::vector<double>& rm) {
   const std::size_t n = x.size();
   Mat j(m, n);
   std::vector<double> xp(x.begin(), x.end());
@@ -20,9 +22,9 @@ Mat jacobian(const ResidualFn& r, std::span<const double> x,
     const double h = rel_step * std::max(1.0, std::abs(x[c]));
     const double saved = xp[c];
     xp[c] = saved + h;
-    const std::vector<double> rp = r(xp);
+    r(xp, rp);
     xp[c] = saved - h;
-    const std::vector<double> rm = r(xp);
+    r(xp, rm);
     xp[c] = saved;
     if (rp.size() != m || rm.size() != m)
       throw std::runtime_error("levmar: residual size changed");
@@ -37,10 +39,25 @@ Mat jacobian(const ResidualFn& r, std::span<const double> x,
 LevmarResult levenberg_marquardt(const ResidualFn& residuals,
                                  std::span<const double> x0,
                                  const LevmarOptions& options) {
+  return levenberg_marquardt(
+      ResidualIntoFn([&residuals](std::span<const double> x,
+                                  std::vector<double>& r) {
+        r = residuals(x);
+      }),
+      x0, options);
+}
+
+LevmarResult levenberg_marquardt(const ResidualIntoFn& residuals,
+                                 std::span<const double> x0,
+                                 const LevmarOptions& options) {
   if (x0.empty()) throw std::invalid_argument("levmar: empty start point");
   std::vector<double> x(x0.begin(), x0.end());
-  std::vector<double> r = residuals(x);
+  std::vector<double> r;
+  residuals(x, r);
   if (r.empty()) throw std::invalid_argument("levmar: no residuals");
+  // Evaluation buffers, reused by every Jacobian and trial step.
+  std::vector<double> r_new;
+  std::vector<double> r_minus;
   const std::size_t m = r.size();
   double rss = norm2(r);
   double lambda = options.initial_lambda;
@@ -48,7 +65,8 @@ LevmarResult levenberg_marquardt(const ResidualFn& residuals,
   LevmarResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
-    const Mat j = jacobian(residuals, x, m, options.fd_step);
+    const Mat j =
+        jacobian(residuals, x, m, options.fd_step, r_new, r_minus);
     const Mat jtj = gram(j);
     std::vector<double> jtr = matvec_transposed(j, r);
 
@@ -84,11 +102,11 @@ LevmarResult levenberg_marquardt(const ResidualFn& residuals,
         step_rel = std::max(step_rel, std::abs(step[i]) /
                                           std::max(1.0, std::abs(x[i])));
       }
-      const std::vector<double> r_new = residuals(x_new);
+      residuals(x_new, r_new);
       const double rss_new = norm2(r_new);
       if (std::isfinite(rss_new) && rss_new < rss) {
         x = std::move(x_new);
-        r = r_new;
+        r.swap(r_new);
         rss = rss_new;
         lambda = std::max(lambda * options.lambda_down, 1e-14);
         stepped = true;

@@ -32,6 +32,7 @@ core::MachineParams optimize_machine(
     bool& converged_out) {
   const MeasuredThroughput taus = measure_throughput(obs);
   const bool capped = kind == ModelKind::Capped;
+  ObservationColumns cols(obs);
 
   // x = log [eps_flop, eps_mem, pi1, (delta_pi)]
   const auto decode = [&](std::span<const double> x) {
@@ -60,20 +61,21 @@ core::MachineParams optimize_machine(
   const auto max_residual = [&](const core::MachineParams& m) {
     return opt.max_watts_weight * (m.max_power() / opt.max_watts_hint - 1.0);
   };
-  const auto residual_fn = [&](std::span<const double> x) {
+  const std::size_t n_resid = 3 * cols.size();
+  const auto residual_fn = [&](std::span<const double> x,
+                               std::vector<double>& r) {
     const core::MachineParams m = decode(x);
-    std::vector<double> r;
-    r.reserve(3 * obs.size() + 2);
-    append_time_energy_residuals(m, obs, r);
-    if (idle_hint) r.push_back(idle_residual(m));
-    if (max_hint) r.push_back(max_residual(m));
-    return r;
+    r.resize(n_resid + (idle_hint ? 1 : 0) + (max_hint ? 1 : 0));
+    cols.residuals(m, r);
+    std::size_t next = n_resid;
+    if (idle_hint) r[next++] = idle_residual(m);
+    if (max_hint) r[next] = max_residual(m);
   };
   // The same sum as squaring residual_fn's elements in order, without
   // building the vector.
   const auto scalar_objective = [&](std::span<const double> x) {
     const core::MachineParams m = decode(x);
-    double acc = sum_squared_residuals(m, obs);
+    double acc = cols.sum_squared_residuals(m);
     if (idle_hint) {
       const double r = idle_residual(m);
       acc += r * r;
@@ -172,14 +174,17 @@ LevelFit fit_level(std::span<const microbench::Observation> obs,
     if (kind == ModelKind::Uncapped) m.delta_pi = core::kUncapped;
     return m;
   };
-  const auto residual_fn = [&](std::span<const double> x) {
-    return time_energy_residuals(decode(x), obs);
+  ObservationColumns cols(obs);
+  const auto residual_fn = [&](std::span<const double> x,
+                               std::vector<double>& r) {
+    r.resize(3 * cols.size());
+    cols.residuals(decode(x), r);
   };
   const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
 
   // Two smooth-ish parameters: NM then LM, both cheap.
   const auto scalar = [&](std::span<const double> x) {
-    return sum_squared_residuals(decode(x), obs);
+    return cols.sum_squared_residuals(decode(x));
   };
   NelderMeadOptions nm_opt;
   nm_opt.max_evaluations = opt.nm_evaluations / 4;
@@ -238,11 +243,14 @@ FlopFit fit_dp(std::span<const microbench::Observation> obs,
     if (kind == ModelKind::Uncapped) m.delta_pi = core::kUncapped;
     return m;
   };
-  const auto residual_fn = [&](std::span<const double> x) {
-    return time_energy_residuals(decode(x), obs);
+  ObservationColumns cols(obs);
+  const auto residual_fn = [&](std::span<const double> x,
+                               std::vector<double>& r) {
+    r.resize(3 * cols.size());
+    cols.residuals(decode(x), r);
   };
   const auto scalar = [&](std::span<const double> x) {
-    return sum_squared_residuals(decode(x), obs);
+    return cols.sum_squared_residuals(decode(x));
   };
   const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
   NelderMeadOptions nm_opt;

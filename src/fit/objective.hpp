@@ -12,15 +12,18 @@
 // per fit_machine), and the golden-reply corpus pins the fitted constants
 // of the `fit` endpoint to the last bit. The rules that keep them fixed:
 //
-//   * one core::time() per observation; the energy is then the same
-//     expression core::energy() evaluates, W eps_flop + Q eps_mem +
-//     pi1 * t, in the same order, so it equals energy() exactly;
-//   * sum_squared_residuals adds r_t^2, r_e^2, r_p^2 per observation, in
-//     observation order, into one serial accumulator — the same sum as
-//     squaring time_energy_residuals() element by element;
-//   * no reassociation, hence no SIMD path: the ordered sum is the
-//     critical path, and splitting it into lanes changes the rounding
-//     and with it the golden `fit` bytes.
+//   * each observation's model time is core::time()'s expression,
+//     max({W tau_flop, Q tau_mem, (W eps_flop + Q eps_mem) / delta_pi})
+//     with std::max's choice (the first maximum under <, NaN included),
+//     and its energy is core::energy()'s, W eps_flop + Q eps_mem + pi1 t,
+//     in the same order; a kernel's repeats (adjacent observations with
+//     identical W and Q) share these terms, which is the same value;
+//   * residuals may be computed in SIMD lanes across observations —
+//     lanes run the same IEEE operations, with no FMA — but the sum adds
+//     r_t^2, r_e^2, r_p^2 per observation, in observation order, into
+//     one serial accumulator: the same sum as squaring
+//     time_energy_residuals() element by element. Reordering or splitting
+//     that sum changes the rounding and with it the golden `fit` bytes.
 
 #include <span>
 #include <vector>
@@ -49,26 +52,52 @@ enum class ModelKind {
 [[nodiscard]] core::MachineParams unpack(std::span<const double> x,
                                          ModelKind kind);
 
-/// Relative residuals of predicted vs measured time, energy, and average
-/// power, three per observation: (T/t - 1, E/e - 1, P/p - 1).
+/// Observations packed once per fit into contiguous columns — the form
+/// the objective reads. Time, energy and power residuals are relative,
+/// three per observation: (T/t - 1, E/e - 1, P/p - 1).
 ///
 /// Power is E/T and thus analytically redundant, but including it weights
 /// the fit toward reproducing the power curve's *shape* — which is what
 /// separates a flat cap plateau from a rising memory-bound segment on
 /// platforms where pi_mem ~ delta_pi (e.g. the APU GPU) and pins delta_pi
 /// near the observed peak power when the cap barely binds (Xeon Phi).
+///
+/// Evaluation writes per-kernel scratch, so one object serves one thread.
+class ObservationColumns {
+ public:
+  explicit ObservationColumns(std::span<const microbench::Observation> obs);
+
+  /// Number of observations.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Writes the 3 * size() residuals, observation by observation, to
+  /// `out`, which must hold at least that many. Allocates nothing.
+  void residuals(const core::MachineParams& m, std::span<double> out);
+
+  /// Sum of squared residuals — the scalar objective for Nelder-Mead
+  /// seeding. Allocates nothing.
+  [[nodiscard]] double sum_squared_residuals(const core::MachineParams& m);
+
+ private:
+  template <typename Visit>
+  void for_each_pair(const core::MachineParams& m, Visit visit);
+
+  std::size_t size_ = 0;
+  // Per kernel (a run of adjacent observations with identical W and Q),
+  // padded to an even count: work, then the model terms of the last
+  // evaluation.
+  std::vector<double> flops_, bytes_, time_, energy_, power_;
+  // Per observation, padded to an even count.
+  std::vector<std::size_t> kernel_;
+  std::vector<double> seconds_, joules_, watts_;
+};
+
+/// time/energy/power residuals of `obs` (see ObservationColumns).
 [[nodiscard]] std::vector<double> time_energy_residuals(
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs);
 
-/// Appends time_energy_residuals(m, obs) to `out`, for callers that add
-/// residuals of their own and size `out` once for all of them.
-void append_time_energy_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs, std::vector<double>& out);
-
-/// Sum of squared time_energy_residuals — the scalar objective for
-/// Nelder-Mead seeding. Allocates nothing.
+/// Sum of squared time_energy_residuals.
 [[nodiscard]] double sum_squared_residuals(
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs);

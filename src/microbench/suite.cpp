@@ -5,7 +5,7 @@
 #include "microbench/cache_bench.hpp"
 #include "microbench/intensity.hpp"
 #include "microbench/pointer_chase.hpp"
-#include "powermon/sampler.hpp"
+#include "powermon/integrator.hpp"
 
 namespace archline::microbench {
 
@@ -29,9 +29,8 @@ std::vector<Observation> measure_kernel(
   out.reserve(static_cast<std::size_t>(repeats));
   for (int r = 0; r < repeats; ++r) {
     const sim::RunResult run = machine.run(kernel, rng);
-    const powermon::SampledCapture sampled =
-        powermon::sample(run.capture, sampler, rng);
-    const powermon::Measurement m = powermon::integrate_mean(sampled);
+    const powermon::Measurement m =
+        powermon::sample_mean(run.capture, sampler, rng);
     Observation o;
     o.kernel = kernel;
     o.seconds = m.seconds;
@@ -82,9 +81,8 @@ SuiteData run_suite(const sim::SimMachine& machine,
   if (opt.include_idle) {
     const powermon::Capture idle =
         machine.idle_capture(opt.target_seconds, rng);
-    const powermon::SampledCapture sampled =
-        powermon::sample(idle, opt.sampler, rng);
-    data.idle_watts = powermon::integrate_mean(sampled).avg_watts;
+    data.idle_watts =
+        powermon::sample_mean(idle, opt.sampler, rng).avg_watts;
   }
 
   data.dram_sp = intensity_sweep(machine, opt.intensities,

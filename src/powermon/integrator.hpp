@@ -27,6 +27,14 @@ struct Measurement {
 /// across channels, times the window duration.
 [[nodiscard]] Measurement integrate_mean(const SampledCapture& capture);
 
+/// The same estimator over a capture as it is sampled: equals
+/// integrate_mean(sample(capture, cfg, rng)) bit for bit, draws the same
+/// random numbers, and throws where sample() throws, but stores no
+/// samples. The microbenchmark suite measures every kernel run with it.
+[[nodiscard]] Measurement sample_mean(const Capture& capture,
+                                      const SamplerConfig& cfg,
+                                      stats::Rng& rng);
+
 /// Reference estimator: trapezoidal integration of the samples (more
 /// accurate for non-stationary traces; used in tests to bound the error of
 /// the mean estimator).

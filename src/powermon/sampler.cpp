@@ -2,18 +2,151 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+
+#include "powermon/integrator.hpp"
 
 namespace archline::powermon {
 
 namespace {
 
 /// Quantizes `value` onto a grid of `levels` + 1 codes spanning
-/// [0, full_scale]; a `bits`-bit ADC has levels = 2^bits - 1.
-double quantize_adc(double value, double levels, double full_scale) {
+/// [0, full_scale]; a `bits`-bit ADC has levels = 2^bits - 1. `round`
+/// maps the scaled value to its code and must equal std::round there.
+template <typename Round>
+double quantize_adc(double value, double levels, double full_scale,
+                    Round round) {
   const double clamped = std::clamp(value, 0.0, full_scale);
-  const double code = std::round(clamped / full_scale * levels);
-  return code / levels * full_scale;
+  return round(clamped / full_scale * levels) / levels * full_scale;
+}
+
+double libm_round(double x) { return std::round(x); }
+
+/// std::round for x in [0, 2^52) (and -0), without the libm call or a
+/// branch on x: the integer cast truncates exactly there, x - whole is
+/// exact, and copysign keeps the zero's sign.
+double round_in_range(double x) {
+  const double whole = static_cast<double>(static_cast<std::int64_t>(x));
+  return std::copysign(whole + static_cast<double>(x - whole >= 0.5), x);
+}
+
+/// Keeps every sample: the SampledCapture that sample() returns.
+class StoreSamples {
+ public:
+  StoreSamples(const Capture& capture, double dt) {
+    out_.window_begin = capture.window_begin;
+    out_.window_end = capture.window_end;
+    out_.channels.reserve(capture.rails.size());
+    // The timestamps every channel walks; the count sizes each channel's
+    // samples once (dropout only ever leaves it short).
+    for (double t = capture.window_begin; t <= capture.window_end; t += dt)
+      ++ticks_;
+  }
+  void begin(const Channel& channel, double rate) {
+    ChannelSamples& cs = out_.channels.emplace_back();
+    cs.channel = channel;
+    cs.effective_hz = rate;
+    cs.samples.reserve(ticks_);
+  }
+  void add(double t, double volts, double amps) {
+    out_.channels.back().samples.push_back(
+        {.t = t, .volts = volts, .amps = amps});
+  }
+  [[nodiscard]] std::size_t end() const noexcept {
+    return out_.channels.back().samples.size();
+  }
+  [[nodiscard]] SampledCapture take() { return std::move(out_); }
+
+ private:
+  SampledCapture out_;
+  std::size_t ticks_ = 0;
+};
+
+/// Folds each sample into integrate_mean's sums as it is drawn: per
+/// channel acc += volts * amps in sample order, then total += acc / count.
+class MeanOfSamples {
+ public:
+  void begin(const Channel&, double) noexcept {
+    acc_ = 0.0;
+    count_ = 0;
+  }
+  void add(double, double volts, double amps) noexcept {
+    acc_ += volts * amps;
+    ++count_;
+  }
+  [[nodiscard]] std::size_t end() noexcept {
+    if (count_ > 0) total_ += acc_ / static_cast<double>(count_);
+    return count_;
+  }
+  [[nodiscard]] double total_watts() const noexcept { return total_; }
+
+ private:
+  double acc_ = 0.0;
+  std::size_t count_ = 0;
+  double total_ = 0.0;
+};
+
+void check_capture(const Capture& capture, const SamplerConfig& cfg) {
+  if (capture.rails.empty())
+    throw std::invalid_argument("sample: capture has no rails");
+  if (capture.rails.size() > cfg.max_channels)
+    throw std::invalid_argument("sample: more rails than sampler channels");
+  if (!(capture.window_end > capture.window_begin))
+    throw std::invalid_argument("sample: empty measurement window");
+}
+
+/// The one sampling loop: walks every rail's timestamps, draws dropout
+/// and jitter, reads the trace and quantizes V and I, handing each kept
+/// sample to `sink` in order.
+template <typename Sink>
+void sample_into(const Capture& capture, const SamplerConfig& cfg,
+                 double rate, stats::Rng& rng, Sink& sink) {
+  const double dt = 1.0 / rate;
+  const double levels = std::exp2(cfg.adc_bits) - 1.0;
+  const double amps_scale = cfg.adc_full_scale_amps;
+  // Where every scaled current lies in [0, levels] and levels < 2^52, the
+  // cast-based round is exact; otherwise std::round stays.
+  const bool exact_round = levels >= 0.0 && levels < 0x1p52 &&
+                           amps_scale > 0.0 &&
+                           amps_scale < std::numeric_limits<double>::infinity();
+  // Locals, so the loop keeps them (and the generator's state) in
+  // registers instead of reloading them after every store.
+  const double begin = capture.window_begin;
+  const double end = capture.window_end;
+  const double jitter_s = cfg.timestamp_jitter_s;
+  const double dropout = cfg.dropout_rate;
+  const bool quantize = cfg.quantize;
+  for (const Capture::Rail& rail : capture.rails) {
+    sink.begin(rail.channel, rate);
+    TraceCursor trace(rail.trace);
+    stats::Rng draws = rng;
+    const double volts = rail.channel.nominal_volts;
+    // The rail's voltage is constant, so its reading is too.
+    const double volts_reading =
+        quantize ? quantize_adc(volts, levels, cfg.adc_full_scale_volts,
+                                libm_round)
+                 : volts;
+    for (double t = begin; t <= end; t += dt) {
+      if (dropout > 0.0 && draws.uniform() < dropout)
+        continue;  // sample lost in transit
+      // The device is probed at a jittered true time but the record keeps
+      // the nominal timestamp, as real sampling hardware does.
+      const double jitter = draws.uniform(-jitter_s, jitter_s);
+      const double true_t = std::clamp(t + jitter, begin, end);
+      const double watts = trace.value(true_t);
+      double amps = volts > 0.0 ? watts / volts : 0.0;
+      if (quantize)
+        amps = exact_round
+                   ? quantize_adc(amps, levels, amps_scale, round_in_range)
+                   : quantize_adc(amps, levels, amps_scale, libm_round);
+      sink.add(t, volts_reading, amps);
+    }
+    rng = draws;
+    if (sink.end() == 0)
+      throw std::invalid_argument("sample: window shorter than one period");
+  }
 }
 
 }  // namespace
@@ -28,62 +161,25 @@ double effective_rate(const SamplerConfig& cfg, std::size_t active_channels) {
 
 SampledCapture sample(const Capture& capture, const SamplerConfig& cfg,
                       stats::Rng& rng) {
-  if (capture.rails.empty())
-    throw std::invalid_argument("sample: capture has no rails");
-  if (capture.rails.size() > cfg.max_channels)
-    throw std::invalid_argument("sample: more rails than sampler channels");
-  if (!(capture.window_end > capture.window_begin))
-    throw std::invalid_argument("sample: empty measurement window");
-
+  check_capture(capture, cfg);
   const double rate = effective_rate(cfg, capture.rails.size());
-  const double dt = 1.0 / rate;
+  StoreSamples sink(capture, 1.0 / rate);
+  sample_into(capture, cfg, rate, rng, sink);
+  return sink.take();
+}
 
-  SampledCapture out;
-  out.window_begin = capture.window_begin;
-  out.window_end = capture.window_end;
-  out.channels.reserve(capture.rails.size());
-
-  const double levels = std::exp2(cfg.adc_bits) - 1.0;
-  // The timestamps every channel walks; the count sizes each channel's
-  // samples once (dropout only ever leaves it short).
-  std::size_t ticks = 0;
-  for (double t = capture.window_begin; t <= capture.window_end; t += dt)
-    ++ticks;
-
-  for (const Capture::Rail& rail : capture.rails) {
-    ChannelSamples cs;
-    cs.channel = rail.channel;
-    cs.effective_hz = rate;
-    cs.samples.reserve(ticks);
-    const double volts = rail.channel.nominal_volts;
-    // The rail's voltage is constant, so its reading is too.
-    const double volts_reading =
-        cfg.quantize ? quantize_adc(volts, levels, cfg.adc_full_scale_volts)
-                     : volts;
-    for (double t = capture.window_begin; t <= capture.window_end;
-         t += dt) {
-      if (cfg.dropout_rate > 0.0 && rng.uniform() < cfg.dropout_rate)
-        continue;  // sample lost in transit
-      // The device is probed at a jittered true time but the record keeps
-      // the nominal timestamp, as real sampling hardware does.
-      const double jitter = rng.uniform(-cfg.timestamp_jitter_s,
-                                        cfg.timestamp_jitter_s);
-      const double true_t =
-          std::clamp(t + jitter, capture.window_begin, capture.window_end);
-      const double watts = rail.trace.value(true_t);
-      const double amps = volts > 0.0 ? watts / volts : 0.0;
-      cs.samples.push_back(
-          {.t = t,
-           .volts = volts_reading,
-           .amps = cfg.quantize
-                       ? quantize_adc(amps, levels, cfg.adc_full_scale_amps)
-                       : amps});
-    }
-    if (cs.samples.empty())
-      throw std::invalid_argument("sample: window shorter than one period");
-    out.channels.push_back(std::move(cs));
-  }
-  return out;
+Measurement sample_mean(const Capture& capture, const SamplerConfig& cfg,
+                        stats::Rng& rng) {
+  check_capture(capture, cfg);
+  MeanOfSamples sink;
+  sample_into(capture, cfg, effective_rate(cfg, capture.rails.size()), rng,
+              sink);
+  const double span = capture.window_end - capture.window_begin;
+  Measurement m;
+  m.seconds = span;
+  m.avg_watts = sink.total_watts();
+  m.joules = sink.total_watts() * span;
+  return m;
 }
 
 }  // namespace archline::powermon

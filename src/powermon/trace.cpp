@@ -40,11 +40,7 @@ double PowerTrace::value(double t) const noexcept {
   const auto it = std::upper_bound(
       points_.begin(), points_.end(), t,
       [](double value, const TracePoint& p) { return value < p.t; });
-  const TracePoint& hi = *it;
-  const TracePoint& lo = *(it - 1);
-  if (hi.t == lo.t) return hi.watts;
-  const double frac = (t - lo.t) / (hi.t - lo.t);
-  return lo.watts + frac * (hi.watts - lo.watts);
+  return interpolate(*(it - 1), *it, t);
 }
 
 double PowerTrace::integral(double t0, double t1) const noexcept {

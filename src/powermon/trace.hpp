@@ -3,6 +3,7 @@
 // as a piecewise-linear function of time. This is the simulator's ground
 // truth; the Sampler discretizes it the way PowerMon 2 would.
 
+#include <cstddef>
 #include <vector>
 
 #include "powermon/channel.hpp"
@@ -14,6 +15,16 @@ struct TracePoint {
   double t = 0.0;      ///< seconds since capture start
   double watts = 0.0;  ///< instantaneous power
 };
+
+/// Power at `t` on the segment from `lo` to the first breakpoint `hi`
+/// after t. PowerTrace::value and TraceCursor::value share it.
+[[nodiscard]] inline double interpolate(const TracePoint& lo,
+                                        const TracePoint& hi,
+                                        double t) noexcept {
+  if (hi.t == lo.t) return hi.watts;
+  const double frac = (t - lo.t) / (hi.t - lo.t);
+  return lo.watts + frac * (hi.watts - lo.watts);
+}
 
 /// Piecewise-linear power over time. Breakpoints must be added in
 /// non-decreasing time order; between breakpoints power interpolates
@@ -58,6 +69,33 @@ class PowerTrace {
 
  private:
   std::vector<TracePoint> points_;
+};
+
+/// Evaluates one trace at a stream of nearby times, bit for bit as
+/// PowerTrace::value does, by walking a segment index from the previous
+/// query instead of binary-searching the breakpoints each time. The
+/// trace must outlive the cursor and not change while it is in use.
+class TraceCursor {
+ public:
+  explicit TraceCursor(const PowerTrace& trace) noexcept
+      : points_(trace.points().data()), count_(trace.points().size()) {}
+
+  /// Equals trace.value(t).
+  [[nodiscard]] double value(double t) noexcept {
+    if (count_ == 0) return 0.0;
+    if (t <= points_[0].t) return points_[0].watts;
+    if (t >= points_[count_ - 1].t) return points_[count_ - 1].watts;
+    // Restore points_[hi_ - 1].t <= t < points_[hi_].t: hi_ is then the
+    // first breakpoint strictly after t, as value()'s upper_bound finds.
+    while (points_[hi_].t <= t) ++hi_;
+    while (points_[hi_ - 1].t > t) --hi_;
+    return interpolate(points_[hi_ - 1], points_[hi_], t);
+  }
+
+ private:
+  const TracePoint* points_;
+  std::size_t count_;
+  std::size_t hi_ = 1;
 };
 
 /// A capture: one trace per measured rail plus the workload window the

@@ -27,26 +27,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) noexcept
   (void)operator()();
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  const auto xorshifted =
-      static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-  const auto rot = static_cast<std::uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-double Rng::uniform() noexcept {
-  // 53 random bits mapped to [0, 1).
-  const std::uint64_t hi = static_cast<std::uint64_t>(operator()()) << 21;
-  const std::uint64_t lo = static_cast<std::uint64_t>(operator()()) >> 11;
-  return static_cast<double>(hi + lo) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t Rng::below(std::uint64_t n) noexcept {
   if (n <= 1) return 0;
   // Lemire-style rejection on 64-bit draws keeps the result unbiased.

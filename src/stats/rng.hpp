@@ -35,14 +35,32 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
+  // The three draws below are defined in the header so per-sample loops
+  // (the PowerMon sampler draws twice per sample) keep the state in
+  // registers.
+
   /// Next 32 uniform random bits.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t old = state_;
+    state_ = old * 6364136223846793005ULL + inc_;
+    const auto xorshifted =
+        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+    const auto rot = static_cast<std::uint32_t>(old >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  [[nodiscard]] double uniform() noexcept;
+  [[nodiscard]] double uniform() noexcept {
+    // 53 random bits mapped to [0, 1).
+    const std::uint64_t hi = static_cast<std::uint64_t>(operator()()) << 21;
+    const std::uint64_t lo = static_cast<std::uint64_t>(operator()()) >> 11;
+    return static_cast<double>(hi + lo) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
+  [[nodiscard]] double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n); n must be > 0. Unbiased (rejection method).
   [[nodiscard]] std::uint64_t below(std::uint64_t n) noexcept;
