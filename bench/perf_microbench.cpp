@@ -80,6 +80,42 @@ void BM_PowermonSample(benchmark::State& state) {
 }
 BENCHMARK(BM_PowermonSample);
 
+// The same capture through the streaming estimator the suite calls: the
+// one sampling loop with a summing sink, nothing stored.
+void BM_PowermonSampleMean(benchmark::State& state) {
+  const sim::SimMachine m =
+      sim::make_machine(platforms::platform("GTX Titan"));
+  const microbench::SuiteOptions opt;
+  const sim::SimConfig& cfg = m.config();
+  const double intensity = 4.0;
+  const sim::KernelDesc k = microbench::intensity_kernel(
+      intensity,
+      microbench::bytes_for_duration(intensity, cfg.sp.tau, cfg.sp.eps,
+                                     cfg.dram.tau_byte, cfg.dram.eps_byte,
+                                     cfg.delta_pi, opt.target_seconds),
+      core::Precision::Single, core::MemLevel::DRAM);
+  stats::Rng rng(6);
+  const powermon::Capture cap = m.run(k, rng).capture;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(powermon::sample_mean(cap, opt.sampler, rng));
+}
+BENCHMARK(BM_PowermonSampleMean);
+
+// One full default suite of GTX Titan at the Table I seed: the
+// microbenchmark half of a paper-fit campaign (simulation, sampling and
+// the mean estimator for all 260-odd kernel runs).
+void BM_RunSuiteTable1(benchmark::State& state) {
+  const platforms::PlatformSpec& spec = platforms::platform("GTX Titan");
+  const sim::SimMachine m = sim::make_machine(spec);
+  const std::uint64_t seed = microbench::campaign_seed(20140519, spec.name);
+  for (auto _ : state) {
+    stats::Rng rng(seed);
+    benchmark::DoNotOptimize(
+        microbench::run_suite(m, microbench::SuiteOptions{}, rng));
+  }
+}
+BENCHMARK(BM_RunSuiteTable1);
+
 void BM_SuiteRunDramSweep(benchmark::State& state) {
   const sim::SimMachine m =
       sim::make_machine(platforms::platform("Xeon Phi"));

@@ -12,24 +12,24 @@ namespace archline::powermon {
 
 namespace {
 
-/// Quantizes `value` onto a grid of `levels` + 1 codes spanning
-/// [0, full_scale]; a `bits`-bit ADC has levels = 2^bits - 1. `round`
-/// maps the scaled value to its code and must equal std::round there.
-template <typename Round>
-double quantize_adc(double value, double levels, double full_scale,
-                    Round round) {
-  const double clamped = std::clamp(value, 0.0, full_scale);
-  return round(clamped / full_scale * levels) / levels * full_scale;
-}
-
-double libm_round(double x) { return std::round(x); }
-
 /// std::round for x in [0, 2^52) (and -0), without the libm call or a
 /// branch on x: the integer cast truncates exactly there, x - whole is
 /// exact, and copysign keeps the zero's sign.
 double round_in_range(double x) {
   const double whole = static_cast<double>(static_cast<std::int64_t>(x));
   return std::copysign(whole + static_cast<double>(x - whole >= 0.5), x);
+}
+
+/// Quantizes `value` onto a grid of `levels` + 1 codes spanning
+/// [0, full_scale]; a `bits`-bit ADC has levels = 2^bits - 1. The code is
+/// std::round's; `in_range` says the scaled value is known to lie where
+/// round_in_range computes it.
+double quantize_adc(double value, double levels, double full_scale,
+                    bool in_range) {
+  const double clamped = std::clamp(value, 0.0, full_scale);
+  const double scaled = clamped / full_scale * levels;
+  const double code = in_range ? round_in_range(scaled) : std::round(scaled);
+  return code / levels * full_scale;
 }
 
 /// Keeps every sample: the SampledCapture that sample() returns.
@@ -126,22 +126,31 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
     // The rail's voltage is constant, so its reading is too.
     const double volts_reading =
         quantize ? quantize_adc(volts, levels, cfg.adc_full_scale_volts,
-                                libm_round)
+                                false)
                  : volts;
-    for (double t = begin; t <= end; t += dt) {
-      if (dropout > 0.0 && draws.uniform() < dropout)
-        continue;  // sample lost in transit
-      // The device is probed at a jittered true time but the record keeps
-      // the nominal timestamp, as real sampling hardware does.
-      const double jitter = draws.uniform(-jitter_s, jitter_s);
-      const double true_t = std::clamp(t + jitter, begin, end);
-      const double watts = trace.value(true_t);
-      double amps = volts > 0.0 ? watts / volts : 0.0;
-      if (quantize)
-        amps = exact_round
-                   ? quantize_adc(amps, levels, amps_scale, round_in_range)
-                   : quantize_adc(amps, levels, amps_scale, libm_round);
-      sink.add(t, volts_reading, amps);
+    // Blocks of samples in two passes: the draws and the trace first,
+    // then the ADC, whose dependent divisions then overlap across
+    // samples.
+    constexpr std::size_t kBlock = 64;
+    double stamps[kBlock];
+    double powers[kBlock];
+    for (double t = begin; t <= end;) {
+      std::size_t n = 0;
+      for (; n < kBlock && t <= end; t += dt) {
+        if (dropout > 0.0 && draws.uniform() < dropout)
+          continue;  // sample lost in transit
+        // The device is probed at a jittered true time but the record
+        // keeps the nominal timestamp, as real sampling hardware does.
+        const double jitter = draws.uniform(-jitter_s, jitter_s);
+        stamps[n] = t;
+        powers[n++] = trace.value(std::clamp(t + jitter, begin, end));
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        double amps = volts > 0.0 ? powers[i] / volts : 0.0;
+        if (quantize)
+          amps = quantize_adc(amps, levels, amps_scale, exact_round);
+        sink.add(stamps[i], volts_reading, amps);
+      }
     }
     rng = draws;
     if (sink.end() == 0)

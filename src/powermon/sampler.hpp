@@ -9,6 +9,25 @@
 // the reported instantaneous power. We reproduce those artifacts —
 // rate derating, quantization, and timestamp jitter — because they bound
 // how well any downstream analysis can do.
+//
+// CONTRACT — bit identity. Every microbenchmark observation, and through
+// them every fit and the golden `fit` replies, is pinned to the last bit
+// (tests/test_paper_pipeline_digest.cpp). The rules that keep it:
+//
+//   * one sampling loop; per rail and per tick it draws the dropout
+//     uniform (when dropout is on), then the jitter uniform, in that
+//     order, so every consumer sees the same random stream;
+//   * a reading is PowerTrace::value at the jittered time, then the
+//     ADC's clamp, scale, round half away from zero, and rescale, each
+//     in the same expression — a faster round or trace lookup must return
+//     the same bits (tests/test_sampler.cpp checks against the per-sample
+//     formula);
+//   * the streaming estimator, sample_mean() in integrator.hpp, is the
+//     paper's §IV-h mean: per channel acc += V * I in sample order, then
+//     total += acc / count over channels in order — the sums
+//     integrate_mean() forms over sample()'s output. Work may be split
+//     into passes or SIMD lanes across samples; those sums may not be
+//     reordered.
 
 #include <cstddef>
 #include <vector>
@@ -61,7 +80,8 @@ struct SampledCapture {
 [[nodiscard]] double effective_rate(const SamplerConfig& cfg,
                                     std::size_t active_channels);
 
-/// Samples every rail of `capture` over its kernel window.
+/// Samples every rail of `capture` over its kernel window, keeping every
+/// sample (sample_mean() runs the same loop without storing them).
 /// Throws std::invalid_argument if the capture exceeds max_channels or the
 /// window is empty.
 [[nodiscard]] SampledCapture sample(const Capture& capture,

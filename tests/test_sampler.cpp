@@ -1,13 +1,20 @@
 // Tests for the simulated PowerMon 2 sampler: rates, derating,
-// quantization, determinism.
+// quantization, determinism, and the streaming mean's bit identity with
+// the stored samples.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
+#include "microbench/intensity.hpp"
+#include "platforms/platform_db.hpp"
+#include "powermon/integrator.hpp"
 #include "powermon/sampler.hpp"
+#include "sim/factory.hpp"
 
 namespace {
 
@@ -263,6 +270,205 @@ TEST(SamplerReference, MatchesUnderDropout) {
   pm::SamplerConfig cfg;
   cfg.dropout_rate = 0.2;
   expect_matches_reference(ramp_capture(30.0), cfg);
+}
+
+// ---- Streaming mean ------------------------------------------------------
+
+/// sample_mean must equal integrate_mean(sample(...)) to the bit and leave
+/// the generator where sample() leaves it.
+void expect_stream_matches_stored(const pm::Capture& cap,
+                                  const pm::SamplerConfig& cfg) {
+  Rng stored_rng(91);
+  Rng stream_rng(91);
+  const pm::Measurement want =
+      pm::integrate_mean(pm::sample(cap, cfg, stored_rng));
+  const pm::Measurement got = pm::sample_mean(cap, cfg, stream_rng);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.seconds),
+            std::bit_cast<std::uint64_t>(want.seconds));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.avg_watts),
+            std::bit_cast<std::uint64_t>(want.avg_watts))
+      << got.avg_watts << " vs " << want.avg_watts;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.joules),
+            std::bit_cast<std::uint64_t>(want.joules));
+  EXPECT_EQ(stream_rng(), stored_rng());
+}
+
+/// Both the stored samples (against the per-sample reference) and the
+/// streaming mean (against the stored samples).
+void expect_exact(const pm::Capture& cap, const pm::SamplerConfig& cfg) {
+  expect_matches_reference(cap, cfg);
+  expect_stream_matches_stored(cap, cfg);
+}
+
+/// `rails` rails over a three-segment trace with a step (two breakpoints
+/// at one time), each rail at a different voltage and share.
+pm::Capture multi_rail_capture(std::size_t rails) {
+  pm::PowerTrace t;
+  t.add_point(0.0, 20.0);
+  t.add_point(0.05, 140.0);
+  t.add_point(0.12, 140.0);
+  t.add_point(0.12, 60.0);
+  t.add_point(0.2, 90.0);
+  pm::Capture cap;
+  for (std::size_t i = 0; i < rails; ++i)
+    cap.rails.push_back(
+        {.channel = {.name = "rail" + std::to_string(i),
+                     .nominal_volts = 3.3 + 2.0 * static_cast<double>(i)},
+         .trace = t.scaled(1.0 / static_cast<double>(rails))});
+  cap.window_begin = 0.01;
+  cap.window_end = 0.19;
+  return cap;
+}
+
+/// One kernel run of a Table I platform's simulated machine.
+pm::Capture platform_capture(const std::string& name,
+                             const archline::sim::NonidealityProfile* profile =
+                                 nullptr) {
+  const auto& spec = archline::platforms::platform(name);
+  const archline::sim::SimMachine m =
+      profile ? archline::sim::make_machine(spec, *profile)
+              : archline::sim::make_machine(spec);
+  Rng rng(7);
+  return m
+      .run(archline::microbench::intensity_kernel(
+               2.0, 4e8, archline::core::Precision::Single,
+               archline::core::MemLevel::DRAM),
+           rng)
+      .capture;
+}
+
+TEST(SampleMean, MatchesStoredSamplesOnOneThreeAndEightRails) {
+  for (const std::size_t rails : {1u, 3u, 8u}) {
+    SCOPED_TRACE(rails);
+    expect_exact(multi_rail_capture(rails), pm::SamplerConfig{});
+  }
+}
+
+TEST(SampleMean, MatchesUnderDropoutWithoutQuantization) {
+  pm::SamplerConfig cfg;
+  cfg.dropout_rate = 0.2;
+  cfg.quantize = false;
+  expect_exact(multi_rail_capture(3), cfg);
+}
+
+TEST(SampleMean, MatchesWhenJitterSpansThreeSamplePeriods) {
+  // Jitter past the period sends the trace cursor backwards.
+  const pm::Capture cap = multi_rail_capture(2);
+  pm::SamplerConfig cfg;
+  cfg.timestamp_jitter_s = 3.0 / pm::effective_rate(cfg, cap.rails.size());
+  expect_exact(cap, cfg);
+}
+
+TEST(SampleMean, MatchesAcrossAdcWidthsIncludingTheLibmFallback) {
+  for (const int bits : {12, 60}) {
+    SCOPED_TRACE(bits);
+    pm::SamplerConfig cfg;
+    cfg.adc_bits = bits;
+    expect_exact(multi_rail_capture(3), cfg);
+    expect_exact(ramp_capture(30.0), cfg);
+  }
+}
+
+TEST(SampleMean, MatchesOnZeroRampTracesWithDuplicateBreakpoints) {
+  archline::sim::NonidealityProfile profile =
+      archline::sim::default_nonidealities(
+          archline::platforms::platform("GTX Titan"));
+  profile.ramp_time_s = 0.0;
+  const pm::Capture cap = platform_capture("GTX Titan", &profile);
+  const auto& points = cap.rails.front().trace.points();
+  ASSERT_GE(points.size(), 2u);
+  ASSERT_EQ(points[0].t, points[1].t);
+  expect_exact(cap, pm::SamplerConfig{});
+}
+
+TEST(SampleMean, MatchesOnNucGpuBurstTraces) {
+  const pm::Capture cap = platform_capture("NUC GPU");
+  // OS-interference bursts add breakpoints beyond the base ramp.
+  ASSERT_GT(cap.rails.front().trace.points().size(), 3u);
+  expect_exact(cap, pm::SamplerConfig{});
+}
+
+TEST(SampleMean, MatchesWhenSamplesLandOnBreakpoints) {
+  // At 1024 Hz the tick is 2^-10 s, so without jitter the ticks hit
+  // 0.125 s exactly: a step there must read the value after the step.
+  pm::PowerTrace t;
+  t.add_point(0.0, 10.0);
+  t.add_point(0.125, 50.0);
+  t.add_point(0.125, 20.0);
+  t.add_point(0.25, 80.0);
+  pm::Capture cap;
+  cap.rails.push_back(
+      {.channel = {.name = "12v", .nominal_volts = 12.0}, .trace = t});
+  cap.window_end = 0.3;
+  pm::SamplerConfig cfg;
+  cfg.timestamp_jitter_s = 0.0;
+  cfg.quantize = false;
+  expect_exact(cap, cfg);
+}
+
+TEST(SampleMean, MatchesOverManyWindowLengths) {
+  // The per-channel mean divides by the kept-sample count; sweep the
+  // count so a reassociated division would show.
+  for (int i = 0; i < 60; ++i) {
+    SCOPED_TRACE(i);
+    pm::Capture cap = multi_rail_capture(1 + i % 4);
+    cap.window_end = 0.02 + 0.003 * i;
+    pm::SamplerConfig cfg;
+    cfg.dropout_rate = i % 3 == 0 ? 0.1 : 0.0;
+    expect_stream_matches_stored(cap, cfg);
+  }
+}
+
+TEST(SamplerRounding, TiesRoundAwayFromZero) {
+  // 240 W on a 12 V rail reads 20 A: half of the 40 A full scale, so a
+  // 1-bit ADC scales it to code 0.5 and a 2-bit ADC to 1.5, both ties.
+  const pm::Capture cap = constant_capture(240.0, 0.05);
+  for (const int bits : {1, 2}) {
+    SCOPED_TRACE(bits);
+    pm::SamplerConfig cfg;
+    cfg.adc_bits = bits;
+    cfg.timestamp_jitter_s = 0.0;
+    Rng rng(3);
+    const pm::SampledCapture got = pm::sample(cap, cfg, rng);
+    const double levels = std::exp2(bits) - 1.0;
+    const double want = std::ceil(0.5 * levels) / levels * 40.0;
+    for (const pm::Sample& x : got.channels[0].samples)
+      ASSERT_EQ(x.amps, want);
+    expect_exact(cap, cfg);
+  }
+}
+
+TEST(SamplerRounding, NegativeZeroPowerReadsNegativeZeroCurrent) {
+  // std::round keeps the sign of zero; so must the sampler's round. A
+  // one-point trace holds its -0 W everywhere (interpolation would give
+  // +0).
+  pm::PowerTrace t;
+  t.add_point(0.0, -0.0);
+  pm::Capture cap;
+  cap.rails.push_back(
+      {.channel = {.name = "12v", .nominal_volts = 12.0}, .trace = t});
+  cap.window_end = 0.05;
+  Rng rng(4);
+  const pm::SampledCapture got = pm::sample(cap, pm::SamplerConfig{}, rng);
+  ASSERT_FALSE(got.channels[0].samples.empty());
+  for (const pm::Sample& x : got.channels[0].samples)
+    ASSERT_TRUE(std::signbit(x.amps));
+  expect_exact(cap, pm::SamplerConfig{});
+}
+
+TEST(SampleMean, ThrowsWhereSampleThrows) {
+  Rng rng(1);
+  pm::Capture none;
+  none.window_end = 1.0;
+  EXPECT_THROW((void)pm::sample_mean(none, {}, rng), std::invalid_argument);
+  pm::Capture empty_window = multi_rail_capture(1);
+  empty_window.window_end = empty_window.window_begin;
+  EXPECT_THROW((void)pm::sample_mean(empty_window, {}, rng),
+               std::invalid_argument);
+  pm::SamplerConfig all_lost;
+  all_lost.dropout_rate = 1.0;
+  EXPECT_THROW((void)pm::sample_mean(multi_rail_capture(1), all_lost, rng),
+               std::invalid_argument);
 }
 
 }  // namespace
