@@ -12,7 +12,7 @@ namespace {
 
 /// Central-difference Jacobian of r at x; `rp` and `rm` are the
 /// evaluation buffers, reused across columns.
-Mat jacobian(const ResidualIntoFn& r, std::span<const double> x,
+Mat jacobian(const ResidualFn& r, std::span<const double> x,
              std::size_t m, double rel_step, std::vector<double>& rp,
              std::vector<double>& rm) {
   const std::size_t n = x.size();
@@ -37,17 +37,6 @@ Mat jacobian(const ResidualIntoFn& r, std::span<const double> x,
 }  // namespace
 
 LevmarResult levenberg_marquardt(const ResidualFn& residuals,
-                                 std::span<const double> x0,
-                                 const LevmarOptions& options) {
-  return levenberg_marquardt(
-      ResidualIntoFn([&residuals](std::span<const double> x,
-                                  std::vector<double>& r) {
-        r = residuals(x);
-      }),
-      x0, options);
-}
-
-LevmarResult levenberg_marquardt(const ResidualIntoFn& residuals,
                                  std::span<const double> x0,
                                  const LevmarOptions& options) {
   if (x0.empty()) throw std::invalid_argument("levmar: empty start point");

@@ -12,14 +12,11 @@
 
 namespace archline::fit {
 
-/// Residual vector r(x); the optimizer minimizes ||r(x)||^2.
+/// Residual vector r(x), written into `r` (the callee sizes it); the
+/// optimizer minimizes ||r(x)||^2 and reuses its buffers across every
+/// evaluation.
 using ResidualFn =
-    std::function<std::vector<double>(std::span<const double>)>;
-
-/// The same r(x), written into a caller-owned buffer (the callee sizes
-/// it), so the optimizer reuses its buffers across every evaluation.
-using ResidualIntoFn =
-    std::function<void(std::span<const double>, std::vector<double>&)>;
+    std::function<void(std::span<const double> x, std::vector<double>& r)>;
 
 struct LevmarOptions {
   int max_iterations = 200;
@@ -40,11 +37,6 @@ struct LevmarResult {
 
 /// Minimizes ||r(x)||^2 from `x0`. Throws std::invalid_argument on an
 /// empty start point or empty residual vector.
-[[nodiscard]] LevmarResult levenberg_marquardt(
-    const ResidualIntoFn& residuals, std::span<const double> x0,
-    const LevmarOptions& options = {});
-
-/// The same optimizer over a residual function that returns its vector.
 [[nodiscard]] LevmarResult levenberg_marquardt(const ResidualFn& residuals,
                                                std::span<const double> x0,
                                                const LevmarOptions& options =
