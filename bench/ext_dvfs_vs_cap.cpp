@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "core/dvfs.hpp"
 #include "core/operating_point.hpp"
 #include "core/policy.hpp"
 #include "core/roofline.hpp"

@@ -154,24 +154,17 @@ struct Totals {
   std::map<std::string, long> errors_by_code;
 
   void count(const std::string& body) {
-    if (body.rfind("{\"ok\":true", 0) == 0) {
+    if (sim::reply_ok(body)) {
       ok.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    std::string code = "unknown";
-    static constexpr std::string_view kKey = "\"error\":\"";
-    const std::size_t at = body.find(kKey);
-    if (at != std::string::npos) {
-      const std::size_t begin = at + kKey.size();
-      const std::size_t end = body.find('"', begin);
-      if (end != std::string::npos) code = body.substr(begin, end - begin);
-    }
+    const std::string_view code = sim::reply_error_code(body);
     if (code == "overloaded")
       overloaded.fetch_add(1, std::memory_order_relaxed);
     else
       errors.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(errors_mutex);
-    ++errors_by_code[code];
+    ++errors_by_code[std::string(code)];
   }
 
   /// Requests that will never see a reply (connection failed or died).

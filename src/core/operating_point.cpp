@@ -1,6 +1,7 @@
 #include "core/operating_point.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace archline::core {
@@ -21,6 +22,28 @@ void OperatingPoint::validate() const {
 
 double dvfs_energy_scale(double leakage_fraction, double s) noexcept {
   return leakage_fraction + (1.0 - leakage_fraction) * s * s;
+}
+
+void DvfsModel::validate() const {
+  if (!(leakage_fraction >= 0.0) || leakage_fraction >= 1.0)
+    throw std::invalid_argument("DvfsModel: leakage outside [0, 1)");
+  if (!(min_scale > 0.0) || min_scale > 1.0)
+    throw std::invalid_argument("DvfsModel: min_scale outside (0, 1]");
+}
+
+OperatingPoint dvfs_operating_point(const DvfsModel& model, double s) {
+  model.validate();
+  if (!(s >= model.min_scale) || s > 1.0)
+    throw std::invalid_argument(
+        "dvfs_operating_point: scale outside [min_scale, 1]");
+  OperatingPoint p;
+  char label[32];
+  std::snprintf(label, sizeof label, "%.2fx", s);
+  p.label = label;
+  p.freq_scale = s;
+  p.energy_scale = dvfs_energy_scale(model.leakage_fraction, s);
+  p.scale_memory = model.scale_memory;
+  return p;
 }
 
 MachineParams apply_operating_point(const MachineParams& m,

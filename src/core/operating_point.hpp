@@ -12,9 +12,12 @@
 // the eqs. (1)-(7) machinery consumes, so every existing prediction,
 // scenario, and sensitivity tool works per point unchanged.
 //
-// The continuous DvfsModel of dvfs.hpp is now a *generator* of
-// operating points (see dvfs_operating_point / dvfs_ladder); the policy
-// engine (policy.hpp) evaluates execution plans across a table of them.
+// The continuous DvfsModel below is the one *generator* of operating
+// points: dvfs_operating_point() materializes the state at one frequency
+// scale. The platform ladders (platforms/spec.cpp) and the cap-vs-DVFS
+// study (scenarios.hpp) both build their states through it, and the
+// policy engine (policy.hpp) evaluates execution plans across a table of
+// them.
 
 #include <cstddef>
 #include <span>
@@ -56,10 +59,35 @@ struct OperatingPoint {
 };
 
 /// The dynamic-energy multiplier of the standard leakage model:
-/// leakage + (1 - leakage) * s^2. Shared by the OperatingPoint
-/// generators and the legacy apply_dvfs() so the two stay bit-identical.
+/// leakage + (1 - leakage) * s^2.
 [[nodiscard]] double dvfs_energy_scale(double leakage_fraction,
                                        double s) noexcept;
+
+/// Voltage-frequency scaling as a continuous family of operating points:
+/// slowing the clock by s also scales the dynamic part of per-op energy
+/// by ~s^2 (V roughly tracks f), while leakage and constant power do not
+/// scale.
+struct DvfsModel {
+  /// Fraction of per-op energy that does NOT scale with V^2 (leakage,
+  /// short-circuit, uncore).
+  double leakage_fraction = 0.3;
+
+  /// Whether the memory system shares the scaled clock domain. Discrete
+  /// DRAM usually does not; on-chip scratchpads often do.
+  bool scale_memory = false;
+
+  /// Lowest usable frequency scale (voltage floor).
+  double min_scale = 0.2;
+
+  void validate() const;
+};
+
+/// The operating point this model generates at frequency scale s in
+/// [min_scale, 1]: energy_scale = dvfs_energy_scale(leakage, s), label
+/// "<s>x" ("%.2fx"). pi1/idle are left at their defaults (inherit / 0);
+/// platform tables supply their own.
+[[nodiscard]] OperatingPoint dvfs_operating_point(const DvfsModel& model,
+                                                  double s);
 
 /// The machine at an operating point: times stretched by 1/s, dynamic
 /// energies scaled, pi1 replaced when the point carries its own.

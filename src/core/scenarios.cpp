@@ -117,6 +117,55 @@ std::vector<OperatingPointOutcome> operating_point_sweep(
   return out;
 }
 
+double dvfs_scale_for_power(const MachineParams& m, const DvfsModel& model,
+                            double target_watts) {
+  model.validate();
+  const auto power_at = [&](double s) {
+    return apply_operating_point(m, dvfs_operating_point(model, s))
+        .max_power();
+  };
+  if (m.max_power() <= target_watts) return 1.0;
+  if (power_at(model.min_scale) > target_watts)
+    throw std::invalid_argument(
+        "dvfs_scale_for_power: target unreachable at the voltage floor");
+  double lo = model.min_scale;
+  double hi = 1.0;
+  for (int iter = 0; iter < 100 && hi - lo > 1e-10; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (power_at(mid) > target_watts)
+      hi = mid;
+    else
+      lo = mid;
+  }
+  return lo;
+}
+
+PowerMechanismComparison compare_cap_vs_dvfs(const MachineParams& m,
+                                             const DvfsModel& model,
+                                             double target_watts,
+                                             double intensity) {
+  if (!(target_watts > m.pi1))
+    throw std::invalid_argument(
+        "compare_cap_vs_dvfs: target below constant power");
+
+  PowerMechanismComparison r;
+  r.target_watts = target_watts;
+  r.intensity = intensity;
+
+  // Mechanism 1: cap. Reduce delta_pi so pi1 + delta_pi == target.
+  const MachineParams capped = with_cap(m, target_watts - m.pi1);
+  r.cap_performance = performance(capped, intensity);
+  r.cap_efficiency = energy_efficiency(capped, intensity);
+
+  // Mechanism 2: DVFS at the largest scale that fits the target.
+  r.frequency_scale = dvfs_scale_for_power(m, model, target_watts);
+  const MachineParams scaled = apply_operating_point(
+      m, dvfs_operating_point(model, r.frequency_scale));
+  r.dvfs_performance = performance(scaled, intensity);
+  r.dvfs_efficiency = energy_efficiency(scaled, intensity);
+  return r;
+}
+
 PowerBoundComparison power_bound_comparison(const MachineParams& big,
                                             const MachineParams& small,
                                             double bound_watts,

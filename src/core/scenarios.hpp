@@ -1,12 +1,16 @@
 #pragma once
 // "What-if" scenario machinery — paper §V-D.
 //
-// Three scenario families:
+// Scenario families:
 //   * power throttling: scale the usable cap to delta_pi / k (Fig. 6, 7);
 //   * aggregation: a hypothetical node built from n copies of a building
 //     block (Fig. 1's "47 x Arndale GPU" system);
 //   * power bounding: reduce a big block's node power to a bound and ask
-//     how many small blocks match that bound and how they compare (§V-D-j).
+//     how many small blocks match that bound and how they compare (§V-D-j);
+//   * operating points: the workload at every DVFS state of a table, and
+//     the cap-vs-DVFS study — meet a power target by throttling (the
+//     paper's mechanism, after Rountree et al.'s "Beyond DVFS") or by
+//     down-clocking, and ask which wins as a function of intensity.
 
 #include <span>
 #include <string>
@@ -114,5 +118,35 @@ struct OperatingPointOutcome {
 [[nodiscard]] std::vector<OperatingPointOutcome> operating_point_sweep(
     const MachineParams& base, std::span<const OperatingPoint> points,
     const Workload& w);
+
+/// Largest frequency scale whose worst-case average power (over all
+/// intensities) fits under `target_watts`, bisecting over
+/// apply_operating_point(m, dvfs_operating_point(model, s)). Returns 1.0
+/// when no scaling is needed; throws std::invalid_argument when the
+/// target is below what even min_scale reaches.
+[[nodiscard]] double dvfs_scale_for_power(const MachineParams& m,
+                                          const DvfsModel& model,
+                                          double target_watts);
+
+/// Head-to-head at one intensity: meet `target_watts` of worst-case node
+/// power by capping (delta_pi reduced) vs by DVFS.
+struct PowerMechanismComparison {
+  double target_watts = 0.0;
+  double intensity = 0.0;
+  double cap_performance = 0.0;   ///< flop/s under the reduced cap
+  double cap_efficiency = 0.0;    ///< flop/J
+  double dvfs_performance = 0.0;  ///< flop/s at the reduced frequency
+  double dvfs_efficiency = 0.0;
+  double frequency_scale = 0.0;   ///< the s DVFS needed
+  /// dvfs_efficiency / cap_efficiency: > 1 where down-clocking saves
+  /// energy that throttling cannot.
+  [[nodiscard]] double efficiency_advantage() const noexcept {
+    return dvfs_efficiency / cap_efficiency;
+  }
+};
+
+[[nodiscard]] PowerMechanismComparison compare_cap_vs_dvfs(
+    const MachineParams& m, const DvfsModel& model, double target_watts,
+    double intensity);
 
 }  // namespace archline::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "core/roofline.hpp"
 #include "fit/levmar.hpp"
@@ -144,6 +145,41 @@ core::MachineParams optimize_machine(
   return decode(best_x);
 }
 
+/// The two-parameter tail shared by the cache-level and second-precision
+/// fits: log-space NM then LM, both cheap, from the seed (tau0, eps0).
+/// Every other field stays at `base`'s value; decode writes the pair into
+/// Tau/Eps. Returns the fitted {tau, eps}.
+template <double core::MachineParams::*Tau, double core::MachineParams::*Eps>
+std::pair<double, double> fit_cost_pair(
+    std::span<const microbench::Observation> obs,
+    const core::MachineParams& base, ModelKind kind, const FitOptions& opt,
+    double tau0, double eps0) {
+  const auto decode = [&](std::span<const double> x) {
+    core::MachineParams m = base;
+    m.*Tau = std::exp(x[0]);
+    m.*Eps = std::exp(x[1]);
+    if (kind == ModelKind::Uncapped) m.delta_pi = core::kUncapped;
+    return m;
+  };
+  ObservationColumns cols(obs);
+  const auto residual_fn = [&](std::span<const double> x,
+                               std::vector<double>& r) {
+    r.resize(3 * cols.size());
+    cols.residuals(decode(x), r);
+  };
+  const auto scalar = [&](std::span<const double> x) {
+    return cols.sum_squared_residuals(decode(x));
+  };
+  const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
+  NelderMeadOptions nm_opt;
+  nm_opt.max_evaluations = opt.nm_evaluations / 4;
+  const NelderMeadResult nm = nelder_mead(scalar, x0, nm_opt);
+  LevmarOptions lm_opt;
+  lm_opt.max_iterations = opt.lm_iterations;
+  const LevmarResult lm = levenberg_marquardt(residual_fn, nm.x, lm_opt);
+  return {std::exp(lm.x[0]), std::exp(lm.x[1])};
+}
+
 /// Fits a 2-parameter memory side (tau_byte, eps_byte) holding the flop
 /// side, pi1 and delta_pi fixed at the DRAM fit's values.
 LevelFit fit_level(std::span<const microbench::Observation> obs,
@@ -167,33 +203,11 @@ LevelFit fit_level(std::span<const microbench::Observation> obs,
                 std::max(lo.kernel.bytes, 1.0);
   eps0 = std::max(eps0, 1e-15);
 
-  const auto decode = [&](std::span<const double> x) {
-    core::MachineParams m = base;
-    m.tau_mem = std::exp(x[0]);
-    m.eps_mem = std::exp(x[1]);
-    if (kind == ModelKind::Uncapped) m.delta_pi = core::kUncapped;
-    return m;
-  };
-  ObservationColumns cols(obs);
-  const auto residual_fn = [&](std::span<const double> x,
-                               std::vector<double>& r) {
-    r.resize(3 * cols.size());
-    cols.residuals(decode(x), r);
-  };
-  const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
-
-  // Two smooth-ish parameters: NM then LM, both cheap.
-  const auto scalar = [&](std::span<const double> x) {
-    return cols.sum_squared_residuals(decode(x));
-  };
-  NelderMeadOptions nm_opt;
-  nm_opt.max_evaluations = opt.nm_evaluations / 4;
-  const NelderMeadResult nm = nelder_mead(scalar, x0, nm_opt);
-  LevmarOptions lm_opt;
-  lm_opt.max_iterations = opt.lm_iterations;
-  const LevmarResult lm = levenberg_marquardt(residual_fn, nm.x, lm_opt);
-  return LevelFit{.tau_byte = std::exp(lm.x[0]),
-                  .eps_byte = std::exp(lm.x[1])};
+  const auto [tau, eps] =
+      fit_cost_pair<&core::MachineParams::tau_mem,
+                    &core::MachineParams::eps_mem>(obs, base, kind, opt,
+                                                   tau0, eps0);
+  return LevelFit{.tau_byte = tau, .eps_byte = eps};
 }
 
 /// Closed-form random-access fit: tau from the access rate, eps from the
@@ -236,31 +250,11 @@ FlopFit fit_dp(std::span<const microbench::Observation> obs,
                 std::max(hi.kernel.flops, 1.0);
   eps0 = std::max(eps0, 1e-15);
 
-  const auto decode = [&](std::span<const double> x) {
-    core::MachineParams m = base;
-    m.tau_flop = std::exp(x[0]);
-    m.eps_flop = std::exp(x[1]);
-    if (kind == ModelKind::Uncapped) m.delta_pi = core::kUncapped;
-    return m;
-  };
-  ObservationColumns cols(obs);
-  const auto residual_fn = [&](std::span<const double> x,
-                               std::vector<double>& r) {
-    r.resize(3 * cols.size());
-    cols.residuals(decode(x), r);
-  };
-  const auto scalar = [&](std::span<const double> x) {
-    return cols.sum_squared_residuals(decode(x));
-  };
-  const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
-  NelderMeadOptions nm_opt;
-  nm_opt.max_evaluations = opt.nm_evaluations / 4;
-  const NelderMeadResult nm = nelder_mead(scalar, x0, nm_opt);
-  LevmarOptions lm_opt;
-  lm_opt.max_iterations = opt.lm_iterations;
-  const LevmarResult lm = levenberg_marquardt(residual_fn, nm.x, lm_opt);
-  return FlopFit{.tau_flop = std::exp(lm.x[0]),
-                 .eps_flop = std::exp(lm.x[1])};
+  const auto [tau, eps] =
+      fit_cost_pair<&core::MachineParams::tau_flop,
+                    &core::MachineParams::eps_flop>(obs, base, kind, opt,
+                                                    tau0, eps0);
+  return FlopFit{.tau_flop = tau, .eps_flop = eps};
 }
 
 /// R^2 of log(performance) predictions over the sweep. (Log-time would be

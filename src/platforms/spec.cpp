@@ -1,7 +1,6 @@
 #include "platforms/spec.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace archline::platforms {
@@ -193,16 +192,15 @@ core::OperatingPointTable default_operating_points(DeviceClass c, double pi1,
     return {{0.50, 0.70, 0.85, 1.0}, 0.30};
   }();
 
+  // DRAM keeps its own clock on every class; the floor is the ladder's
+  // lowest point.
+  const core::DvfsModel model{.leakage_fraction = ladder.leakage,
+                              .scale_memory = false,
+                              .min_scale = ladder.scales[0]};
   core::OperatingPointTable table;
   table.points.reserve(4);
   for (double s : ladder.scales) {
-    core::OperatingPoint p;
-    char label[32];
-    std::snprintf(label, sizeof label, "%.2fx", s);
-    p.label = label;
-    p.freq_scale = s;
-    p.energy_scale = core::dvfs_energy_scale(ladder.leakage, s);
-    p.scale_memory = false;  // DRAM keeps its own clock on every class
+    core::OperatingPoint p = core::dvfs_operating_point(model, s);
     // Constant/idle power: the leakage share tracks V^2, the rest does
     // not — pi(s) = pi * ((1 - L) + L s^2). Nominal inherits exactly.
     const double power_scale = (1.0 - ladder.leakage) + ladder.leakage * s * s;

@@ -314,19 +314,12 @@ void OrderedWriter::drain() {
 // ---- Stream transport -----------------------------------------------------
 
 void run_stream(Server& server, std::istream& in, std::ostream& out) {
-  OrderedWriter writer(
-      [&out](const std::string& body) { out << body << '\n'; });
-  std::string line;
+  std::string line, reply;
   while (std::getline(in, line)) {
     if (trim(line).empty()) continue;
-    const std::uint64_t seq = writer.next_sequence();
-    const bool admitted = server.submit(
-        line, [&writer, seq](std::string&& body) {
-          writer.complete(seq, std::move(body));
-        });
-    if (!admitted) writer.complete(seq, std::string(overloaded_body()));
+    server.handle_into(line, reply);
+    out << reply << '\n';
   }
-  writer.drain();
   out.flush();
 }
 

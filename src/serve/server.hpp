@@ -313,12 +313,12 @@ class OrderedWriter {
   std::vector<std::string> flush_batch_;  ///< flusher-owned scratch
 };
 
-/// Serves newline-delimited requests from `in` to `out` through
-/// Server::submit — Light requests on this thread, Heavy misses on the
-/// pool — preserving input order; returns after EOF once every response
-/// has been written. Used by `archline_serverd --stdio` and
-/// the protocol tests. The server must be started; it is NOT shut down
-/// on return.
+/// Serves newline-delimited requests from `in` to `out` on the calling
+/// thread, one Server::handle_into per non-blank line, Heavy requests
+/// included: requests execute, and replies are written, in input order,
+/// so state-mutating lines (observe, refit) replay deterministically.
+/// Flushes `out` at EOF. Used by `archline_serverd --stdio` and the
+/// protocol tests. The server is NOT shut down on return.
 void run_stream(Server& server, std::istream& in, std::ostream& out);
 
 }  // namespace archline::serve

@@ -35,24 +35,7 @@ constexpr unsigned kLightCredits = 4;
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
 
-// ---- reply inspection -----------------------------------------------------
-
-[[nodiscard]] bool reply_ok(std::string_view body) noexcept {
-  return body.rfind("{\"ok\":true", 0) == 0;
-}
-
-/// The "error" code of a failure reply ("bad_request", "too_large",
-/// ...). Replies are rendered by error_body(), so the token layout is
-/// fixed; anything unexpected lands in "unknown".
-[[nodiscard]] std::string_view reply_error_code(std::string_view body) noexcept {
-  static constexpr std::string_view kKey = "\"error\":\"";
-  const std::size_t at = body.find(kKey);
-  if (at == std::string_view::npos) return "unknown";
-  const std::size_t begin = at + kKey.size();
-  const std::size_t end = body.find('"', begin);
-  if (end == std::string_view::npos) return "unknown";
-  return body.substr(begin, end - begin);
-}
+// ---- request inspection ---------------------------------------------------
 
 /// The request's wire "type" (for latency bucketing). Malformed lines
 /// bucket as "invalid" — their replies are cheap canned errors.

@@ -251,4 +251,18 @@ std::string with_unique_id(const std::string& line, long id) {
   return out;
 }
 
+bool reply_ok(std::string_view body) noexcept {
+  return body.rfind("{\"ok\":true", 0) == 0;
+}
+
+std::string_view reply_error_code(std::string_view body) noexcept {
+  static constexpr std::string_view kKey = "\"error\":\"";
+  const std::size_t at = body.find(kKey);
+  if (at == std::string_view::npos) return "unknown";
+  const std::size_t begin = at + kKey.size();
+  const std::size_t end = body.find('"', begin);
+  if (end == std::string_view::npos) return "unknown";
+  return body.substr(begin, end - begin);
+}
+
 }  // namespace archline::sim

@@ -4,7 +4,8 @@
 // three speak byte-identical traffic for the same sizes and seed. A
 // campaign regression therefore reproduces against a real daemon with
 // the same mix, and a loadgen run is the measured counterpart of a
-// campaign on the same lines.
+// campaign on the same lines. The reply classifiers at the end are the
+// one way the same callers count what came back.
 //
 // Every builder is a pure function of its arguments (the seeded ones
 // draw from their own PCG32 stream), and pool order is part of the
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace archline::sim {
@@ -82,5 +84,14 @@ namespace archline::sim {
 /// Fit floods use this so every fit is a real solver run instead of a
 /// cache hit.
 [[nodiscard]] std::string with_unique_id(const std::string& line, long id);
+
+/// True for a success reply: the body starts `{"ok":true`.
+[[nodiscard]] bool reply_ok(std::string_view body) noexcept;
+
+/// The "error" code of a failure reply ("bad_request", "too_large",
+/// "overloaded", ...). Replies are rendered by error_body(), so the token
+/// layout is fixed; anything unexpected is "unknown".
+[[nodiscard]] std::string_view reply_error_code(
+    std::string_view body) noexcept;
 
 }  // namespace archline::sim

@@ -1,6 +1,6 @@
 // Tests for the operating-point layer: point/table validation, the
-// apply transform, equivalence with the legacy continuous apply_dvfs()
-// path, ladder generation, and the per-platform default tables.
+// apply transform, the continuous DvfsModel generator, and the
+// per-platform default tables.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/dvfs.hpp"
 #include "core/operating_point.hpp"
 #include "core/roofline.hpp"
 #include "platforms/platform_db.hpp"
@@ -91,26 +90,6 @@ TEST(ApplyOperatingPoint, Pi1InheritVsOverride) {
   EXPECT_DOUBLE_EQ(co::apply_operating_point(m, p).delta_pi, m.delta_pi);
 }
 
-TEST(ApplyOperatingPoint, MatchesLegacyApplyDvfsExactly) {
-  // apply_dvfs() is now a thin wrapper over the operating-point
-  // transform; the two must agree bit-for-bit so every pre-refactor
-  // DVFS result (bisection included) is reproduced.
-  const co::MachineParams m = titan();
-  const co::DvfsModel model{.leakage_fraction = 0.3, .scale_memory = false,
-                            .min_scale = 0.2};
-  for (const double s : {0.2, 0.35, 0.5, 0.77, 0.9, 1.0}) {
-    const co::MachineParams legacy = co::apply_dvfs(m, s, model);
-    const co::MachineParams via_point =
-        co::apply_operating_point(m, co::dvfs_operating_point(model, s));
-    EXPECT_EQ(legacy.tau_flop, via_point.tau_flop) << "s=" << s;
-    EXPECT_EQ(legacy.eps_flop, via_point.eps_flop) << "s=" << s;
-    EXPECT_EQ(legacy.tau_mem, via_point.tau_mem) << "s=" << s;
-    EXPECT_EQ(legacy.eps_mem, via_point.eps_mem) << "s=" << s;
-    EXPECT_EQ(legacy.pi1, via_point.pi1) << "s=" << s;
-    EXPECT_EQ(legacy.delta_pi, via_point.delta_pi) << "s=" << s;
-  }
-}
-
 TEST(DvfsOperatingPoint, RejectsOutOfRangeScale) {
   const co::DvfsModel model;
   EXPECT_THROW((void)co::dvfs_operating_point(model, 0.1),
@@ -119,21 +98,71 @@ TEST(DvfsOperatingPoint, RejectsOutOfRangeScale) {
                std::invalid_argument);
 }
 
-TEST(DvfsLadder, EvenlySpacedAndValid) {
-  const co::DvfsModel model{.leakage_fraction = 0.3, .scale_memory = false,
-                            .min_scale = 0.2};
-  const co::OperatingPointTable t = co::dvfs_ladder(model, 5, 2.0);
-  ASSERT_EQ(t.size(), 5u);
-  EXPECT_NO_THROW(t.validate());
-  EXPECT_DOUBLE_EQ(t.points.front().freq_scale, 0.2);
-  EXPECT_DOUBLE_EQ(t.points.back().freq_scale, 1.0);  // exactly nominal
-  EXPECT_DOUBLE_EQ(t.nominal().freq_scale, 1.0);
-  for (const co::OperatingPoint& p : t.points) {
-    EXPECT_DOUBLE_EQ(p.energy_scale,
-                     co::dvfs_energy_scale(0.3, p.freq_scale));
-    EXPECT_DOUBLE_EQ(p.idle_watts, 2.0);
-  }
-  EXPECT_THROW((void)co::dvfs_ladder(model, 1), std::invalid_argument);
+co::DvfsModel model() {
+  return co::DvfsModel{.leakage_fraction = 0.3, .scale_memory = false,
+                       .min_scale = 0.2};
+}
+
+TEST(DvfsModel, ValidationRules) {
+  co::DvfsModel m = model();
+  EXPECT_NO_THROW(m.validate());
+  m.leakage_fraction = 1.0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  m = model();
+  m.min_scale = 0.0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  m = model();
+  m.min_scale = 1.5;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+}
+
+TEST(ApplyDvfs, UnitScaleIsIdentity) {
+  const co::MachineParams m = titan();
+  const co::MachineParams s =
+      co::apply_operating_point(m, co::dvfs_operating_point(model(), 1.0));
+  EXPECT_DOUBLE_EQ(s.tau_flop, m.tau_flop);
+  EXPECT_DOUBLE_EQ(s.eps_flop, m.eps_flop);
+  EXPECT_DOUBLE_EQ(s.tau_mem, m.tau_mem);
+}
+
+TEST(ApplyDvfs, HalfClockHalvesFlopRate) {
+  const co::MachineParams m = titan();
+  const co::MachineParams s =
+      co::apply_operating_point(m, co::dvfs_operating_point(model(), 0.5));
+  EXPECT_DOUBLE_EQ(s.peak_flops(), 0.5 * m.peak_flops());
+  // Dynamic energy at s=0.5: 0.3 + 0.7 * 0.25 = 0.475 of original.
+  EXPECT_NEAR(s.eps_flop, 0.475 * m.eps_flop, 1e-18);
+}
+
+TEST(ApplyDvfs, MemoryUntouchedByDefault) {
+  const co::MachineParams s = co::apply_operating_point(
+      titan(), co::dvfs_operating_point(model(), 0.5));
+  EXPECT_DOUBLE_EQ(s.tau_mem, titan().tau_mem);
+  EXPECT_DOUBLE_EQ(s.eps_mem, titan().eps_mem);
+}
+
+TEST(ApplyDvfs, MemoryScalesWhenRequested) {
+  co::DvfsModel m = model();
+  m.scale_memory = true;
+  const co::MachineParams s =
+      co::apply_operating_point(titan(), co::dvfs_operating_point(m, 0.5));
+  EXPECT_DOUBLE_EQ(s.peak_bandwidth(), 0.5 * titan().peak_bandwidth());
+}
+
+TEST(ApplyDvfs, ConstantPowerUnchanged) {
+  const co::MachineParams s = co::apply_operating_point(
+      titan(), co::dvfs_operating_point(model(), 0.4));
+  EXPECT_DOUBLE_EQ(s.pi1, titan().pi1);
+  EXPECT_DOUBLE_EQ(s.delta_pi, titan().delta_pi);
+}
+
+TEST(ApplyDvfs, ScaleOutOfRangeThrows) {
+  EXPECT_THROW((void)co::apply_operating_point(
+                   titan(), co::dvfs_operating_point(model(), 0.1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)co::apply_operating_point(
+                   titan(), co::dvfs_operating_point(model(), 1.1)),
+               std::invalid_argument);
 }
 
 TEST(OperatingPointTable, ValidationAndParkWatts) {

@@ -1,4 +1,5 @@
-// Tests for the what-if scenario machinery (paper §V-D).
+// Tests for the what-if scenario machinery (paper §V-D), including the
+// cap-vs-DVFS study.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,11 @@ namespace pl = archline::platforms;
 
 co::MachineParams titan() { return pl::platform("GTX Titan").machine(); }
 co::MachineParams arndale() { return pl::platform("Arndale GPU").machine(); }
+
+co::DvfsModel model() {
+  return co::DvfsModel{.leakage_fraction = 0.3, .scale_memory = false,
+                       .min_scale = 0.2};
+}
 
 TEST(CapScaled, DividesCap) {
   const co::MachineParams m = titan();
@@ -243,6 +249,69 @@ TEST(OperatingPointSweep, TableOrderAndConsistency) {
   }
   // The nominal (last) row is the plain eq. (1)-(3) prediction.
   EXPECT_DOUBLE_EQ(rows.back().time_s, co::time(titan(), w));
+}
+
+TEST(DvfsScaleForPower, NoScalingWhenTargetGenerous) {
+  const co::MachineParams m = titan();
+  EXPECT_DOUBLE_EQ(co::dvfs_scale_for_power(m, model(), m.max_power() + 10),
+                   1.0);
+}
+
+TEST(DvfsScaleForPower, MeetsTheTarget) {
+  const co::MachineParams m = titan();
+  const double target = m.pi1 + 0.6 * (m.max_power() - m.pi1);
+  const double s = co::dvfs_scale_for_power(m, model(), target);
+  EXPECT_LT(s, 1.0);
+  EXPECT_GE(s, 0.2);
+  const co::MachineParams scaled =
+      co::apply_operating_point(m, co::dvfs_operating_point(model(), s));
+  EXPECT_LE(scaled.max_power(), target * (1 + 1e-6));
+}
+
+TEST(DvfsScaleForPower, UnreachableTargetThrows) {
+  const co::MachineParams m = titan();
+  EXPECT_THROW(
+      (void)co::dvfs_scale_for_power(m, model(), m.pi1 + 0.1),
+      std::invalid_argument);
+}
+
+TEST(CompareCapVsDvfs, CapWinsAtLowIntensity) {
+  // At bandwidth-bound intensities the cap barely throttles, while DVFS
+  // needlessly slows the (unthrottled) flop engine; cap performance must
+  // be at least as good.
+  const co::MachineParams m = titan();
+  const double target = m.pi1 + 0.6 * (m.max_power() - m.pi1);
+  const auto c = co::compare_cap_vs_dvfs(m, model(), target, 0.25);
+  EXPECT_GE(c.cap_performance, c.dvfs_performance * 0.999);
+}
+
+TEST(CompareCapVsDvfs, DvfsCanWinEfficiencyInMidRange) {
+  // Around the balance point DVFS buys back per-flop energy via the V^2
+  // term; verify the advantage exists somewhere for the Xeon Phi (as the
+  // bench shows at I = 8).
+  const co::MachineParams m = pl::platform("Xeon Phi").machine();
+  const double target = m.pi1 + 0.85 * (m.max_power() - m.pi1);
+  const auto c = co::compare_cap_vs_dvfs(m, model(), target, 8.0);
+  EXPECT_GT(c.efficiency_advantage(), 1.0);
+}
+
+TEST(CompareCapVsDvfs, TargetBelowPi1Throws) {
+  const co::MachineParams m = titan();
+  EXPECT_THROW(
+      (void)co::compare_cap_vs_dvfs(m, model(), m.pi1 - 1.0, 1.0),
+      std::invalid_argument);
+}
+
+TEST(CompareCapVsDvfs, FieldsConsistent) {
+  const co::MachineParams m = titan();
+  const double target = m.pi1 + 0.7 * (m.max_power() - m.pi1);
+  const auto c = co::compare_cap_vs_dvfs(m, model(), target, 4.0);
+  EXPECT_DOUBLE_EQ(c.target_watts, target);
+  EXPECT_DOUBLE_EQ(c.intensity, 4.0);
+  EXPECT_GT(c.cap_performance, 0.0);
+  EXPECT_GT(c.dvfs_performance, 0.0);
+  EXPECT_GT(c.frequency_scale, 0.0);
+  EXPECT_LE(c.frequency_scale, 1.0);
 }
 
 }  // namespace

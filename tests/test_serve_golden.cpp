@@ -11,18 +11,20 @@
 // the cache. Non-cacheable endpoints (observe, refit) run ONCE — they
 // mutate the online-fit store, so replaying them would put the server
 // in a different state than the single-pass `--stdio` regeneration run
-// that produced the expected replies. A reply-shape change that is
-// intentional must regenerate the corpus by piping
+// that produced the expected replies. The whole corpus also goes once
+// through run_stream, the loop behind `--stdio`. A reply-shape change
+// that is intentional must regenerate the corpus by piping
 // tests/data/serve_golden_requests.txt through
-// `archline_serverd --stdio --serial --quiet` into
-// serve_golden_replies.txt (--serial executes lines in input order,
-// which the state-mutating observe/refit entries require).
+// `archline_serverd --stdio --quiet` into serve_golden_replies.txt
+// (--stdio executes lines in input order, which the state-mutating
+// observe/refit entries require).
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -96,6 +98,32 @@ TEST(ServeGolden, EveryRequestShapeRepliesByteIdentically) {
   const auto cache = server.cache_stats();
   EXPECT_GT(cache.hits, 0u);
   EXPECT_GT(server.metrics().snapshot().errors, 0u);
+}
+
+TEST(ServeGolden, StdioStreamRepliesByteIdentically) {
+  // The corpus in one pass through run_stream, exactly as
+  // `archline_serverd --stdio` regenerates it: the output must be the
+  // reply file, line for line.
+  const std::string dir = ARCHLINE_TEST_DATA_DIR;
+  std::ifstream requests(dir + "/serve_golden_requests.txt");
+  const auto replies = read_lines(dir + "/serve_golden_replies.txt");
+  ASSERT_TRUE(requests && !replies.empty()) << "corpus missing or unreadable";
+
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  server.start();
+  std::ostringstream out;
+  run_stream(server, requests, out);
+  server.shutdown();
+
+  std::istringstream got(out.str());
+  std::size_t n = 0;
+  for (std::string line; std::getline(got, line); ++n) {
+    ASSERT_LT(n, replies.size()) << "run_stream wrote extra lines";
+    ASSERT_EQ(line, replies[n]) << "run_stream diverged on line " << n + 1;
+  }
+  EXPECT_EQ(n, replies.size());
 }
 
 TEST(ServeGolden, ShardedTransportRepliesByteIdentically) {

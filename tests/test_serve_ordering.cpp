@@ -5,7 +5,8 @@
 // OrderedWriter must put them back. Each connection pipelines one
 // interleaved stream of stateless shapes; its reply bytes must equal
 // the sequential serve::handle_line replies, in order — over a 4-shard
-// TCP front end and through run_stream.
+// TCP front end, and through run_stream, which executes every line in
+// input order on the calling thread.
 
 #include <gtest/gtest.h>
 

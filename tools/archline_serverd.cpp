@@ -13,15 +13,15 @@
 //                    [--idle-timeout-ms N] [--drain-grace-ms N]
 //                    [--deadline-ms N]
 //                    [--refit-interval-ms N] [--forgetting-factor F]
-//                    [--stdio]
+//                    [--stdio] [--quiet]
 //
-// Light requests run to completion on the thread that framed them (a
-// shard loop, or the stdio reader). Only Heavy cache misses (fit,
-// refit, scenario_sweep, predict_batch over 64 elements) queue for the
-// worker pool: --heavy-workers threads (default a quarter of --threads,
-// at least 1), --queue bounds the queued ones (default 64, at least 1;
-// past it they are answered "overloaded"), and --deadline-ms answers
-// one still queued after N ms with "deadline_exceeded".
+// Over TCP, Light requests run to completion on the shard loop that
+// framed them. Only Heavy cache misses (fit, refit, scenario_sweep,
+// predict_batch over 64 elements) queue for the worker pool:
+// --heavy-workers threads (default a quarter of --threads, at least 1),
+// --queue bounds the queued ones (default 64, at least 1; past it they
+// are answered "overloaded"), and --deadline-ms answers one still
+// queued after N ms with "deadline_exceeded".
 //
 // --shards N runs N thread-per-core event-loop shards, each with its
 // own SO_REUSEPORT listener (or a round-robin fd handoff from shard 0
@@ -45,12 +45,11 @@
 //   default   TCP listener on --bind:--port (port 0 = ephemeral,
 //             printed on startup)
 //   --stdio   read requests from stdin, write responses to stdout
-//             (for tests, pipes, and socket-less sandboxes)
-//   --serial  with --stdio: handle Heavy lines on the main thread too,
-//             instead of through the worker pool. Requests then
-//             EXECUTE in input order — required when regenerating the
-//             golden corpus, whose observe/refit lines mutate server
-//             state and so must replay in exactly the order written
+//             (for tests, pipes, and socket-less sandboxes). Every
+//             line, Heavy ones included, executes on the main thread in
+//             input order, so state-mutating observe/refit lines replay
+//             exactly as written (the golden corpus is regenerated this
+//             way)
 //
 // Signals:
 //   SIGINT/SIGTERM  graceful shutdown: stop accepting, drain the
@@ -89,7 +88,7 @@ void on_usr1(int) { g_dump_stats.store(true); }
       "          [--cache N] [--cache-shards N] [--max-conns N]\n"
       "          [--idle-timeout-ms N] [--drain-grace-ms N]\n"
       "          [--deadline-ms N] [--refit-interval-ms N]\n"
-      "          [--forgetting-factor F] [--stdio] [--serial] [--quiet]\n",
+      "          [--forgetting-factor F] [--stdio] [--quiet]\n",
       argv0);
   std::exit(code);
 }
@@ -122,7 +121,6 @@ int main(int argc, char** argv) {
   ServerOptions options;
   TcpOptions tcp;
   bool stdio_mode = false;
-  bool serial = false;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -188,8 +186,6 @@ int main(int argc, char** argv) {
       options.online.forgetting = f;
     } else if (arg == "--stdio")
       stdio_mode = true;
-    else if (arg == "--serial")
-      serial = true;
     else if (arg == "--quiet")
       quiet = true;
     else if (arg == "--help" || arg == "-h")
@@ -209,20 +205,7 @@ int main(int argc, char** argv) {
   server.start();
 
   if (stdio_mode) {
-    if (serial) {
-      // Synchronous in-order execution on this thread: the state
-      // sequence is exactly the input order, which is what the golden
-      // corpus regeneration needs (observe/refit lines mutate state).
-      std::string line, reply;
-      while (std::getline(std::cin, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        server.handle_into(line, reply);
-        std::cout << reply << '\n';
-      }
-      std::cout.flush();
-    } else {
-      run_stream(server, std::cin, std::cout);
-    }
+    run_stream(server, std::cin, std::cout);
     server.shutdown();
     if (!quiet)
       std::fprintf(stderr, "%s\n", server.stats_text().c_str());
