@@ -101,6 +101,21 @@ void BM_PowermonSampleMean(benchmark::State& state) {
 }
 BENCHMARK(BM_PowermonSampleMean);
 
+// Two rails over a 0.25 s linear ramp: no sample reads a flat stretch, so
+// every one pays the jitter draw, the trace lookup and the ADC.
+void BM_PowermonSampleMeanRamp(benchmark::State& state) {
+  powermon::PowerTrace t;
+  t.add_point(0.0, 20.0);
+  t.add_point(0.25, 220.0);
+  const powermon::Capture cap =
+      powermon::split_across_rails(t, powermon::cpu_rails(), 0.0, 0.25);
+  stats::Rng rng(6);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        powermon::sample_mean(cap, powermon::SamplerConfig{}, rng));
+}
+BENCHMARK(BM_PowermonSampleMeanRamp);
+
 // One full default suite of GTX Titan at the Table I seed: the
 // microbenchmark half of a paper-fit campaign (simulation, sampling and
 // the mean estimator for all 260-odd kernel runs).

@@ -28,9 +28,11 @@ struct Measurement {
 [[nodiscard]] Measurement integrate_mean(const SampledCapture& capture);
 
 /// The same estimator over a capture as it is sampled: equals
-/// integrate_mean(sample(capture, cfg, rng)) bit for bit, draws the same
-/// random numbers, and throws where sample() throws, but stores no
-/// samples. The microbenchmark suite measures every kernel run with it.
+/// integrate_mean(sample(capture, cfg, rng)) bit for bit, leaves `rng`
+/// where sample() leaves it, and throws where sample() throws, but stores
+/// no samples. It runs sample()'s loop, so a sample on a flat stretch of
+/// the trace costs a few compares and no draw. The microbenchmark suite
+/// measures every kernel run with it.
 [[nodiscard]] Measurement sample_mean(const Capture& capture,
                                       const SamplerConfig& cfg,
                                       stats::Rng& rng);

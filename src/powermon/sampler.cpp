@@ -1,6 +1,7 @@
 #include "powermon/sampler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -88,18 +89,51 @@ class MeanOfSamples {
   double total_ = 0.0;
 };
 
-void check_capture(const Capture& capture, const SamplerConfig& cfg) {
+/// More ticks than any window has: an answer that never changes.
+constexpr std::uint64_t kForever = std::uint64_t{1} << 62;
+/// The room of a span end that can never reach the region's edge.
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+/// How many more ticks a probe span's answer holds when the end of the
+/// span that decides it is `room` seconds from where the answer could
+/// change. Each tick moves both ends of [max(t - m, begin),
+/// min(t + m, end)] up by at most dt plus the rounding of t += dt and
+/// t +- m, under 2^-12 dt while dt > 2^-40 of the times the ticks reach
+/// (|begin|, |end|, dt and m); counting half of room / dt leaves the
+/// other half to cover it. While those times stay below 2^1000, a room
+/// that overflows to infinity lies beyond every tick's span, so it
+/// holds for good too.
+std::uint64_t holds_for(double room, double dt) noexcept {
+  const double ticks = room / (2.0 * dt);
+  if (ticks >= 0x1p62) return kForever;
+  return ticks >= 1.0 ? static_cast<std::uint64_t>(ticks) : 0;
+}
+
+/// Validates the capture and the configuration and returns the effective
+/// per-channel rate.
+double check_capture(const Capture& capture, const SamplerConfig& cfg) {
   if (capture.rails.empty())
     throw std::invalid_argument("sample: capture has no rails");
   if (capture.rails.size() > cfg.max_channels)
     throw std::invalid_argument("sample: more rails than sampler channels");
   if (!(capture.window_end > capture.window_begin))
     throw std::invalid_argument("sample: empty measurement window");
+  const double rate = effective_rate(cfg, capture.rails.size());
+  if (!(rate > 0.0) || !std::isfinite(rate))
+    throw std::invalid_argument("sample: rate must be positive and finite");
+  const double jitter = cfg.timestamp_jitter_s;
+  if (!(jitter >= 0.0) || !std::isfinite(jitter))
+    throw std::invalid_argument("sample: jitter must be >= 0 and finite");
+  if (cfg.quantize && cfg.adc_bits < 1)
+    throw std::invalid_argument("sample: ADC needs at least one bit");
+  return rate;
 }
 
 /// The one sampling loop: walks every rail's timestamps, draws dropout
 /// and jitter, reads the trace and quantizes V and I, handing each kept
-/// sample to `sink` in order.
+/// sample to `sink` in order. A sample whose every possible probe lies in
+/// one constant region of the trace reads that region's value and skips
+/// its jitter draw with Rng::advance instead of drawing it.
 template <typename Sink>
 void sample_into(const Capture& capture, const SamplerConfig& cfg,
                  double rate, stats::Rng& rng, Sink& sink) {
@@ -118,16 +152,46 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
   const double jitter_s = cfg.timestamp_jitter_s;
   const double dropout = cfg.dropout_rate;
   const bool quantize = cfg.quantize;
+  // A draw of uniform(-J, J) rounds into [-J, J], so t + jitter rounds
+  // into [t - 2J, t + 2J] with room to spare. No sample takes the flat
+  // path where holds_for's bound needs more than the times reach: where
+  // 2J is huge a draw can even give a NaN probe.
+  const double margin = 2.0 * jitter_s;
+  const double reach = std::max(std::abs(begin), std::abs(end)) + dt + margin;
+  const bool flat_path = reach < 0x1p1000 && dt > 0x1p-40 * reach;
   for (const Capture::Rail& rail : capture.rails) {
     sink.begin(rail.channel, rate);
     TraceCursor trace(rail.trace);
+    // Whether the last tested tick's probe span lies in one constant
+    // region, its value, and for how many more ticks that answer holds.
+    bool flat = false;
+    double flat_watts = 0.0;
+    std::uint64_t holds = flat_path ? 0 : kForever;
     stats::Rng draws = rng;
+    // Outputs owed by flat samples, skipped in one jump before the next
+    // real draw.
+    std::uint64_t skipped = 0;
+    const auto settle = [&draws, &skipped] {
+      if (skipped > 0) {
+        draws.advance(skipped);
+        skipped = 0;
+      }
+    };
     const double volts = rail.channel.nominal_volts;
     // The rail's voltage is constant, so its reading is too.
     const double volts_reading =
         quantize ? quantize_adc(volts, levels, cfg.adc_full_scale_volts,
                                 false)
                  : volts;
+    const auto read_amps = [&](double watts) {
+      const double amps = volts > 0.0 ? watts / volts : 0.0;
+      return quantize ? quantize_adc(amps, levels, amps_scale, exact_round)
+                      : amps;
+    };
+    // The ADC's last power bits and the current they read: a plateau
+    // repeats one power, so it divides once.
+    std::uint64_t memo_bits = std::bit_cast<std::uint64_t>(0.0);
+    double memo_amps = read_amps(0.0);
     // Blocks of samples in two passes: the draws and the trace first,
     // then the ADC, whose dependent divisions then overlap across
     // samples.
@@ -137,21 +201,50 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
     for (double t = begin; t <= end;) {
       std::size_t n = 0;
       for (; n < kBlock && t <= end; t += dt) {
-        if (dropout > 0.0 && draws.uniform() < dropout)
-          continue;  // sample lost in transit
-        // The device is probed at a jittered true time but the record
-        // keeps the nominal timestamp, as real sampling hardware does.
-        const double jitter = draws.uniform(-jitter_s, jitter_s);
+        if (holds > 0) {
+          --holds;
+        } else {
+          const double a = std::max(t - margin, begin);
+          const double b = std::min(t + margin, end);
+          const TraceCursor::Region& r = trace.region(a);
+          flat = a >= r.from && b <= r.to;
+          flat_watts = r.watts;
+          // The distance the span's end can move before the answer may
+          // change: to the region's start, past its end, or (b clamped
+          // at `end`) never.
+          holds = holds_for(a < r.from ? r.from - a
+                            : !flat    ? r.to - a
+                            : b < end  ? r.to - b
+                                       : kNever,
+                            dt);
+        }
+        if (dropout > 0.0) {
+          settle();
+          if (draws.uniform() < dropout) continue;  // sample lost in transit
+        }
+        double watts = flat_watts;
+        if (flat) {
+          skipped += 2;  // the two outputs of the jitter's uniform()
+        } else {
+          settle();
+          // The device is probed at a jittered true time but the record
+          // keeps the nominal timestamp, as real sampling hardware does.
+          const double jitter = draws.uniform(-jitter_s, jitter_s);
+          watts = trace.value(std::clamp(t + jitter, begin, end));
+        }
         stamps[n] = t;
-        powers[n++] = trace.value(std::clamp(t + jitter, begin, end));
+        powers[n++] = watts;
       }
       for (std::size_t i = 0; i < n; ++i) {
-        double amps = volts > 0.0 ? powers[i] / volts : 0.0;
-        if (quantize)
-          amps = quantize_adc(amps, levels, amps_scale, exact_round);
-        sink.add(stamps[i], volts_reading, amps);
+        const auto bits = std::bit_cast<std::uint64_t>(powers[i]);
+        if (bits != memo_bits) {
+          memo_bits = bits;
+          memo_amps = read_amps(powers[i]);
+        }
+        sink.add(stamps[i], volts_reading, memo_amps);
       }
     }
+    settle();
     rng = draws;
     if (sink.end() == 0)
       throw std::invalid_argument("sample: window shorter than one period");
@@ -170,8 +263,7 @@ double effective_rate(const SamplerConfig& cfg, std::size_t active_channels) {
 
 SampledCapture sample(const Capture& capture, const SamplerConfig& cfg,
                       stats::Rng& rng) {
-  check_capture(capture, cfg);
-  const double rate = effective_rate(cfg, capture.rails.size());
+  const double rate = check_capture(capture, cfg);
   StoreSamples sink(capture, 1.0 / rate);
   sample_into(capture, cfg, rate, rng, sink);
   return sink.take();
@@ -179,10 +271,9 @@ SampledCapture sample(const Capture& capture, const SamplerConfig& cfg,
 
 Measurement sample_mean(const Capture& capture, const SamplerConfig& cfg,
                         stats::Rng& rng) {
-  check_capture(capture, cfg);
+  const double rate = check_capture(capture, cfg);
   MeanOfSamples sink;
-  sample_into(capture, cfg, effective_rate(cfg, capture.rails.size()), rng,
-              sink);
+  sample_into(capture, cfg, rate, rng, sink);
   const double span = capture.window_end - capture.window_begin;
   Measurement m;
   m.seconds = span;

@@ -14,14 +14,23 @@
 // them every fit and the golden `fit` replies, is pinned to the last bit
 // (tests/test_paper_pipeline_digest.cpp). The rules that keep it:
 //
-//   * one sampling loop; per rail and per tick it draws the dropout
+//   * one sampling loop; per rail and per tick it consumes the dropout
 //     uniform (when dropout is on), then the jitter uniform, in that
-//     order, so every consumer sees the same random stream;
+//     order, so every consumer sees the same random stream. Where the
+//     jitter cannot change the reading (below), its draw is consumed by
+//     Rng::advance instead of drawn, in the same order: skips are
+//     batched but settled before any real draw and at the end of a rail;
 //   * a reading is PowerTrace::value at the jittered time, then the
 //     ADC's clamp, scale, round half away from zero, and rescale, each
 //     in the same expression — a faster round or trace lookup must return
 //     the same bits (tests/test_sampler.cpp checks against the per-sample
-//     formula);
+//     formula). When every time the clamped probe can take lies in one
+//     constant region of the trace (TraceCursor::region), the reading
+//     is that region's value, which is value() at any of those times.
+//     That answer may be reused for the next ticks only as far as a
+//     bound that covers the rounding of t shows it cannot change, and
+//     the ADC may reuse the current it last computed for the same power
+//     bits;
 //   * the streaming estimator, sample_mean() in integrator.hpp, is the
 //     paper's §IV-h mean: per channel acc += V * I in sample order, then
 //     total += acc / count over channels in order — the sums
@@ -82,8 +91,10 @@ struct SampledCapture {
 
 /// Samples every rail of `capture` over its kernel window, keeping every
 /// sample (sample_mean() runs the same loop without storing them).
-/// Throws std::invalid_argument if the capture exceeds max_channels or the
-/// window is empty.
+/// Throws std::invalid_argument if the capture has no rails or more than
+/// max_channels, the window is empty, the effective rate is not positive
+/// and finite, the jitter is negative or not finite, or a quantizing ADC
+/// has fewer than one bit.
 [[nodiscard]] SampledCapture sample(const Capture& capture,
                                     const SamplerConfig& cfg,
                                     stats::Rng& rng);

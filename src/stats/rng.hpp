@@ -62,6 +62,26 @@ class Rng {
     return lo + (hi - lo) * uniform();
   }
 
+  /// Skips the next `n` outputs of operator()() in O(log n) steps (PCG
+  /// jump-ahead, O'Neill's pcg32_advance): the state is left where `n`
+  /// calls would leave it. The stream and the cached normal are
+  /// untouched.
+  void advance(std::uint64_t n) noexcept {
+    std::uint64_t acc_mult = 1;
+    std::uint64_t acc_plus = 0;
+    std::uint64_t cur_mult = 6364136223846793005ULL;  // operator()'s
+    std::uint64_t cur_plus = inc_;
+    for (; n > 0; n >>= 1u) {
+      if (n & 1u) {
+        acc_mult *= cur_mult;
+        acc_plus = acc_plus * cur_mult + cur_plus;
+      }
+      cur_plus = (cur_mult + 1) * cur_plus;
+      cur_mult *= cur_mult;
+    }
+    state_ = acc_mult * state_ + acc_plus;
+  }
+
   /// Uniform integer in [0, n); n must be > 0. Unbiased (rejection method).
   [[nodiscard]] std::uint64_t below(std::uint64_t n) noexcept;
 

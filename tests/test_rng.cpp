@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "stats/descriptive.hpp"
@@ -131,6 +133,58 @@ TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::max() == 0xFFFFFFFFu);
   Rng rng(1);
   (void)rng();
+}
+
+TEST(RngAdvance, EqualsThatManyDraws) {
+  for (const std::uint64_t n : {0u, 1u, 2u, 3u, 64u, 1000u, 65537u}) {
+    SCOPED_TRACE(n);
+    Rng jumped(314, 15);
+    Rng stepped(314, 15);
+    jumped.advance(n);
+    for (std::uint64_t i = 0; i < n; ++i) (void)stepped();
+    for (int i = 0; i < 100; ++i) ASSERT_EQ(jumped(), stepped());
+  }
+}
+
+TEST(RngAdvance, Composes) {
+  for (const auto& [a, b] : {std::pair<std::uint64_t, std::uint64_t>{0, 5},
+                             {3, 64},
+                             {1000, 65537},
+                             {1ull << 40, (1ull << 40) + 7}}) {
+    Rng split(99);
+    Rng whole(99);
+    split.advance(a);
+    split.advance(b);
+    whole.advance(a + b);
+    for (int i = 0; i < 100; ++i) ASSERT_EQ(split(), whole());
+  }
+}
+
+TEST(RngAdvance, KeepsStreamAndCachedNormal) {
+  // Two streams from one state diverge after the same jump: the jump
+  // used each generator's own increment and left it in place.
+  Rng a(8, 1);
+  Rng b(8, 2);
+  Rng a_steps = a;
+  Rng b_steps = b;
+  a.advance(77);
+  b.advance(77);
+  for (int i = 0; i < 77; ++i) {
+    (void)a_steps();
+    (void)b_steps();
+  }
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(a(), a_steps());
+    ASSERT_EQ(b(), b_steps());
+  }
+  // normal() draws a pair and caches the second; a jump keeps it.
+  Rng r(21);
+  (void)r.normal();
+  Rng kept = r;
+  r.advance(5);
+  EXPECT_EQ(r.normal(), kept.normal());
+  for (int i = 0; i < 5; ++i) (void)kept();
+  EXPECT_EQ(r.normal(), kept.normal());
 }
 
 TEST(Splitmix64, KnownSequenceIsDeterministic) {

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "microbench/intensity.hpp"
@@ -454,6 +455,302 @@ TEST(SamplerRounding, NegativeZeroPowerReadsNegativeZeroCurrent) {
   for (const pm::Sample& x : got.channels[0].samples)
     ASSERT_TRUE(std::signbit(x.amps));
   expect_exact(cap, pm::SamplerConfig{});
+}
+
+// ---- Flat stretches ------------------------------------------------------
+// A sample whose every possible probe lies in one constant region of the
+// trace reads that region's value and skips its jitter draw with
+// Rng::advance. The stored samples must still equal the per-sample
+// reference, and the streaming mean the stored samples, to the bit.
+
+/// One 12 V rail over `t` with window [begin, end].
+pm::Capture one_rail(const pm::PowerTrace& t, double begin, double end) {
+  pm::Capture cap;
+  cap.rails.push_back(
+      {.channel = {.name = "12v", .nominal_volts = 12.0}, .trace = t});
+  cap.window_begin = begin;
+  cap.window_end = end;
+  return cap;
+}
+
+/// Ramp up, plateau, ramp down: the shape of one simulated kernel run.
+pm::PowerTrace plateau_trace() {
+  pm::PowerTrace t;
+  t.add_point(0.0, 30.0);
+  t.add_point(0.02, 150.0);
+  t.add_point(0.2, 150.0);
+  t.add_point(0.23, 40.0);
+  return t;
+}
+
+TEST(SamplerFlat, PlateauWithZeroJitter) {
+  pm::SamplerConfig cfg;
+  cfg.timestamp_jitter_s = 0.0;
+  expect_exact(one_rail(plateau_trace(), 0.0, 0.23), cfg);
+  cfg.quantize = false;
+  expect_exact(one_rail(plateau_trace(), 0.0, 0.23), cfg);
+}
+
+TEST(SamplerFlat, PlateauWithDefaultAndWideJitter) {
+  for (const double jitter : {20e-6, 500e-6, 4e-3}) {
+    SCOPED_TRACE(jitter);
+    pm::SamplerConfig cfg;
+    cfg.timestamp_jitter_s = jitter;
+    expect_exact(one_rail(plateau_trace(), 0.0, 0.23), cfg);
+  }
+}
+
+TEST(SamplerFlat, StepOneUlpFromATickOrOnIt) {
+  // Without jitter the tick k * 2^-10 s is the only probe. A step one ulp
+  // after it leaves the tick inside the plateau; a step on it or one ulp
+  // before it makes the tick read the level after the step.
+  const double tick = 40.0 / 1024.0;
+  for (const double step : {std::nextafter(tick, 0.0), tick,
+                            std::nextafter(tick, 1.0)}) {
+    SCOPED_TRACE(step - tick);
+    pm::PowerTrace t;
+    t.add_point(0.0, 90.0);
+    t.add_point(step, 90.0);
+    t.add_point(step, 30.0);
+    t.add_point(0.08, 30.0);
+    pm::SamplerConfig cfg;
+    cfg.timestamp_jitter_s = 0.0;
+    const pm::Capture cap = one_rail(t, 0.0, 0.08);
+    expect_exact(cap, cfg);
+    Rng rng(5);
+    const pm::SampledCapture got = pm::sample(cap, cfg, rng);
+    const double want = step > tick ? 90.0 : 30.0;
+    EXPECT_NEAR(got.channels[0].samples[40].watts(), want, 0.2);
+  }
+}
+
+TEST(SamplerFlat, ProbeSpanEndsOneUlpFromABreakpoint) {
+  // With J = 2^-14 s the span [t - 2J, t + 2J] of a tick is exact, so a
+  // breakpoint can sit on either end of it or one ulp to either side.
+  pm::SamplerConfig cfg;
+  cfg.timestamp_jitter_s = 0x1p-14;
+  const double margin = 2.0 * cfg.timestamp_jitter_s;
+  const double tick = 40.0 / 1024.0;
+  for (const double edge : {tick + margin, tick - margin}) {
+    for (const double bp : {std::nextafter(edge, 0.0), edge,
+                            std::nextafter(edge, 1.0)}) {
+      SCOPED_TRACE(bp - edge);
+      // Plateau up to bp, then a ramp; and a ramp up to bp, then a
+      // plateau.
+      pm::PowerTrace down;
+      down.add_point(0.0, 90.0);
+      down.add_point(bp, 90.0);
+      down.add_point(0.08, 20.0);
+      expect_exact(one_rail(down, 0.0, 0.08), cfg);
+      pm::PowerTrace up;
+      up.add_point(0.0, 20.0);
+      up.add_point(bp, 90.0);
+      up.add_point(0.08, 90.0);
+      expect_exact(one_rail(up, 0.0, 0.08), cfg);
+    }
+  }
+}
+
+TEST(SamplerFlat, LongPlateausEndOnTheExactTick) {
+  // At 1000 Hz from 0.0123 s the ticks t += dt drift from k * dt by
+  // rounding. Steps sit on a late tick's own time, on the time its probe
+  // span reaches, and one ulp either side, after hundreds of flat ticks.
+  pm::SamplerConfig cfg;
+  cfg.per_channel_hz = 1000.0;
+  const double dt = 1.0 / 1000.0;
+  const double begin = 0.0123;
+  for (const double jitter : {0.0, 0x1p-15, 1e-5}) {
+    cfg.timestamp_jitter_s = jitter;
+    for (const int k : {300, 517, 640}) {
+      double tick = begin;
+      for (int i = 0; i < k; ++i) tick += dt;
+      const double edge = tick + 2.0 * jitter;
+      for (const double step : {std::nextafter(edge, 0.0), edge,
+                                std::nextafter(edge, 1.0)}) {
+        SCOPED_TRACE(testing::Message()
+                     << "jitter " << jitter << " tick " << k << " step "
+                     << step - edge);
+        pm::PowerTrace t;
+        t.add_point(0.0, 75.0);
+        t.add_point(step, 75.0);
+        t.add_point(step, 30.0);
+        t.add_point(1.0, 30.0);
+        expect_exact(one_rail(t, begin, 0.9), cfg);
+      }
+    }
+  }
+}
+
+TEST(SamplerFlat, JitterWiderThanAFlatSegment) {
+  // 1 ms plateaus between ramps, probed with up to 2 ms of jitter: a tick
+  // inside a plateau can still read the ramps beside it.
+  pm::PowerTrace t;
+  t.add_point(0.0, 10.0);
+  for (int i = 0; i < 20; ++i) {
+    const double t0 = 0.004 * i;
+    const double w = 40.0 + 30.0 * (i % 3);
+    t.add_point(t0 + 0.002, w);
+    t.add_point(t0 + 0.003, w);
+  }
+  const pm::Capture cap = one_rail(t, 0.0, 0.08);
+  for (const double jitter : {0.1e-3, 0.4e-3, 2e-3}) {
+    SCOPED_TRACE(jitter);
+    pm::SamplerConfig cfg;
+    cfg.timestamp_jitter_s = jitter;
+    cfg.per_channel_hz = 4096.0;
+    cfg.aggregate_hz = 3.0 * 4096.0;
+    expect_exact(cap, cfg);
+  }
+}
+
+TEST(SamplerFlat, ShortPlateausUnderWideJitterAndHeavyDropout) {
+  // Steps between levels every 8 ticks. With jitter near a tick, a flat
+  // answer may be reused for few ticks before the probes reach a step;
+  // heavy dropout leaves many ticks without a kept sample.
+  pm::PowerTrace t;
+  const double dt = 1.0 / 1024.0;
+  for (int i = 0; i < 60; ++i) {
+    const double w = 20.0 + 25.0 * (i % 4);
+    t.add_point(8.0 * dt * i + 0.3 * dt, w);
+    t.add_point(8.0 * dt * (i + 1) + 0.3 * dt, w);
+  }
+  const pm::Capture cap = one_rail(t, 0.0, 0.45);
+  for (const double jitter : {0.4 * dt, 0.9 * dt, 1.5 * dt}) {
+    for (const double dropout : {0.0, 0.7}) {
+      SCOPED_TRACE(testing::Message() << jitter / dt << " " << dropout);
+      pm::SamplerConfig cfg;
+      cfg.timestamp_jitter_s = jitter;
+      cfg.dropout_rate = dropout;
+      expect_exact(cap, cfg);
+    }
+  }
+}
+
+TEST(SamplerFlat, WindowsInsideAndPastThePlateau) {
+  const pm::PowerTrace t = plateau_trace();
+  // Starts inside the plateau; ends inside it, on the last breakpoint,
+  // and past it.
+  for (const double end : {0.15, 0.23, 0.3}) {
+    SCOPED_TRACE(end);
+    expect_exact(one_rail(t, 0.05, end), pm::SamplerConfig{});
+    pm::SamplerConfig wide;
+    wide.timestamp_jitter_s = 3e-3;
+    expect_exact(one_rail(t, 0.05, end), wide);
+  }
+  // Entirely after the last breakpoint, and before the first.
+  expect_exact(one_rail(t, 0.25, 0.3), pm::SamplerConfig{});
+  pm::PowerTrace late;
+  late.add_point(0.1, 50.0);
+  late.add_point(0.2, 80.0);
+  expect_exact(one_rail(late, 0.0, 0.09), pm::SamplerConfig{});
+}
+
+TEST(SamplerFlat, OnePointAndEmptyTraces) {
+  // One breakpoint inside the window: value() reads its watts on both
+  // sides, -0 W included. An empty trace reads 0 W.
+  for (const double watts : {70.0, -0.0}) {
+    SCOPED_TRACE(watts);
+    pm::PowerTrace t;
+    t.add_point(0.02, watts);
+    const pm::Capture cap = one_rail(t, 0.0, 0.05);
+    expect_exact(cap, pm::SamplerConfig{});
+    Rng rng(3);
+    const pm::SampledCapture got = pm::sample(cap, pm::SamplerConfig{}, rng);
+    for (const pm::Sample& x : got.channels[0].samples)
+      ASSERT_EQ(std::signbit(x.amps), std::signbit(watts));
+  }
+  expect_exact(one_rail(pm::PowerTrace{}, 0.0, 0.05), pm::SamplerConfig{});
+  // Inside a flat segment at -0 W, interpolation reads +0 W.
+  pm::PowerTrace zero;
+  zero.add_point(0.0, -0.0);
+  zero.add_point(0.05, -0.0);
+  expect_exact(one_rail(zero, 0.0, 0.05), pm::SamplerConfig{});
+}
+
+TEST(SamplerFlat, DropoutOverPlateaus) {
+  // Every dropout draw comes after the skipped jitter draws before it.
+  pm::SamplerConfig cfg;
+  cfg.dropout_rate = 0.2;
+  expect_exact(one_rail(plateau_trace(), 0.0, 0.23), cfg);
+  cfg.timestamp_jitter_s = 0.0;
+  expect_exact(one_rail(plateau_trace(), 0.0, 0.23), cfg);
+}
+
+TEST(SamplerFlat, EightRailsAtDifferentScales) {
+  const pm::PowerTrace t = plateau_trace();
+  pm::Capture cap;
+  for (std::size_t i = 0; i < 8; ++i)
+    cap.rails.push_back(
+        {.channel = {.name = "rail" + std::to_string(i),
+                     .nominal_volts = 1.8 + 1.5 * static_cast<double>(i)},
+         .trace = t.scaled(0.05 + 0.1 * static_cast<double>(i))});
+  cap.window_begin = 0.01;
+  cap.window_end = 0.23;
+  expect_exact(cap, pm::SamplerConfig{});
+  pm::SamplerConfig lossy;
+  lossy.dropout_rate = 0.1;
+  expect_exact(cap, lossy);
+}
+
+TEST(SamplerFlat, AlternatingPowerLevels) {
+  // Steps between two levels every 3 ms, and down to 0 W (the power the
+  // ADC's memory starts from) every third step: the remembered power
+  // changes at every step.
+  pm::PowerTrace t;
+  for (int i = 0; i < 40; ++i) {
+    const double w = i % 3 == 2 ? 0.0 : i % 2 == 0 ? 60.0 : 135.0;
+    t.add_point(0.003 * i, w);
+    t.add_point(0.003 * (i + 1), w);
+  }
+  expect_exact(one_rail(t, 0.0, 0.12), pm::SamplerConfig{});
+  pm::SamplerConfig cfg;
+  cfg.timestamp_jitter_s = 0.0;
+  expect_exact(one_rail(t, 0.0, 0.12), cfg);
+}
+
+TEST(SamplerFlat, TableOnePlatformRuns) {
+  for (const char* name : {"GTX Titan", "Xeon Phi", "Arndale CPU"}) {
+    SCOPED_TRACE(name);
+    expect_exact(platform_capture(name), pm::SamplerConfig{});
+  }
+}
+
+TEST(Sampler, RejectsInvalidConfig) {
+  const pm::Capture cap = one_rail(plateau_trace(), 0.0, 0.1);
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<pm::SamplerConfig> bad;
+  for (const double hz : {-1.0, 0.0, nan}) {
+    pm::SamplerConfig cfg;
+    cfg.per_channel_hz = hz;
+    bad.push_back(cfg);
+  }
+  pm::SamplerConfig unbounded;
+  unbounded.per_channel_hz = inf;
+  unbounded.aggregate_hz = inf;
+  bad.push_back(unbounded);
+  for (const double jitter : {-1e-6, nan, inf}) {
+    pm::SamplerConfig cfg;
+    cfg.timestamp_jitter_s = jitter;
+    bad.push_back(cfg);
+  }
+  for (const int bits : {0, -3}) {
+    pm::SamplerConfig cfg;
+    cfg.adc_bits = bits;
+    bad.push_back(cfg);
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    Rng rng(1);
+    EXPECT_THROW((void)pm::sample(cap, bad[i], rng), std::invalid_argument);
+    EXPECT_THROW((void)pm::sample_mean(cap, bad[i], rng),
+                 std::invalid_argument);
+  }
+  // Without quantization the ADC width is unused.
+  pm::SamplerConfig ideal;
+  ideal.quantize = false;
+  ideal.adc_bits = 0;
+  expect_exact(cap, ideal);
 }
 
 TEST(SampleMean, ThrowsWhereSampleThrows) {
