@@ -1,8 +1,5 @@
 #include "core/kernels.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "core/kernels_impl.hpp"
 
 namespace archline::core {
@@ -24,14 +21,6 @@ void MetricCurve::resize(std::size_t n) {
   regime.resize(n);
 }
 
-const char* to_string(KernelPath path) noexcept {
-  switch (path) {
-    case KernelPath::Scalar: return "scalar";
-    case KernelPath::Avx2: return "avx2";
-  }
-  return "?";
-}
-
 namespace {
 
 bool cpu_has_avx2() noexcept {
@@ -44,24 +33,9 @@ bool cpu_has_avx2() noexcept {
 
 }  // namespace
 
-bool avx2_available() noexcept { return avx2_compiled_in() && cpu_has_avx2(); }
-
-KernelPath resolve_kernel_path(const char* env, bool avx2_ok) noexcept {
-  if (env != nullptr) {
-    if (std::strcmp(env, "avx2") == 0)
-      return avx2_ok ? KernelPath::Avx2 : KernelPath::Scalar;
-    // "scalar" and anything unrecognized both force the portable path:
-    // a typo must never silently re-enable SIMD.
-    return KernelPath::Scalar;
-  }
-  return avx2_ok ? KernelPath::Avx2 : KernelPath::Scalar;
-}
-
-KernelPath active_kernel_path() noexcept {
-  static const KernelPath path =
-      resolve_kernel_path(std::getenv("ARCHLINE_KERNEL_PATH"),
-                          avx2_available());
-  return path;
+bool avx2_available() noexcept {
+  static const bool ok = avx2_compiled_in() && cpu_has_avx2();
+  return ok;
 }
 
 void predict_batch_scalar(const MachineParams& m, const WorkloadBatch& in,
@@ -89,7 +63,7 @@ void metric_curves_scalar(const MachineParams& m,
 
 void predict_batch(const MachineParams& m, const WorkloadBatch& in,
                    PredictionBatch& out) {
-  if (active_kernel_path() == KernelPath::Avx2)
+  if (avx2_available())
     predict_batch_avx2(m, in, out);
   else
     predict_batch_scalar(m, in, out);
@@ -97,7 +71,7 @@ void predict_batch(const MachineParams& m, const WorkloadBatch& in,
 
 void metric_curves(const MachineParams& m, std::span<const double> intensities,
                    MetricCurve& out) {
-  if (active_kernel_path() == KernelPath::Avx2)
+  if (avx2_available())
     metric_curves_avx2(m, intensities, out);
   else
     metric_curves_scalar(m, intensities, out);

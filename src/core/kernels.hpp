@@ -10,7 +10,7 @@
 // the linear energy form, and the power-cap clamp auto-vectorize under
 // -O2. predict_batch and metric_curves additionally have an explicit
 // AVX2 path (mul/add/div/max/cmp/blend only — never FMA), selected at
-// runtime via cpuid and overridable with ARCHLINE_KERNEL_PATH.
+// runtime via cpuid.
 //
 // CONTRACT — bit identity. Every kernel, on every path, produces
 // outputs bit-identical to the scalar roofline.hpp functions:
@@ -95,10 +95,6 @@ struct MetricCurve {
 // ---------------------------------------------------------------------------
 // Runtime dispatch
 
-enum class KernelPath { Scalar, Avx2 };
-
-[[nodiscard]] const char* to_string(KernelPath path) noexcept;
-
 /// True when the AVX2 translation unit was compiled in (kernels_avx2.cpp
 /// rather than the stub). Defined by whichever of the two the build
 /// selected.
@@ -106,23 +102,13 @@ enum class KernelPath { Scalar, Avx2 };
 
 /// True when the AVX2 kernels are both compiled in and supported by the
 /// CPU we are running on — i.e. calling the *_avx2 entry points is safe.
+/// Resolved once on first use.
 [[nodiscard]] bool avx2_available() noexcept;
-
-/// The path the dispatching wrappers use. Resolved once on first use:
-/// AVX2 when available, unless ARCHLINE_KERNEL_PATH=scalar forces the
-/// portable path (ARCHLINE_KERNEL_PATH=avx2 is honored only when
-/// available; any other value falls back to scalar).
-[[nodiscard]] KernelPath active_kernel_path() noexcept;
-
-/// Pure resolution rule behind active_kernel_path(), exposed so tests
-/// can cover the env-override table without mutating process state.
-[[nodiscard]] KernelPath resolve_kernel_path(const char* env,
-                                             bool avx2_ok) noexcept;
 
 // ---------------------------------------------------------------------------
 // Kernels
 //
-// The un-suffixed entry points dispatch on active_kernel_path(); the
+// The un-suffixed entry points dispatch on avx2_available(); the
 // _scalar/_avx2 variants are exposed so the equivalence tests can pin
 // both paths explicitly. When AVX2 is not compiled in, the _avx2
 // variants delegate to scalar.

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/units.hpp"
-
 namespace archline::core {
 
 double MachineParams::balance_hi() const noexcept {
@@ -24,10 +22,6 @@ double MachineParams::balance_lo() const noexcept {
   const double headroom = delta_pi - pi_mem();
   if (headroom <= 0.0) return 0.0;
   return time_balance() * std::min(1.0, headroom / pi_flop());
-}
-
-bool MachineParams::power_sufficient() const noexcept {
-  return delta_pi >= pi_flop() + pi_mem();
 }
 
 double MachineParams::max_power() const noexcept {
@@ -55,20 +49,6 @@ void MachineParams::validate(const std::string& context) const {
   if (!(pi1 >= 0.0) || !std::isfinite(pi1))
     fail("pi1 must be non-negative and finite");
   if (!(delta_pi > 0.0)) fail("delta_pi must be positive");
-}
-
-MachineParams make_machine_gflops(double sustained_gflops, double pj_per_flop,
-                                  double sustained_gbytes, double pj_per_byte,
-                                  double pi1_watts, double delta_pi_watts) {
-  MachineParams p;
-  p.tau_flop = 1.0 / units::from_gflops(sustained_gflops);
-  p.eps_flop = units::from_picojoules(pj_per_flop);
-  p.tau_mem = 1.0 / units::from_gbytes(sustained_gbytes);
-  p.eps_mem = units::from_picojoules(pj_per_byte);
-  p.pi1 = pi1_watts;
-  p.delta_pi = delta_pi_watts;
-  p.validate("make_machine_gflops");
-  return p;
 }
 
 }  // namespace archline::core

@@ -67,10 +67,6 @@ struct MachineParams {
   /// Lower throttled balance point B_tau- (paper eq. 6).
   [[nodiscard]] double balance_lo() const noexcept;
 
-  /// True when delta_pi >= pi_flop + pi_mem: enough usable power to run
-  /// flops and memory at full rate simultaneously (then B- = B = B+).
-  [[nodiscard]] bool power_sufficient() const noexcept;
-
   /// True when delta_pi is the kUncapped sentinel.
   [[nodiscard]] bool uncapped() const noexcept {
     return delta_pi == kUncapped;
@@ -93,11 +89,5 @@ struct MachineParams {
   /// invariant is violated.
   void validate(const std::string& context = "MachineParams") const;
 };
-
-/// Convenience constructor from the units the paper's Table I uses:
-/// sustained Gflop/s, pJ/flop, sustained GB/s, pJ/B, watts.
-[[nodiscard]] MachineParams make_machine_gflops(
-    double sustained_gflops, double pj_per_flop, double sustained_gbytes,
-    double pj_per_byte, double pi1_watts, double delta_pi_watts = kUncapped);
 
 }  // namespace archline::core

@@ -100,15 +100,4 @@ SensitivityProfile sensitivity_profile(const MachineParams& m, Metric metric,
   return s;
 }
 
-std::vector<SensitivityProfile> sensitivity_over_points(
-    const MachineParams& base, std::span<const OperatingPoint> points,
-    Metric metric, double intensity) {
-  std::vector<SensitivityProfile> out;
-  out.reserve(points.size());
-  for (const OperatingPoint& p : points)
-    out.push_back(
-        sensitivity_profile(apply_operating_point(base, p), metric, intensity));
-  return out;
-}
-
 }  // namespace archline::core

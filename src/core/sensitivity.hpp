@@ -12,12 +12,9 @@
 // {eps_flop, eps_mem, pi1-charge} sum to -1 for efficiency).
 
 #include <array>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/machine_params.hpp"
-#include "core/operating_point.hpp"
 #include "core/roofline.hpp"
 
 namespace archline::core {
@@ -42,7 +39,10 @@ inline constexpr std::array<Param, 6> kAllParams = {
                                               Param p, double factor);
 
 /// Elasticity d log(metric) / d log(param) at the given intensity,
-/// via symmetric log-space differences (h = 1e-4 by default).
+/// via symmetric log-space differences (h = 1e-4 by default). Shipped
+/// code calls sensitivity_profile(); this one-parameter form is its
+/// oracle: Kernels.SensitivityProfileBitIdenticalToElasticity
+/// (tests/test_kernels.cpp) compares the two bit for bit.
 [[nodiscard]] double elasticity(const MachineParams& m, Param p,
                                 Metric metric, double intensity,
                                 double log_step = 1e-4);
@@ -64,13 +64,5 @@ struct SensitivityProfile {
 [[nodiscard]] SensitivityProfile sensitivity_profile(const MachineParams& m,
                                                      Metric metric,
                                                      double intensity);
-
-/// Sensitivity swept across a DVFS ladder: the profile of the machine
-/// at each operating point, in table order. Which constant dominates
-/// typically shifts as the clock drops — flop-time limits fade, the
-/// pi1 charge grows — and this makes that shift quantitative.
-[[nodiscard]] std::vector<SensitivityProfile> sensitivity_over_points(
-    const MachineParams& base, std::span<const OperatingPoint> points,
-    Metric metric, double intensity);
 
 }  // namespace archline::core

@@ -92,12 +92,18 @@ class ObservationColumns {
   std::vector<double> seconds_, joules_, watts_;
 };
 
-/// time/energy/power residuals of `obs` (see ObservationColumns).
+/// time/energy/power residuals of `obs` (see ObservationColumns), one
+/// call at a time. No shipped code calls it; it stays as the test form:
+/// tests/test_objective.cpp's Residuals.* cases read the residual
+/// vector through it.
 [[nodiscard]] std::vector<double> time_energy_residuals(
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs);
 
-/// Sum of squared time_energy_residuals.
+/// Sum of squared time_energy_residuals. No shipped code calls it; it
+/// stays as the test form: tests/test_objective.cpp's
+/// ObservationColumns.* cases check it bit for bit against the test's
+/// spelled-out reference_sum, and Residuals.* compare fits through it.
 [[nodiscard]] double sum_squared_residuals(
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs);

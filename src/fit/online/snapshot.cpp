@@ -53,10 +53,6 @@ OnlineStore::PlatformState* OnlineStore::find(
   return nullptr;
 }
 
-bool OnlineStore::known(std::string_view platform) const noexcept {
-  return find(platform) != nullptr;
-}
-
 OnlineStore::PlatformRef OnlineStore::find_platform(
     std::string_view platform) const noexcept {
   return PlatformRef(find(platform));

@@ -119,9 +119,6 @@ class OnlineStore {
   OnlineStore(const OnlineStore&) = delete;
   OnlineStore& operator=(const OnlineStore&) = delete;
 
-  /// True when `platform` is a Table I name (the fixed key set).
-  [[nodiscard]] bool known(std::string_view platform) const noexcept;
-
   /// Resolves a platform name to its handle (falsy for unknown names).
   [[nodiscard]] PlatformRef find_platform(
       std::string_view platform) const noexcept;

@@ -29,7 +29,9 @@ namespace archline::microbench {
                                                      stats::Rng& rng);
 
 /// Verifies that `next` is a single n-cycle (every chase from 0 visits all
-/// slots). Used by tests and by the native benchmark's self-check.
+/// slots). No shipped code calls it: it is the oracle that
+/// SattoloCycle.IsSingleCycle (tests/test_pointer_chase.cpp) checks
+/// sattolo_cycle with.
 [[nodiscard]] bool is_single_cycle(const std::vector<std::size_t>& next);
 
 }  // namespace archline::microbench

@@ -46,10 +46,6 @@ core::MachineParams PlatformSpec::machine(core::Precision p) const {
   return m;
 }
 
-core::MachineParams PlatformSpec::machine_uncapped(core::Precision p) const {
-  return machine(p).without_cap();
-}
-
 bool PlatformSpec::has_level(core::MemLevel level) const noexcept {
   switch (level) {
     case core::MemLevel::L1: return mem_l1.has_value();
@@ -83,15 +79,6 @@ core::MachineParams PlatformSpec::machine_at_level(core::MemLevel level,
   m.eps_mem = pt.energy_per_op;
   m.validate(name + "@" + core::to_string(level));
   return m;
-}
-
-core::MachineParams PlatformSpec::machine_at_point(std::size_t point_index,
-                                                   core::Precision p) const {
-  if (point_index >= operating_points.size())
-    throw std::out_of_range(name + ": no operating point " +
-                            std::to_string(point_index));
-  return core::apply_operating_point(machine(p),
-                                     operating_points.points[point_index]);
 }
 
 const EnergyPoint& PlatformSpec::random_access() const {

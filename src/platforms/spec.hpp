@@ -90,10 +90,6 @@ struct PlatformSpec {
   [[nodiscard]] core::MachineParams machine(
       core::Precision p = core::Precision::Single) const;
 
-  /// Same, but with the cap removed (the prior, uncapped model).
-  [[nodiscard]] core::MachineParams machine_uncapped(
-      core::Precision p = core::Precision::Single) const;
-
   /// MachineParams whose memory side is the given cache level. Throws if
   /// that level was not measured on this platform.
   [[nodiscard]] core::MachineParams machine_at_level(
@@ -112,13 +108,6 @@ struct PlatformSpec {
   /// Random-access machine (pointer-chase costs + this platform's power
   /// context). Throws if random access was not measured.
   [[nodiscard]] core::RandomAccessMachine random_machine() const;
-
-  /// MachineParams at one operating point of this spec's ladder (index
-  /// into operating_points.points). Throws when the index is out of
-  /// range or the precision unsupported.
-  [[nodiscard]] core::MachineParams machine_at_point(
-      std::size_t point_index,
-      core::Precision p = core::Precision::Single) const;
 
   /// Checks internal consistency (positive costs, eps_L1 <= eps_L2 <=
   /// eps_mem where present, sustained <= claimed peak with small slack,

@@ -31,14 +31,6 @@ double Json::as_number() const {
   return num_;
 }
 
-const std::string& Json::as_string() const {
-  if (type_ != Type::String) type_error("string", type_);
-  if (!owned_)
-    throw JsonError(
-        "string is a view into external storage; use as_string_view", 0);
-  return str_;
-}
-
 std::string_view Json::as_string_view() const {
   if (type_ != Type::String) type_error("string", type_);
   return owned_ ? std::string_view(str_) : view_;

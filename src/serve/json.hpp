@@ -78,8 +78,7 @@ class Json {
   /// A string node that REFERENCES external bytes without copying them.
   /// The caller must keep the referenced buffer alive and unmoved for
   /// the node's (and any copy's) lifetime. This is the building block
-  /// of parse_in_situ; it is also safe for string literals. Such nodes
-  /// answer as_string_view() but not as_string().
+  /// of parse_in_situ; it is also safe for string literals.
   [[nodiscard]] static Json view(std::string_view s) noexcept {
     Json j;
     j.type_ = Type::String;
@@ -126,10 +125,6 @@ class Json {
   // Checked accessors; throw JsonError(position 0) on type mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  /// Owned strings only — throws JsonError for Json::view /
-  /// parse_in_situ nodes (their payload has no std::string to
-  /// reference). Prefer as_string_view(), which works for both.
-  [[nodiscard]] const std::string& as_string() const;
   /// The string payload, owned or viewed. For view nodes the result
   /// aliases the external buffer; for owned nodes it aliases this node.
   [[nodiscard]] std::string_view as_string_view() const;

@@ -54,10 +54,10 @@
 
 namespace archline::serve {
 
-/// The event loop's window onto the kernel socket API — the seam
-/// sim::FaultyTransport wraps to inject partial writes, split reads,
-/// EAGAIN storms, mid-frame resets, and accept failures without a
-/// misbehaving peer. Implementations mimic the syscalls they wrap:
+/// The event loop's window onto the kernel socket API — the seam the
+/// tests' FaultyTransport (tests/support/fault.hpp) wraps to inject
+/// partial writes, split reads, EAGAIN storms, mid-frame resets, and
+/// accept failures without a misbehaving peer. Implementations mimic the syscalls they wrap:
 /// return counts / fds on success, -1 with errno set on failure, and
 /// recv() == 0 means peer EOF. The loop is level-triggered, so a
 /// wrapper may return short counts or spurious EAGAINs freely — epoll
@@ -138,10 +138,10 @@ struct TcpOptions {
   /// advance time instead of sleeping through it.
   const sim::ClockSource* clock = nullptr;
   /// Socket syscall seam (null = the real kernel API). Tests install a
-  /// sim::FaultyTransport to script read/write/accept faults. With
-  /// shards > 1 every shard thread calls it — use one shard or a
-  /// per-thread wrapper (sim::ShardedFaultyTransport) for scripted
-  /// faults.
+  /// FaultyTransport (tests/support/fault.hpp) to script
+  /// read/write/accept faults. With shards > 1 every shard thread calls
+  /// it — use one shard or a per-thread wrapper
+  /// (ShardedFaultyTransport) for scripted faults.
   SocketOps* socket_ops = nullptr;
 };
 

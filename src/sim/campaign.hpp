@@ -29,10 +29,11 @@
 //
 // Campaigns end in a machine-checkable CampaignReport (exact per-
 // endpoint latency quantiles in virtual time, loss/overload/deadline
-// accounting, cache stats, queue depth peaks, drain-clean shutdown) and
-// an assert_slo() API so ctest cases pin "p99 <= X, zero lost replies,
-// all connections accounted for" exactly and reproducibly from a seed.
-// See docs/TESTING.md "Traffic campaigns".
+// accounting, cache stats, queue depth peaks, drain-clean shutdown).
+// The tests check reports against declared SLOs with assert_slo()
+// (tests/support/slo.hpp), so "p99 <= X, zero lost replies, all
+// connections accounted for" is pinned exactly and reproducibly from a
+// seed. See docs/TESTING.md "Traffic campaigns".
 
 #include <cstddef>
 #include <cstdint>
@@ -62,8 +63,6 @@ enum class Behavior : std::uint8_t {
   /// connection-slot squatter that idle reaping exists to evict.
   IdleCamper = 3,
 };
-
-[[nodiscard]] const char* behavior_name(Behavior b) noexcept;
 
 /// Relative weights (need not sum to 1) for assigning behaviors to
 /// connections. Default: everyone is a well-behaved pipeliner.
@@ -236,32 +235,6 @@ struct CampaignReport {
   friend bool operator==(const CampaignReport&,
                          const CampaignReport&) = default;
 };
-
-/// Service-level objectives a report must meet. Unset checks (0 /
-/// negative / empty) are skipped, so a spec names exactly the bounds a
-/// test pins.
-struct SloSpec {
-  /// Upper bound on total.p99_ns over executed replies (0 = unchecked).
-  std::uint64_t max_total_p99_ns = 0;
-  /// Per-endpoint p99 bounds by wire type, e.g. {"predict", 50'000}.
-  std::map<std::string, std::uint64_t> max_endpoint_p99_ns;
-  /// Max fraction of framed requests answered "overloaded"
-  /// (< 0 = unchecked).
-  double max_overloaded_frac = -1.0;
-  /// Max deadline_exceeded count (UINT64_MAX = unchecked).
-  std::uint64_t max_deadline_exceeded = UINT64_MAX;
-  /// Minimum cache hit rate (< 0 = unchecked).
-  double min_cache_hit_rate = -1.0;
-  bool require_zero_dropped = true;
-  bool require_drain_clean = true;
-  bool require_connections_accounted = true;
-};
-
-/// Every SLO violation, one human-readable line each ("predict p99
-/// 81920ns > 50000ns"); empty = the report meets the spec. Tests
-/// EXPECT this empty so the failure message lists every broken bound.
-[[nodiscard]] std::vector<std::string> assert_slo(const CampaignReport& report,
-                                                  const SloSpec& slo);
 
 /// Runs one campaign to completion (arrival horizon + drain) and
 /// returns its report. Construction builds the request pools; run() may

@@ -49,12 +49,6 @@ namespace archline::sim {
 /// workload's nominal time so every request has a feasible plan.
 [[nodiscard]] std::vector<std::string> make_policy_pool();
 
-/// The analysis shapes, three lines per platform in this order: a
-/// crossover against the next platform, a sensitivity at a per-platform
-/// intensity, and a 3x2 scenario_sweep (Heavy). Metrics rotate through
-/// efficiency / performance / power. No RNG; replies are cacheable.
-[[nodiscard]] std::vector<std::string> make_analysis_pool();
-
 /// One refit request per platform (a synchronous online re-solve).
 [[nodiscard]] std::vector<std::string> make_refit_pool();
 

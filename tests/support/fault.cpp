@@ -1,4 +1,4 @@
-#include "sim/fault.hpp"
+#include "support/fault.hpp"
 
 #include <cerrno>
 

@@ -108,7 +108,7 @@ TEST(PowerReduction, ArndaleGpuHasMostHeadroom) {
 
 TEST(PowerReduction, UncappedThrows) {
   EXPECT_THROW((void)co::power_reduction_factor(
-                   pl::platform("GTX Titan").machine_uncapped(), 2.0),
+                   pl::platform("GTX Titan").machine().without_cap(), 2.0),
                std::invalid_argument);
 }
 

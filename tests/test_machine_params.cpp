@@ -8,6 +8,7 @@
 
 #include "core/machine_params.hpp"
 #include "core/units.hpp"
+#include "support/table_machine.hpp"
 
 namespace {
 
@@ -15,7 +16,7 @@ namespace co = archline::core;
 
 // A machine shaped like the published GTX Titan (Table I, SP).
 co::MachineParams titan() {
-  return co::make_machine_gflops(4020.0, 30.4, 239.0, 267.0, 123.0, 164.0);
+  return co::from_table(4020.0, 30.4, 239.0, 267.0, 123.0, 164.0);
 }
 
 TEST(Workload, IntensityIsRatio) {
@@ -63,7 +64,7 @@ TEST(MachineParams, BalanceIntervalOrdering) {
 TEST(MachineParams, SufficientPowerCollapsesInterval) {
   co::MachineParams m = titan();
   m.delta_pi = 500.0;  // > pi_flop + pi_mem ~ 186 W
-  EXPECT_TRUE(m.power_sufficient());
+  EXPECT_GE(m.delta_pi, m.pi_flop() + m.pi_mem());  // power sufficient
   EXPECT_DOUBLE_EQ(m.balance_lo(), m.time_balance());
   EXPECT_DOUBLE_EQ(m.balance_hi(), m.time_balance());
 }
@@ -78,7 +79,7 @@ TEST(MachineParams, UncappedIntervalCollapses) {
 TEST(MachineParams, TitanIntervalMatchesHandComputation) {
   const co::MachineParams m = titan();
   // delta_pi = 164 < pi_flop + pi_mem ~ 186: the cap binds.
-  EXPECT_FALSE(m.power_sufficient());
+  EXPECT_LT(m.delta_pi, m.pi_flop() + m.pi_mem());
   // B+ = B * max(1, pi_mem / (delta_pi - pi_flop)).
   const double expected_hi =
       m.time_balance() * m.pi_mem() / (m.delta_pi - m.pi_flop());

@@ -147,7 +147,7 @@ TEST(ModelProperties, BalancePointsAreOrdered) {
                          // flop headroom and the window floor vanishes
     EXPECT_LE(lo, mid * (1 + 1e-12));
     EXPECT_LE(mid, hi * (1 + 1e-12));
-    if (m.power_sufficient()) {
+    if (m.delta_pi >= m.pi_flop() + m.pi_mem()) {  // power sufficient
       EXPECT_DOUBLE_EQ(lo, mid);
       EXPECT_DOUBLE_EQ(mid, hi);
     } else {
@@ -178,7 +178,7 @@ TEST(ModelProperties, RegimeMatchesDominantTerm) {
           ASSERT_FALSE(m.uncapped());
           EXPECT_DOUBLE_EQ(
               t, (w.flops * m.eps_flop + w.bytes * m.eps_mem) / m.delta_pi);
-          EXPECT_FALSE(m.power_sufficient());
+          EXPECT_LT(m.delta_pi, m.pi_flop() + m.pi_mem());
           break;
       }
     }

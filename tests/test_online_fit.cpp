@@ -199,7 +199,7 @@ TEST(OnlineFit, StoreResolvePublishesBlendedSnapshot) {
   const Generator g;
   const auto stream = make_stream(g, 64, 0.005, 9);
 
-  ASSERT_TRUE(store.known("GTX Titan"));
+  ASSERT_TRUE(store.find_platform("GTX Titan"));
   EXPECT_EQ(store.published("GTX Titan"), nullptr);
   EXPECT_EQ(store.resolve("GTX Titan"), nullptr)  // below the floor
       << "resolve must refuse an empty window";

@@ -303,17 +303,4 @@ TEST(DefaultOperatingPoints, EveryPlatformCarriesAValidLadder) {
   }
 }
 
-TEST(DefaultOperatingPoints, MachineAtPointMatchesApply) {
-  const pl::PlatformSpec& spec = pl::platform("GTX Titan");
-  ASSERT_FALSE(spec.operating_points.empty());
-  const co::MachineParams direct = spec.machine_at_point(0);
-  const co::MachineParams via = co::apply_operating_point(
-      spec.machine(), spec.operating_points.points[0]);
-  EXPECT_EQ(direct.tau_flop, via.tau_flop);
-  EXPECT_EQ(direct.eps_flop, via.eps_flop);
-  EXPECT_EQ(direct.pi1, via.pi1);
-  EXPECT_THROW((void)spec.machine_at_point(spec.operating_points.size()),
-               std::out_of_range);
-}
-
 }  // namespace

@@ -28,7 +28,7 @@ TEST(ParamsIo, RoundTripIsExact) {
 
 TEST(ParamsIo, UncappedSerializesAsInf) {
   const co::MachineParams m =
-      pl::platform("GTX Titan").machine_uncapped();
+      pl::platform("GTX Titan").machine().without_cap();
   const std::string text = co::to_text(m);
   EXPECT_NE(text.find("delta_pi = inf"), std::string::npos);
   EXPECT_TRUE(co::machine_from_text(text).uncapped());

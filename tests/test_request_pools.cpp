@@ -14,6 +14,7 @@
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "sim/request_pools.hpp"
+#include "support/analysis_pool.hpp"
 
 namespace {
 

@@ -7,6 +7,7 @@
 
 #include "core/machine_params.hpp"
 #include "core/roofline.hpp"
+#include "support/table_machine.hpp"
 
 namespace {
 
@@ -14,10 +15,10 @@ namespace co = archline::core;
 
 // Published GTX Titan (SP) and Arndale GPU machines.
 co::MachineParams titan() {
-  return co::make_machine_gflops(4020.0, 30.4, 239.0, 267.0, 123.0, 164.0);
+  return co::from_table(4020.0, 30.4, 239.0, 267.0, 123.0, 164.0);
 }
 co::MachineParams arndale_gpu() {
-  return co::make_machine_gflops(33.0, 84.2, 8.39, 518.0, 1.28, 4.83);
+  return co::from_table(33.0, 84.2, 8.39, 518.0, 1.28, 4.83);
 }
 // A simple machine with friendly numbers for exact assertions:
 // 1 Gflop/s at 1 nJ/flop, 1 GB/s at 2 nJ/B, pi1 = 1 W, cap = 10 W.

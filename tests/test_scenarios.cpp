@@ -238,7 +238,8 @@ TEST(OperatingPointSweep, TableOrderAndConsistency) {
       co::operating_point_sweep(titan(), spec.operating_points.points, w);
   ASSERT_EQ(rows.size(), spec.operating_points.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const co::MachineParams at = spec.machine_at_point(i);
+    const co::MachineParams at = co::apply_operating_point(
+        spec.machine(), spec.operating_points.points[i]);
     EXPECT_EQ(rows[i].point_index, i);
     EXPECT_DOUBLE_EQ(rows[i].freq_scale,
                      spec.operating_points.points[i].freq_scale);

@@ -143,20 +143,4 @@ TEST(ParamNames, AllNamed) {
     EXPECT_STRNE(co::to_string(p), "?");
 }
 
-
-TEST(SensitivityOverPoints, ProfilePerPointMatchesAppliedMachine) {
-  const pl::PlatformSpec& spec = pl::platform("Xeon Phi");
-  const auto profiles = co::sensitivity_over_points(
-      spec.machine(), spec.operating_points.points,
-      co::Metric::EnergyEfficiency, 4.0);
-  ASSERT_EQ(profiles.size(), spec.operating_points.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const co::SensitivityProfile direct = co::sensitivity_profile(
-        spec.machine_at_point(i), co::Metric::EnergyEfficiency, 4.0);
-    for (std::size_t j = 0; j < co::kAllParams.size(); ++j)
-      EXPECT_DOUBLE_EQ(profiles[i].values[j], direct.values[j])
-          << "point " << i << " param " << j;
-  }
-}
-
 }  // namespace

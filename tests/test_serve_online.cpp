@@ -195,10 +195,13 @@ TEST(ServeOnline, StreamingThousandTuplesWithBackgroundResolver) {
   }
   EXPECT_EQ(server.online().observations("GTX Titan"), all.size());
 
-  // The resolver fires on its own thread; wait for a publish.
+  // The resolver fires on its own thread; wait for a publish and for
+  // the sweep that made it to finish (a sweep publishes before it
+  // counts itself).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (server.online().generation() == 0 &&
+  while ((server.online().generation() == 0 ||
+          server.resolver()->sweeps() == 0) &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_GT(server.online().generation(), 0u)

@@ -25,6 +25,7 @@
 #include "serve/tcp.hpp"
 #include "serve_tcp_testlib.hpp"
 #include "sim/request_pools.hpp"
+#include "support/analysis_pool.hpp"
 
 namespace {
 

@@ -108,13 +108,13 @@ TEST(ServeJson, IntegersPrintWithoutExponent) {
 
 TEST(ServeJson, StringEscapes) {
   const Json v = Json::parse(R"("a\"b\\c\nd\u0041\u00e9\u20ac")");
-  EXPECT_EQ(v.as_string(), "a\"b\\c\ndA\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(v.as_string_view(), "a\"b\\c\ndA\xC3\xA9\xE2\x82\xAC");
   EXPECT_EQ(Json::parse(v.dump()), v);
 }
 
 TEST(ServeJson, SurrogatePairDecodes) {
-  EXPECT_EQ(Json::parse(R"("\ud83d\ude00")").as_string(),
-            "\xF0\x9F\x98\x80");  // U+1F600
+  const Json v = Json::parse(R"("\ud83d\ude00")");
+  EXPECT_EQ(v.as_string_view(), "\xF0\x9F\x98\x80");  // U+1F600
 }
 
 TEST(ServeJson, RejectsMalformed) {
@@ -241,7 +241,8 @@ TEST(ServeProtocol, PredictDpAndUncapped) {
   ASSERT_TRUE(reply.ok) << reply.body;
   const core::MachineParams m =
       platforms::platform("Desktop CPU")
-          .machine_uncapped(core::Precision::Double);
+          .machine(core::Precision::Double)
+          .without_cap();
   const core::Workload w = core::Workload::from_intensity(1e9, 8.0);
   EXPECT_DOUBLE_EQ(Json::parse(reply.body).number_or("time_s", 0),
                    core::time(m, w));

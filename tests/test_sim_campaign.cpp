@@ -14,6 +14,7 @@
 #include "sim/arrivals.hpp"
 #include "sim/campaign.hpp"
 #include "stats/rng.hpp"
+#include "support/slo.hpp"
 
 namespace {
 

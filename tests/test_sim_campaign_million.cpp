@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/campaign.hpp"
+#include "support/slo.hpp"
 
 namespace {
 

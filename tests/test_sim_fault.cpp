@@ -20,7 +20,7 @@
 #include "serve/server.hpp"
 #include "serve/tcp.hpp"
 #include "serve_tcp_testlib.hpp"
-#include "sim/fault.hpp"
+#include "support/fault.hpp"
 
 namespace {
 
