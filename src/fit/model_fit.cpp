@@ -2,17 +2,126 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/roofline.hpp"
 #include "fit/levmar.hpp"
+#include "fit/linalg.hpp"
 #include "fit/nelder_mead.hpp"
 #include "stats/descriptive.hpp"
 
 namespace archline::fit {
 
 namespace {
+
+/// The NM -> LM hand-off: Nelder-Mead stops once its simplex is this
+/// close in both f-spread and log-space diameter. That is already below
+/// LM's central-difference step (1e-6 max(1, |x|)), and the LM that
+/// follows each start finishes the descent; a tighter simplex costs
+/// evaluations and ends at the same LM optimum.
+constexpr double kNelderMeadHandoff = 1e-7;
+
+NelderMeadOptions handoff_options(int max_evaluations) {
+  NelderMeadOptions nm;
+  nm.max_evaluations = max_evaluations;
+  nm.f_tolerance = kNelderMeadHandoff;
+  nm.x_tolerance = kNelderMeadHandoff;
+  return nm;
+}
+
+/// The uncapped DRAM/SP fit, solved exactly. With tau_flop and tau_mem
+/// fixed, every model time T = max(W tau_flop, Q tau_mem) is a constant
+/// and the energy residual (W eps_flop + Q eps_mem + pi1 T)/e - 1, the
+/// power residual (W eps_flop + Q eps_mem + pi1 T)/(T p) - 1 and the idle
+/// anchor are linear in x = (eps_flop, eps_mem, pi1). The objective is
+/// the constant time term plus ||A x - b||^2 over x >= 0: non-negative
+/// least squares in 3 variables. Its optimum is the least-squares
+/// solution over one of the 7 nonempty sets of free constants (the rest
+/// held at 0), so solving each set's normal equations and keeping the
+/// feasible solution with the lowest objective is exact. The columns are
+/// scaled to unit norm first: eps is ~1e-10 J and pi1 ~10 W.
+///
+/// An eps held on its bound is reported as DBL_MIN, the smallest
+/// positive normal double: the machine must have a positive eps, and no
+/// energy the fit reproduces can tell DBL_MIN from 0. pi1 may be 0.
+core::MachineParams solve_uncapped(
+    std::span<const microbench::Observation> obs, const FitOptions& opt,
+    double& rss_out) {
+  const MeasuredThroughput taus = measure_throughput(obs);
+  const bool idle_hint = opt.idle_watts_hint > 0.0;
+  Mat a(2 * obs.size() + (idle_hint ? 1 : 0), 3);
+  std::vector<double> b(a.rows(), 1.0);
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    const microbench::Observation& o = obs[i];
+    const double t = std::max(o.kernel.flops * taus.tau_flop,
+                              o.kernel.bytes * taus.tau_mem);
+    const double terms[3] = {o.kernel.flops, o.kernel.bytes, t};
+    for (std::size_t c = 0; c < 3; ++c) {
+      a(2 * i, c) = terms[c] / o.joules;
+      a(2 * i + 1, c) = terms[c] / (t * o.watts);
+    }
+  }
+  if (idle_hint) {
+    a(a.rows() - 1, 2) = opt.idle_weight / opt.idle_watts_hint;
+    b.back() = opt.idle_weight;
+  }
+  const Mat g = gram(a);
+  const std::vector<double> atb = matvec_transposed(a, b);
+  double scale[3];
+  for (std::size_t c = 0; c < 3; ++c) scale[c] = 1.0 / std::sqrt(g(c, c));
+
+  ObservationColumns cols(obs);
+  core::MachineParams best;
+  rss_out = std::numeric_limits<double>::infinity();
+  for (unsigned set = 1; set < 8; ++set) {
+    std::vector<std::size_t> free;
+    for (std::size_t c = 0; c < 3; ++c)
+      if (set & (1u << c)) free.push_back(c);
+    Mat s(free.size(), free.size());
+    std::vector<double> rhs(free.size());
+    for (std::size_t i = 0; i < free.size(); ++i) {
+      for (std::size_t j = 0; j < free.size(); ++j)
+        s(i, j) = g(free[i], free[j]) * scale[free[i]] * scale[free[j]];
+      rhs[i] = atb[free[i]] * scale[free[i]];
+    }
+    std::vector<double> y;
+    try {
+      y = cholesky_solve(s, rhs);
+    } catch (const std::runtime_error&) {
+      continue;  // these columns are linearly dependent
+    }
+    double x[3] = {0.0, 0.0, 0.0};
+    bool feasible = true;
+    for (std::size_t i = 0; i < free.size(); ++i) {
+      x[free[i]] = y[i] * scale[free[i]];
+      feasible = feasible && x[free[i]] > 0.0;
+    }
+    if (!feasible) continue;
+
+    core::MachineParams m;
+    m.tau_flop = taus.tau_flop;
+    m.tau_mem = taus.tau_mem;
+    m.eps_flop = std::max(x[0], std::numeric_limits<double>::min());
+    m.eps_mem = std::max(x[1], std::numeric_limits<double>::min());
+    m.pi1 = x[2];
+    m.delta_pi = core::kUncapped;
+    double rss = cols.sum_squared_residuals(m);
+    if (idle_hint) {
+      const double r = opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0);
+      rss += r * r;
+    }
+    if (rss < rss_out) {
+      rss_out = rss;
+      best = m;
+    }
+  }
+  if (!std::isfinite(rss_out))
+    throw std::invalid_argument(
+        "fit_observations: no finite uncapped solution");
+  return best;
+}
 
 /// Optimizes the DRAM machine's energy/power constants against
 /// observations, with the per-op times fixed to the directly measured
@@ -22,20 +131,25 @@ namespace {
 /// Rationale: tau_flop/tau_mem are not identifiable by regression alone —
 /// on machines whose cap rides at or below an engine's demand
 /// (pi_mem >~ delta_pi), the rate limit never binds and any faster tau
-/// fits equally well. The remaining four (capped) or three (uncapped)
-/// log-space parameters are searched multi-start NM -> LM: the objective
-/// still has shallow local minima where a mildly binding cap is absorbed
-/// into inflated energies, so the search restarts from several delta_pi /
-/// pi1 perturbations and keeps the lowest residual.
+/// fits equally well. The uncapped model is then linear in its other
+/// three constants and solve_uncapped() finds its optimum exactly. The
+/// capped model's four log-space parameters are searched multi-start
+/// NM -> LM: the objective has max() kinks and shallow local minima where
+/// a mildly binding cap is absorbed into inflated energies, so the search
+/// restarts from several delta_pi perturbations and keeps the lowest
+/// residual.
 core::MachineParams optimize_machine(
     std::span<const microbench::Observation> obs, ModelKind kind,
-    const core::MachineParams& seed, const FitOptions& opt, double& rss_out,
-    bool& converged_out) {
+    const FitOptions& opt, double& rss_out, bool& converged_out) {
+  if (kind == ModelKind::Uncapped) {
+    converged_out = true;
+    return solve_uncapped(obs, opt, rss_out);
+  }
+  const core::MachineParams seed = initial_guess(obs, ModelKind::Capped);
   const MeasuredThroughput taus = measure_throughput(obs);
-  const bool capped = kind == ModelKind::Capped;
   ObservationColumns cols(obs);
 
-  // x = log [eps_flop, eps_mem, pi1, (delta_pi)]
+  // x = log [eps_flop, eps_mem, pi1, delta_pi]
   const auto decode = [&](std::span<const double> x) {
     core::MachineParams m;
     m.tau_flop = taus.tau_flop;
@@ -43,19 +157,18 @@ core::MachineParams optimize_machine(
     m.eps_flop = std::exp(x[0]);
     m.eps_mem = std::exp(x[1]);
     m.pi1 = std::exp(x[2]);
-    m.delta_pi = capped ? std::exp(x[3]) : core::kUncapped;
+    m.delta_pi = std::exp(x[3]);
     return m;
   };
   const auto encode = [&](const core::MachineParams& m) {
-    std::vector<double> x = {std::log(m.eps_flop), std::log(m.eps_mem),
-                             std::log(std::max(m.pi1, 1e-6))};
-    if (capped) x.push_back(std::log(m.delta_pi));
-    return x;
+    return std::vector<double>{std::log(m.eps_flop), std::log(m.eps_mem),
+                               std::log(std::max(m.pi1, 1e-6)),
+                               std::log(m.delta_pi)};
   };
   // The idle and max-power anchors, appended after the observation
   // residuals in this order by both objectives.
   const bool idle_hint = opt.idle_watts_hint > 0.0;
-  const bool max_hint = capped && opt.max_watts_hint > 0.0;
+  const bool max_hint = opt.max_watts_hint > 0.0;
   const auto idle_residual = [&](const core::MachineParams& m) {
     return opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0);
   };
@@ -96,36 +209,27 @@ core::MachineParams optimize_machine(
   // Fig. 5 annotations.
   core::MachineParams anchored = seed;
   if (opt.idle_watts_hint > 0.0) anchored.pi1 = opt.idle_watts_hint;
-  if (capped && opt.max_watts_hint > opt.idle_watts_hint &&
-      opt.idle_watts_hint > 0.0)
+  if (opt.max_watts_hint > opt.idle_watts_hint && opt.idle_watts_hint > 0.0)
     anchored.delta_pi = opt.max_watts_hint - opt.idle_watts_hint;
 
   std::vector<core::MachineParams> seeds;
   seeds.push_back(anchored);
-  if (capped) {
-    for (const double cap_scale : {0.7, 1.4}) {
-      core::MachineParams s = anchored;
-      s.delta_pi = anchored.delta_pi * cap_scale;
-      seeds.push_back(s);
-    }
-    seeds.push_back(seed);
-    core::MachineParams s = seed;
-    s.delta_pi = seed.delta_pi * 0.5;
-    seeds.push_back(s);
-  } else {
+  for (const double cap_scale : {0.7, 1.4}) {
     core::MachineParams s = anchored;
-    s.pi1 = anchored.pi1 * 1.3;
+    s.delta_pi = anchored.delta_pi * cap_scale;
     seeds.push_back(s);
-    seeds.push_back(seed);
   }
+  seeds.push_back(seed);
+  core::MachineParams half_cap = seed;
+  half_cap.delta_pi = seed.delta_pi * 0.5;
+  seeds.push_back(half_cap);
 
   double best_rss = std::numeric_limits<double>::infinity();
   std::vector<double> best_x;
   bool best_converged = false;
   for (const core::MachineParams& start : seeds) {
-    NelderMeadOptions nm_opt;
-    nm_opt.max_evaluations =
-        opt.nm_evaluations / static_cast<int>(seeds.size());
+    NelderMeadOptions nm_opt = handoff_options(
+        opt.nm_evaluations / static_cast<int>(seeds.size()));
     nm_opt.initial_step = 0.35;
     const NelderMeadResult nm =
         nelder_mead(scalar_objective, encode(start), nm_opt);
@@ -140,6 +244,10 @@ core::MachineParams optimize_machine(
     }
   }
 
+  // Observations whose relative residuals overflow (joules of 1e-300,
+  // say) leave every start at a non-finite RSS.
+  if (best_x.empty())
+    throw std::invalid_argument("fit_observations: no finite capped solution");
   rss_out = best_rss;
   converged_out = best_converged;
   return decode(best_x);
@@ -171,9 +279,8 @@ std::pair<double, double> fit_cost_pair(
     return cols.sum_squared_residuals(decode(x));
   };
   const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
-  NelderMeadOptions nm_opt;
-  nm_opt.max_evaluations = opt.nm_evaluations / 4;
-  const NelderMeadResult nm = nelder_mead(scalar, x0, nm_opt);
+  const NelderMeadResult nm =
+      nelder_mead(scalar, x0, handoff_options(opt.nm_evaluations / 4));
   LevmarOptions lm_opt;
   lm_opt.max_iterations = opt.lm_iterations;
   const LevmarResult lm = levenberg_marquardt(residual_fn, nm.x, lm_opt);
@@ -312,9 +419,8 @@ FitResult fit_observations(std::span<const microbench::Observation> obs,
   result.kind = options.kind;
   result.observations = obs.size();
 
-  const core::MachineParams seed = initial_guess(obs, options.kind);
-  result.machine = optimize_machine(obs, options.kind, seed, options,
-                                    result.rss, result.converged);
+  result.machine = optimize_machine(obs, options.kind, options, result.rss,
+                                    result.converged);
 
   // Optional robust passes: iteratively drop gross outliers relative to
   // the current fit's residual scale and refit on the survivors. Multiple
@@ -339,10 +445,8 @@ FitResult fit_observations(std::span<const microbench::Observation> obs,
         if (resid[i] <= cutoff) survivors.push_back(kept[i]);
       if (survivors.size() == kept.size() || survivors.size() < 6) break;
       kept = std::move(survivors);
-      const core::MachineParams reseed = initial_guess(kept, options.kind);
-      result.machine = optimize_machine(kept, options.kind, reseed,
-                                        options, result.rss,
-                                        result.converged);
+      result.machine = optimize_machine(kept, options.kind, options,
+                                        result.rss, result.converged);
     }
     result.observations = kept.size();
     result.machine.validate("fit_observations(robust)");

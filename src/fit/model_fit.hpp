@@ -4,10 +4,13 @@
 // tau_flop, tau_mem, eps_flop, eps_mem, pi1, delta_pi, plus per-cache-level
 // and random-access constants.
 //
-// Strategy: heuristic seed -> Nelder-Mead (handles the max() kinks) ->
-// Levenberg-Marquardt polish. Double precision and cache levels are fitted
-// conditionally on the DRAM/SP fit, mirroring how the paper's constants
-// share one pi1/delta_pi per platform.
+// Strategy: tau_flop and tau_mem are the measured sustained rates. The
+// uncapped DRAM/SP model is then linear in eps_flop, eps_mem and pi1, and
+// its fit is an exact non-negative least-squares solve. The capped model
+// is searched: heuristic seeds -> Nelder-Mead (handles the max() kinks)
+// -> Levenberg-Marquardt polish. Double precision and cache levels are
+// fitted the same way, conditionally on the DRAM/SP fit, mirroring how
+// the paper's constants share one pi1/delta_pi per platform.
 
 #include <optional>
 
@@ -17,6 +20,8 @@ namespace archline::fit {
 
 struct FitOptions {
   ModelKind kind = ModelKind::Capped;
+  /// Budgets of the searched fits (capped DRAM/SP, DP, cache levels);
+  /// the uncapped DRAM/SP solve has none.
   int nm_evaluations = 20000;
   int lm_iterations = 120;
 
@@ -78,6 +83,8 @@ struct FitResult {
   ModelKind kind = ModelKind::Capped;
   double rss = 0.0;                   ///< DRAM/SP residual sum of squares
   std::size_t observations = 0;       ///< DRAM/SP points used
+  /// Capped: the best start's NM or LM met its tolerance. Uncapped: true
+  /// (the solve is exact).
   bool converged = false;
 
   /// R^2 of log-performance predictions over the DRAM/SP sweep.

@@ -160,7 +160,7 @@ Json do_fit(const EndpointContext& ctx) {
       throw RequestError{"unsupported",
                          "online fitting is not enabled on this server"};
     seed_platform = require_string(req, "platform");
-    lookup_platform(seed_platform);  // raises unknown_platform on a miss
+    (void)lookup_platform(seed_platform);  // raises unknown_platform on a miss
   }
   std::vector<microbench::Observation> obs;
   obs.reserve(rows.size());
