@@ -4,17 +4,45 @@
 //
 // Usage: platform_explorer [platform]      (default "Xeon Phi")
 
+#include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include "core/analysis.hpp"
-#include "core/params_io.hpp"
 #include "core/scenarios.hpp"
 #include "core/sensitivity.hpp"
 #include "core/workloads.hpp"
 #include "platforms/platform_db.hpp"
 #include "report/si.hpp"
 #include "report/table.hpp"
+
+namespace {
+
+std::string format_value(double v) {
+  if (std::isinf(v)) return "inf";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// The model constants as "# name" then "key = value" lines, 17
+/// significant digits (lossless for double); delta_pi prints "inf"
+/// when uncapped.
+std::string to_text(const archline::core::MachineParams& m,
+                    const std::string& name) {
+  std::ostringstream out;
+  out << "# " << name << '\n';
+  out << "tau_flop = " << format_value(m.tau_flop) << '\n';
+  out << "eps_flop = " << format_value(m.eps_flop) << '\n';
+  out << "tau_mem = " << format_value(m.tau_mem) << '\n';
+  out << "eps_mem = " << format_value(m.eps_mem) << '\n';
+  out << "pi1 = " << format_value(m.pi1) << '\n';
+  out << "delta_pi = " << format_value(m.delta_pi) << '\n';
+  return out.str();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace archline;
@@ -35,8 +63,7 @@ int main(int argc, char** argv) {
               spec.processor.c_str(), spec.process_nm,
               platforms::to_string(spec.device_class));
 
-  std::printf("model constants:\n%s\n",
-              core::to_text(m, spec.name).c_str());
+  std::printf("model constants:\n%s\n", to_text(m, spec.name).c_str());
 
   rp::Table t({"quantity", "value"});
   t.add_row({"sustained flops",

@@ -1,6 +1,6 @@
 #include "core/kernels.hpp"
 
-#include "core/kernels_impl.hpp"
+#include <algorithm>
 
 namespace archline::core {
 
@@ -23,58 +23,188 @@ void MetricCurve::resize(std::size_t n) {
 
 namespace {
 
-bool cpu_has_avx2() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
+/// Per-machine constants for predict rows, hoisted once per batch.
+struct PredictConsts {
+  double tau_flop, tau_mem, eps_flop, eps_mem, pi1, delta_pi;
+  bool capped;
+
+  explicit PredictConsts(const MachineParams& m) noexcept
+      : tau_flop(m.tau_flop),
+        tau_mem(m.tau_mem),
+        eps_flop(m.eps_flop),
+        eps_mem(m.eps_mem),
+        pi1(m.pi1),
+        delta_pi(m.delta_pi),
+        capped(!m.uncapped()) {}
+};
+
+/// Rows [0, n) of the predict kernel: time()/energy()/avg_power()/
+/// regime() plus add_prediction's derived ratios.
+void predict_rows(const PredictConsts& c, const double* f, const double* b,
+                  std::size_t n, double* intensity, double* time_s,
+                  double* energy_j, double* avg_power_w, double* performance,
+                  double* efficiency, Regime* regime) {
+  if (c.capped) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t_flop = f[i] * c.tau_flop;
+      const double t_mem = b[i] * c.tau_mem;
+      // `lin` is the linear energy term W*eps_flop + Q*eps_mem — reused
+      // by the cap time and the energy, exactly as roofline.cpp writes
+      // the same expression in both places.
+      const double lin = f[i] * c.eps_flop + b[i] * c.eps_mem;
+      const double t_cap = lin / c.delta_pi;
+      const double t = std::max(std::max(t_flop, t_mem), t_cap);
+      const double e = lin + c.pi1 * t;
+      intensity[i] = f[i] / b[i];
+      time_s[i] = t;
+      energy_j[i] = e;
+      avg_power_w[i] = t <= 0.0 ? c.pi1 : e / t;
+      performance[i] = f[i] / t;
+      efficiency[i] = f[i] / e;
+      regime[i] = t_cap == t   ? Regime::PowerCap
+                  : t_mem == t ? Regime::Memory
+                               : Regime::Compute;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t_flop = f[i] * c.tau_flop;
+      const double t_mem = b[i] * c.tau_mem;
+      const double lin = f[i] * c.eps_flop + b[i] * c.eps_mem;
+      // t_cap is identically 0 for uncapped machines; max against 0
+      // keeps the value equal to max({t_flop, t_mem, 0.0}).
+      const double t = std::max(std::max(t_flop, t_mem), 0.0);
+      const double e = lin + c.pi1 * t;
+      intensity[i] = f[i] / b[i];
+      time_s[i] = t;
+      energy_j[i] = e;
+      avg_power_w[i] = t <= 0.0 ? c.pi1 : e / t;
+      performance[i] = f[i] / t;
+      efficiency[i] = f[i] / e;
+      regime[i] = t_mem == t ? Regime::Memory : Regime::Compute;
+    }
+  }
+}
+
+/// Per-machine constants for the closed-form curve rows. Every field is
+/// the same expression the MachineParams helpers compute at each scalar
+/// call site — hoisting them changes how often they are evaluated,
+/// never their bits.
+struct CurveConsts {
+  double tau_flop, eps_flop, eps_mem, pi1, delta_pi;
+  double tau_mem;
+  double tb;        ///< time_balance()    = tau_mem / tau_flop
+  double beps;      ///< energy_balance()  = eps_mem / eps_flop
+  double pi_flop;   ///< eps_flop / tau_flop
+  double pi_mem;    ///< eps_mem / tau_mem
+  double b_hi;      ///< balance_hi()
+  double b_lo;      ///< balance_lo()
+  double hi_c0;     ///< pi1 + pi_flop          (power, I >= b_hi branch)
+  double hi_c1;     ///< pi_mem * time_balance  (power, I >= b_hi branch)
+  double mid;       ///< pi1 + delta_pi         (power, capped interior)
+  double cap_coef;  ///< pi_flop / delta_pi     (time_per_flop cap term)
+  bool capped;
+
+  explicit CurveConsts(const MachineParams& m) noexcept
+      : tau_flop(m.tau_flop),
+        eps_flop(m.eps_flop),
+        eps_mem(m.eps_mem),
+        pi1(m.pi1),
+        delta_pi(m.delta_pi),
+        tau_mem(m.tau_mem),
+        tb(m.time_balance()),
+        beps(m.energy_balance()),
+        pi_flop(m.pi_flop()),
+        pi_mem(m.pi_mem()),
+        b_hi(m.balance_hi()),
+        b_lo(m.balance_lo()),
+        hi_c0(m.pi1 + m.pi_flop()),
+        hi_c1(m.pi_mem() * m.time_balance()),
+        mid(m.pi1 + m.delta_pi),
+        cap_coef(m.pi_flop() / m.delta_pi),
+        capped(!m.uncapped()) {}
+};
+
+/// Rows [0, n) of the metric-curve kernel: avg_power_closed_form(),
+/// performance(), energy_efficiency(), regime_at().
+void curve_rows(const CurveConsts& c, const double* I, std::size_t n,
+                double* power, double* performance, double* efficiency,
+                Regime* regime) {
+  if (c.capped) {
+    for (std::size_t i = 0; i < n; ++i) {
+      // avg_power_closed_form: hi branch (pi1 + pi_flop) + pi_mem*tb/I,
+      // lo branch (pi1 + pi_flop*I/tb) + pi_mem, else pi1 + delta_pi.
+      power[i] = I[i] >= c.b_hi   ? c.hi_c0 + c.hi_c1 / I[i]
+                 : I[i] <= c.b_lo ? (c.pi1 + (c.pi_flop * I[i]) / c.tb) +
+                                        c.pi_mem
+                                  : c.mid;
+      // time_per_flop: tau_flop * max(free, cap); `shared` is the
+      // (1 + B_eps/I) factor both the cap term and energy_per_flop use.
+      const double free_term = std::max(1.0, c.tb / I[i]);
+      const double shared = 1.0 + c.beps / I[i];
+      const double cap_term = c.cap_coef * shared;
+      const double tpf = c.tau_flop * std::max(free_term, cap_term);
+      performance[i] = 1.0 / tpf;
+      const double epf = c.eps_flop * shared + c.pi1 * tpf;
+      efficiency[i] = 1.0 / epf;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      // regime_at: the unit workload (flops = 1, bytes = 1/I). The
+      // bytes division happens FIRST, matching Workload::from_intensity
+      // (tau_mem/I would round differently than (1/I)*tau_mem).
+      const double bytes = 1.0 / I[i];
+      const double t_flop = c.tau_flop;  // 1.0 * tau_flop exactly
+      const double t_mem = bytes * c.tau_mem;
+      const double lin = c.eps_flop + bytes * c.eps_mem;
+      const double t_cap = lin / c.delta_pi;
+      const double t = std::max(std::max(t_flop, t_mem), t_cap);
+      regime[i] = t_cap == t   ? Regime::PowerCap
+                  : t_mem == t ? Regime::Memory
+                               : Regime::Compute;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      // Uncapped: b_hi == b_lo == tb, so the interior (pi1 + delta_pi =
+      // inf) branch is unreachable and power is the hi/lo pair only.
+      power[i] = I[i] >= c.b_hi
+                     ? c.hi_c0 + c.hi_c1 / I[i]
+                     : (c.pi1 + (c.pi_flop * I[i]) / c.tb) + c.pi_mem;
+      const double free_term = std::max(1.0, c.tb / I[i]);
+      const double shared = 1.0 + c.beps / I[i];
+      const double tpf = c.tau_flop * free_term;
+      performance[i] = 1.0 / tpf;
+      const double epf = c.eps_flop * shared + c.pi1 * tpf;
+      efficiency[i] = 1.0 / epf;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double bytes = 1.0 / I[i];
+      const double t_flop = c.tau_flop;
+      const double t_mem = bytes * c.tau_mem;
+      const double t = std::max(std::max(t_flop, t_mem), 0.0);
+      regime[i] = t_mem == t ? Regime::Memory : Regime::Compute;
+    }
+  }
 }
 
 }  // namespace
 
-bool avx2_available() noexcept {
-  static const bool ok = avx2_compiled_in() && cpu_has_avx2();
-  return ok;
-}
-
-void predict_batch_scalar(const MachineParams& m, const WorkloadBatch& in,
-                          PredictionBatch& out) {
-  const std::size_t n = in.size();
-  out.resize(n);
-  const detail::PredictConsts c(m);
-  detail::predict_rows(c, in.flops.data(), in.bytes.data(), n,
-                       out.intensity.data(), out.time_s.data(),
-                       out.energy_j.data(), out.avg_power_w.data(),
-                       out.performance.data(), out.efficiency.data(),
-                       out.regime.data());
-}
-
-void metric_curves_scalar(const MachineParams& m,
-                          std::span<const double> intensities,
-                          MetricCurve& out) {
-  const std::size_t n = intensities.size();
-  out.resize(n);
-  const detail::CurveConsts c(m);
-  detail::curve_rows(c, intensities.data(), n, out.power.data(),
-                     out.performance.data(), out.efficiency.data(),
-                     out.regime.data());
-}
-
 void predict_batch(const MachineParams& m, const WorkloadBatch& in,
                    PredictionBatch& out) {
-  if (avx2_available())
-    predict_batch_avx2(m, in, out);
-  else
-    predict_batch_scalar(m, in, out);
+  const std::size_t n = in.size();
+  out.resize(n);
+  const PredictConsts c(m);
+  predict_rows(c, in.flops.data(), in.bytes.data(), n, out.intensity.data(),
+               out.time_s.data(), out.energy_j.data(), out.avg_power_w.data(),
+               out.performance.data(), out.efficiency.data(),
+               out.regime.data());
 }
 
 void metric_curves(const MachineParams& m, std::span<const double> intensities,
                    MetricCurve& out) {
-  if (avx2_available())
-    metric_curves_avx2(m, intensities, out);
-  else
-    metric_curves_scalar(m, intensities, out);
+  const std::size_t n = intensities.size();
+  out.resize(n);
+  const CurveConsts c(m);
+  curve_rows(c, intensities.data(), n, out.power.data(),
+             out.performance.data(), out.efficiency.data(), out.regime.data());
 }
 
 namespace {

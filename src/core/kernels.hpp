@@ -6,14 +6,12 @@
 // kernels evaluate a whole workload batch or intensity grid against one
 // machine (or one metric across many machines) in a single pass over
 // contiguous arrays, with per-machine derived constants hoisted out of
-// the loop and the loop bodies written so the max-of-three time law,
-// the linear energy form, and the power-cap clamp auto-vectorize under
-// -O2. predict_batch and metric_curves additionally have an explicit
-// AVX2 path (mul/add/div/max/cmp/blend only — never FMA), selected at
-// runtime via cpuid.
+// the loop. Each kernel has one portable body in kernels.cpp, written
+// so the max-of-three time law, the linear energy form and the
+// power-cap clamp auto-vectorize under -O2.
 //
-// CONTRACT — bit identity. Every kernel, on every path, produces
-// outputs bit-identical to the scalar roofline.hpp functions:
+// CONTRACT — bit identity. Every kernel produces outputs bit-identical
+// to the scalar roofline.hpp functions:
 //
 //   predict_batch[i]  == time()/energy()/avg_power()/regime() and the
 //                        derived flops/t, flops/e ratios of the serve
@@ -24,14 +22,15 @@
 //
 // The golden-reply corpus (tests/data/) and the response cache both pin
 // reply bytes, so "close" is not good enough; tests/test_kernels.cpp
-// asserts the identity over random machines on every path. The rules
-// that make it hold:
+// asserts the identity over random machines. The rules that make it
+// hold:
 //
-//   * identical operation order and associativity as the scalar code
-//     (hoisting a per-machine subexpression is safe — same expression,
-//     evaluated once — but reassociating a per-element one is not);
-//   * no FMA contraction: the AVX2 translation unit is compiled with
-//     -mavx2 only, and multiplies/adds stay separate intrinsics;
+//   * roofline.cpp's operation order and associativity (hoisting a
+//     per-machine subexpression is safe — same expression, evaluated
+//     once — but reassociating a per-element one is not);
+//   * no FMA contraction: the build targets baseline x86-64, so the
+//     compiler has no fused multiply-add to contract into (GCC would
+//     contract a*b + c under -mfma or -march=native);
 //   * uncapped machines (delta_pi == inf) take a machine-level branch
 //     instead of arithmetic that would produce inf/inf.
 
@@ -92,49 +91,17 @@ struct MetricCurve {
   void resize(std::size_t n);
 };
 
-// ---------------------------------------------------------------------------
-// Runtime dispatch
-
-/// True when the AVX2 translation unit was compiled in (kernels_avx2.cpp
-/// rather than the stub). Defined by whichever of the two the build
-/// selected.
-[[nodiscard]] bool avx2_compiled_in() noexcept;
-
-/// True when the AVX2 kernels are both compiled in and supported by the
-/// CPU we are running on — i.e. calling the *_avx2 entry points is safe.
-/// Resolved once on first use.
-[[nodiscard]] bool avx2_available() noexcept;
-
-// ---------------------------------------------------------------------------
-// Kernels
-//
-// The un-suffixed entry points dispatch on avx2_available(); the
-// _scalar/_avx2 variants are exposed so the equivalence tests can pin
-// both paths explicitly. When AVX2 is not compiled in, the _avx2
-// variants delegate to scalar.
-
 /// Eqs. (1)–(3) + regime for every workload element against one machine.
 void predict_batch(const MachineParams& m, const WorkloadBatch& in,
                    PredictionBatch& out);
-void predict_batch_scalar(const MachineParams& m, const WorkloadBatch& in,
-                          PredictionBatch& out);
-void predict_batch_avx2(const MachineParams& m, const WorkloadBatch& in,
-                        PredictionBatch& out);
 
 /// Closed-form power/performance/efficiency/regime for one machine over
 /// an intensity grid (the scenario_sweep / throttle_sweep shape).
 void metric_curves(const MachineParams& m, std::span<const double> intensities,
                    MetricCurve& out);
-void metric_curves_scalar(const MachineParams& m,
-                          std::span<const double> intensities,
-                          MetricCurve& out);
-void metric_curves_avx2(const MachineParams& m,
-                        std::span<const double> intensities, MetricCurve& out);
 
 /// One closed-form metric for MANY machines at ONE intensity (the
-/// sensitivity / crossover-matrix shape). Auto-vectorized only: the
-/// machine count is small (6 params x 2 directions, or one platform
-/// table), so an explicit SIMD path would not measurably pay.
+/// sensitivity / crossover-matrix shape), in chunks of 16 machines.
 void metric_value_machines(std::span<const MachineParams> machines,
                            Metric metric, double intensity, double* out);
 

@@ -1,4 +1,4 @@
-// SoA kernel equivalence tests (core/kernels.hpp): the batch paths must
+// SoA kernel equivalence tests (core/kernels.hpp): the batch kernels must
 // be BIT-identical to the scalar model — reply bytes ride on it (golden
 // corpus, response cache). Every comparison here is on the exact bit
 // pattern (std::bit_cast), not a tolerance: a kernel that is merely
@@ -68,38 +68,33 @@ std::vector<co::MachineParams> test_machines(Rng& rng, int random_count) {
 
 void expect_prediction_bits(const co::MachineParams& m,
                             const co::WorkloadBatch& in,
-                            const co::PredictionBatch& got,
-                            const char* path) {
-  ASSERT_EQ(got.size(), in.size()) << path;
+                            const co::PredictionBatch& got) {
+  ASSERT_EQ(got.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
     const co::Workload w{.flops = in.flops[i], .bytes = in.bytes[i]};
     const double t = co::time(m, w);
     const double e = co::energy(m, w);
     ASSERT_TRUE(bit_equal(got.intensity[i], w.intensity()))
-        << path << " intensity[" << i << "]";
-    ASSERT_TRUE(bit_equal(got.time_s[i], t)) << path << " time[" << i << "]";
-    ASSERT_TRUE(bit_equal(got.energy_j[i], e))
-        << path << " energy[" << i << "]";
+        << "intensity[" << i << "]";
+    ASSERT_TRUE(bit_equal(got.time_s[i], t)) << "time[" << i << "]";
+    ASSERT_TRUE(bit_equal(got.energy_j[i], e)) << "energy[" << i << "]";
     ASSERT_TRUE(bit_equal(got.avg_power_w[i], co::avg_power(m, w)))
-        << path << " power[" << i << "]";
+        << "power[" << i << "]";
     ASSERT_TRUE(bit_equal(got.performance[i], w.flops / t))
-        << path << " performance[" << i << "]";
+        << "performance[" << i << "]";
     ASSERT_TRUE(bit_equal(got.efficiency[i], w.flops / e))
-        << path << " efficiency[" << i << "]";
-    ASSERT_EQ(got.regime[i], co::regime(m, w))
-        << path << " regime[" << i << "]";
+        << "efficiency[" << i << "]";
+    ASSERT_EQ(got.regime[i], co::regime(m, w)) << "regime[" << i << "]";
   }
 }
 
-// 10k+ random (machine, workload) pairs through every compiled path.
-// Batch sizes vary so both the SIMD body and the scalar tail see work.
+// 10k+ random (machine, workload) pairs. Batch sizes vary so both the
+// vectorized loop body and its remainder see work.
 TEST(Kernels, PredictBatchBitIdenticalToScalarModel) {
   Rng rng(1234);
   const std::vector<co::MachineParams> machines = test_machines(rng, 120);
   std::size_t pairs = 0;
-  co::PredictionBatch scalar_out;
-  co::PredictionBatch avx2_out;
-  co::PredictionBatch dispatched_out;
+  co::PredictionBatch out;
   for (std::size_t mi = 0; mi < machines.size(); ++mi) {
     const co::MachineParams& m = machines[mi];
     co::WorkloadBatch batch;
@@ -108,40 +103,32 @@ TEST(Kernels, PredictBatchBitIdenticalToScalarModel) {
     for (std::size_t i = 0; i < n; ++i) batch.push_back(random_workload(rng));
     pairs += n;
 
-    co::predict_batch_scalar(m, batch, scalar_out);
-    expect_prediction_bits(m, batch, scalar_out, "scalar");
-    if (co::avx2_available()) {
-      co::predict_batch_avx2(m, batch, avx2_out);
-      expect_prediction_bits(m, batch, avx2_out, "avx2");
-    }
-    co::predict_batch(m, batch, dispatched_out);
-    expect_prediction_bits(m, batch, dispatched_out, "dispatched");
+    co::predict_batch(m, batch, out);
+    expect_prediction_bits(m, batch, out);
   }
   EXPECT_GE(pairs, 10000u);
 }
 
 void expect_curve_bits(const co::MachineParams& m,
                        const std::vector<double>& grid,
-                       const co::MetricCurve& got, const char* path) {
-  ASSERT_EQ(got.size(), grid.size()) << path;
+                       const co::MetricCurve& got) {
+  ASSERT_EQ(got.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const double I = grid[i];
     ASSERT_TRUE(bit_equal(got.power[i], co::avg_power_closed_form(m, I)))
-        << path << " power @ I=" << I;
+        << "power @ I=" << I;
     ASSERT_TRUE(bit_equal(got.performance[i], co::performance(m, I)))
-        << path << " performance @ I=" << I;
+        << "performance @ I=" << I;
     ASSERT_TRUE(bit_equal(got.efficiency[i], co::energy_efficiency(m, I)))
-        << path << " efficiency @ I=" << I;
-    ASSERT_EQ(got.regime[i], co::regime_at(m, I)) << path << " regime @ I=" << I;
+        << "efficiency @ I=" << I;
+    ASSERT_EQ(got.regime[i], co::regime_at(m, I)) << "regime @ I=" << I;
   }
 }
 
 TEST(Kernels, MetricCurvesBitIdenticalToClosedForms) {
   Rng rng(5678);
   const std::vector<co::MachineParams> machines = test_machines(rng, 80);
-  co::MetricCurve scalar_out;
-  co::MetricCurve avx2_out;
-  co::MetricCurve dispatched_out;
+  co::MetricCurve out;
   for (const co::MachineParams& m : machines) {
     // Random log-uniform grid PLUS the machine's own balance boundaries,
     // where eq. (7) switches branch — exactly where a reassociated
@@ -154,14 +141,8 @@ TEST(Kernels, MetricCurvesBitIdenticalToClosedForms) {
     if (std::isfinite(m.balance_hi())) grid.push_back(m.balance_hi());
     if (m.balance_lo() > 0.0) grid.push_back(m.balance_lo());
 
-    co::metric_curves_scalar(m, grid, scalar_out);
-    expect_curve_bits(m, grid, scalar_out, "scalar");
-    if (co::avx2_available()) {
-      co::metric_curves_avx2(m, grid, avx2_out);
-      expect_curve_bits(m, grid, avx2_out, "avx2");
-    }
-    co::metric_curves(m, grid, dispatched_out);
-    expect_curve_bits(m, grid, dispatched_out, "dispatched");
+    co::metric_curves(m, grid, out);
+    expect_curve_bits(m, grid, out);
   }
 }
 
@@ -229,15 +210,6 @@ TEST(Kernels, SensitivityProfileBitIdenticalToElasticity) {
               << co::to_string(p) << " I=" << intensity;
       }
     }
-  }
-}
-
-// ---- Dispatch plumbing ----------------------------------------------------
-
-TEST(Kernels, DispatchStateIsConsistent) {
-  // The dispatchers take the AVX2 path only when its TU is compiled in.
-  if (co::avx2_available()) {
-    EXPECT_TRUE(co::avx2_compiled_in());
   }
 }
 

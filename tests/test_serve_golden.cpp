@@ -23,6 +23,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -36,6 +37,9 @@
 
 #ifndef ARCHLINE_TEST_DATA_DIR
 #error "ARCHLINE_TEST_DATA_DIR must point at tests/data"
+#endif
+#ifndef ARCHLINE_SERVER_DOC
+#error "ARCHLINE_SERVER_DOC must point at docs/SERVER.md"
 #endif
 
 namespace {
@@ -161,6 +165,36 @@ TEST(ServeGolden, ShardedTransportRepliesByteIdentically) {
   for (std::size_t s = 0; s < 4; ++s)
     EXPECT_GT(snap.shards[s].requests, 0u)
         << "shard " << s << " never saw a corpus line";
+}
+
+// docs/SERVER.md's `fit` example is one golden pair copied verbatim,
+// so a change to fit output fails here until the doc is copied again.
+TEST(ServeGolden, ServerDocFitExampleIsAGoldenPair) {
+  const std::string request_mark = "→ ";
+  const std::string reply_mark = "← ";
+  const auto doc = read_lines(ARCHLINE_SERVER_DOC);
+  auto line = std::find(doc.begin(), doc.end(), "### fit");
+  ASSERT_TRUE(line != doc.end()) << "no fit section in " << ARCHLINE_SERVER_DOC;
+  std::string request;
+  std::string reply;
+  for (++line; line != doc.end() && !line->starts_with("### "); ++line) {
+    if (request.empty() && line->starts_with(request_mark))
+      request = line->substr(request_mark.size());
+    if (reply.empty() && line->starts_with(reply_mark))
+      reply = line->substr(reply_mark.size());
+  }
+  ASSERT_FALSE(request.empty()) << "the fit example has no request line";
+  ASSERT_FALSE(reply.empty()) << "the fit example has no reply line";
+
+  const std::string dir = ARCHLINE_TEST_DATA_DIR;
+  const auto requests = read_lines(dir + "/serve_golden_requests.txt");
+  const auto replies = read_lines(dir + "/serve_golden_replies.txt");
+  ASSERT_EQ(requests.size(), replies.size());
+  const auto at = std::find(requests.begin(), requests.end(), request);
+  ASSERT_TRUE(at != requests.end())
+      << "the fit example's request is not a corpus line: " << request;
+  EXPECT_EQ(reply, replies[at - requests.begin()])
+      << "the fit example's reply differs from the corpus";
 }
 
 }  // namespace
