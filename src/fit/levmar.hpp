@@ -1,10 +1,12 @@
 #pragma once
 // Levenberg-Marquardt nonlinear least squares with a numeric Jacobian.
 //
-// Polishes the Nelder-Mead seed in model_fit. Marquardt damping scales the
-// diagonal of J^T J; the Jacobian comes from central differences, which is
-// adequate because the roofline residuals are piecewise smooth and the seed
-// lands inside the right regime cell.
+// In model_fit it solves the capped DRAM fit's inner problems and polishes
+// its best profile point, and polishes the Nelder-Mead seeds of the DP and
+// cache-level tails. Marquardt damping scales the diagonal of J^T J; the
+// Jacobian comes from central differences, which is adequate because the
+// roofline residuals are piecewise smooth and the start lands near the
+// right regime cell.
 
 #include <functional>
 #include <span>

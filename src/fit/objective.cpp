@@ -240,48 +240,4 @@ MeasuredThroughput measure_throughput(
   return t;
 }
 
-core::MachineParams initial_guess(
-    std::span<const microbench::Observation> obs, ModelKind kind) {
-  if (obs.size() < 4)
-    throw std::invalid_argument("initial_guess: need >= 4 observations");
-
-  double tau_flop = std::numeric_limits<double>::infinity();
-  double tau_mem = std::numeric_limits<double>::infinity();
-  double min_watts = std::numeric_limits<double>::infinity();
-  double max_watts = 0.0;
-  const microbench::Observation* lo_i = &obs.front();
-  const microbench::Observation* hi_i = &obs.front();
-  for (const microbench::Observation& o : obs) {
-    if (o.kernel.flops > 0.0)
-      tau_flop = std::min(tau_flop, o.seconds / o.kernel.flops);
-    if (o.kernel.bytes > 0.0)
-      tau_mem = std::min(tau_mem, o.seconds / o.kernel.bytes);
-    min_watts = std::min(min_watts, o.watts);
-    max_watts = std::max(max_watts, o.watts);
-    if (o.intensity() < lo_i->intensity()) lo_i = &o;
-    if (o.intensity() > hi_i->intensity()) hi_i = &o;
-  }
-
-  core::MachineParams m;
-  m.tau_flop = tau_flop;
-  m.tau_mem = tau_mem;
-  m.pi1 = 0.7 * min_watts;
-  m.delta_pi = kind == ModelKind::Capped
-                   ? std::max(max_watts - m.pi1, 0.05 * max_watts)
-                   : core::kUncapped;
-
-  // Energy constants from the sweep extremes: at high intensity nearly all
-  // active energy is flops; at low intensity nearly all is traffic.
-  const double ef_est =
-      (hi_i->joules - m.pi1 * hi_i->seconds) / std::max(hi_i->kernel.flops,
-                                                        1.0);
-  m.eps_flop = std::max(ef_est, 1e-15);
-  const double em_est = (lo_i->joules - m.pi1 * lo_i->seconds -
-                         m.eps_flop * lo_i->kernel.flops) /
-                        std::max(lo_i->kernel.bytes, 1.0);
-  m.eps_mem = std::max(em_est, 1e-15);
-  m.validate("initial_guess");
-  return m;
-}
-
 }  // namespace archline::fit

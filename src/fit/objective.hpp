@@ -8,8 +8,8 @@
 // magnitude (tau_flop in ps vs pi1 in watts).
 //
 // CONTRACT — bit identity. The residuals and their sum are the inner loop
-// of every fit (Nelder-Mead evaluates the objective thousands of times
-// per fit_machine), and the golden-reply corpus pins the fitted constants
+// of every fit (the capped fit evaluates them hundreds of times per
+// fit_machine), and the golden-reply corpus pins the fitted constants
 // of the `fit` endpoint to the last bit. The rules that keep them fixed:
 //
 //   * each observation's model time is core::time()'s expression,
@@ -74,8 +74,8 @@ class ObservationColumns {
   /// `out`, which must hold at least that many. Allocates nothing.
   void residuals(const core::MachineParams& m, std::span<double> out);
 
-  /// Sum of squared residuals — the scalar objective for Nelder-Mead
-  /// seeding. Allocates nothing.
+  /// Sum of squared residuals — the fits' scalar objective. Allocates
+  /// nothing.
   [[nodiscard]] double sum_squared_residuals(const core::MachineParams& m);
 
  private:
@@ -120,11 +120,6 @@ struct PredictionErrors {
 [[nodiscard]] PredictionErrors prediction_errors(
     const core::MachineParams& m,
     std::span<const microbench::Observation> obs);
-
-/// Heuristic starting point for the DRAM fit, derived from the sweep's
-/// extremes (bandwidth-bound and compute-bound ends).
-[[nodiscard]] core::MachineParams initial_guess(
-    std::span<const microbench::Observation> obs, ModelKind kind);
 
 /// Directly measured sustained throughputs ("sustained peak" in the
 /// paper's terms): the best observed flop rate and byte rate over the

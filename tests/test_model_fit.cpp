@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/roofline.hpp"
 #include "fit/levmar.hpp"
 #include "fit/model_fit.hpp"
 #include "fit/nelder_mead.hpp"
@@ -181,6 +183,81 @@ TEST(FitObservations, OverflowingResidualsThrowInsteadOfCrashing) {
   }
 }
 
+// ---- The capped fit's two branches ---------------------------------------
+
+/// eight_kernels' sweep measured exactly on `m`, cap included.
+std::vector<mb::Observation> eight_kernels_on(const co::MachineParams& m) {
+  std::vector<mb::Observation> obs =
+      eight_kernels([](double, double) { return 1.0; });
+  for (mb::Observation& o : obs) {
+    o.seconds = co::time(m, o.kernel.workload());
+    o.joules = co::energy(m, o.kernel.workload());
+    o.watts = o.joules / o.seconds;
+  }
+  return obs;
+}
+
+co::MachineParams eight_kernel_machine(double delta_pi) {
+  co::MachineParams m;
+  m.tau_flop = 3e-11;
+  m.eps_flop = 4.7e-11;
+  m.tau_mem = 1.2e-10;
+  m.eps_mem = 3.8e-10;
+  m.pi1 = 2.7;
+  m.delta_pi = delta_pi;
+  return m;
+}
+
+TEST(CappedBranches, NoBindingCapPublishesTheFlatBound) {
+  // No kernel reaches the cap, so the flat branch wins, and it publishes
+  // delta_pi at pi_flop + pi_mem: no residual depends on delta_pi from
+  // there up.
+  const ft::FitResult r = ft::fit_observations(
+      eight_kernels_on(eight_kernel_machine(co::kUncapped)));
+  EXPECT_TRUE(r.flat_cap);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.machine.delta_pi, r.machine.pi_flop() + r.machine.pi_mem());
+  EXPECT_NEAR(r.machine.eps_flop, 4.7e-11, 1e-20);
+  EXPECT_NEAR(r.machine.eps_mem, 3.8e-10, 1e-19);
+  EXPECT_NEAR(r.machine.pi1, 2.7, 1e-9);
+  EXPECT_LT(r.rss, 1e-25);
+  EXPECT_GE(r.runner_up_rss, r.rss);
+}
+
+TEST(CappedBranches, BindingCapIsRecovered) {
+  // A 4 W cap binds on the ridge kernel (intensity 4, demand 4.73 W)
+  // and on no other, so the fit must find it from that one kernel.
+  const ft::FitResult r =
+      ft::fit_observations(eight_kernels_on(eight_kernel_machine(4.0)));
+  EXPECT_FALSE(r.flat_cap);
+  EXPECT_NEAR(r.machine.delta_pi, 4.0, 1e-6);
+  EXPECT_NEAR(r.machine.pi1, 2.7, 1e-6);
+  EXPECT_LT(r.rss, 1e-12);
+  EXPECT_GT(r.runner_up_rss, 1e-6);
+}
+
+TEST(CappedBranches, EpsOnItsBoundIsReportedAsDblMin) {
+  // All energy is constant power, so both eps sit on their zero bound.
+  // The capped fit reports them as DBL_MIN, as the uncapped one does,
+  // and the machine validates.
+  const std::vector<mb::Observation> obs =
+      eight_kernels([](double seconds, double) { return 2.5 * seconds; });
+  const ft::FitResult r = ft::fit_observations(obs);
+  EXPECT_EQ(r.machine.eps_flop, std::numeric_limits<double>::min());
+  EXPECT_EQ(r.machine.eps_mem, std::numeric_limits<double>::min());
+  EXPECT_NEAR(r.machine.pi1, 2.5, 1e-12);
+  EXPECT_NO_THROW(r.machine.validate());
+}
+
+TEST(CappedBranches, UncappedFitRecordsNoBranch) {
+  ft::FitOptions opt;
+  opt.kind = ft::ModelKind::Uncapped;
+  const ft::FitResult r = ft::fit_observations(
+      eight_kernels_on(eight_kernel_machine(co::kUncapped)), opt);
+  EXPECT_FALSE(r.flat_cap);
+  EXPECT_EQ(r.runner_up_rss, std::numeric_limits<double>::infinity());
+}
+
 // ---- The uncapped fit's closed form --------------------------------------
 
 /// A noisy DRAM sweep of a random uncapped machine: 16 intensities from
@@ -235,6 +312,31 @@ double uncapped_objective(const co::MachineParams& m,
   return acc;
 }
 
+/// The oracle's start: pi1 at 0.7 of the lowest observed power, eps_flop
+/// from the most compute-bound kernel's energy and eps_mem from the most
+/// bandwidth-bound one's, each net of the constant-power charge.
+co::MachineParams sweep_guess(std::span<const mb::Observation> obs) {
+  const auto by_intensity = [](const mb::Observation& a,
+                               const mb::Observation& b) {
+    return a.intensity() < b.intensity();
+  };
+  const mb::Observation& lo =
+      *std::min_element(obs.begin(), obs.end(), by_intensity);
+  const mb::Observation& hi =
+      *std::max_element(obs.begin(), obs.end(), by_intensity);
+  double min_watts = std::numeric_limits<double>::infinity();
+  for (const mb::Observation& o : obs) min_watts = std::min(min_watts, o.watts);
+  co::MachineParams m;
+  m.pi1 = 0.7 * min_watts;
+  m.eps_flop = std::max((hi.joules - m.pi1 * hi.seconds) / hi.kernel.flops,
+                        1e-15);
+  m.eps_mem = std::max((lo.joules - m.pi1 * lo.seconds -
+                        m.eps_flop * lo.kernel.flops) /
+                           lo.kernel.bytes,
+                       1e-15);
+  return m;
+}
+
 /// The search the closed form replaced, kept as its oracle: 3-start
 /// Nelder-Mead -> Levenberg-Marquardt over log (eps_flop, eps_mem, pi1)
 /// with the taus fixed to the measured throughputs. Returns the lowest
@@ -261,7 +363,7 @@ double searched_uncapped_objective(std::span<const mb::Observation> obs,
     if (opt.idle_watts_hint > 0.0)
       r.push_back(opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0));
   };
-  const co::MachineParams seed = ft::initial_guess(obs, ft::ModelKind::Uncapped);
+  const co::MachineParams seed = sweep_guess(obs);
   co::MachineParams anchored = seed;
   anchored.pi1 = opt.idle_watts_hint;
   co::MachineParams raised = anchored;

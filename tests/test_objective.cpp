@@ -244,30 +244,4 @@ TEST(PredictionErrors, PerformanceIsInverseTimeError) {
     EXPECT_NEAR(e.performance[i], 1.0 / (1.0 + e.time[i]) - 1.0, 1e-12);
 }
 
-TEST(InitialGuess, LandsWithinFactorOfTruth) {
-  const mb::SuiteData data = titan_suite();
-  const co::MachineParams guess =
-      ft::initial_guess(data.dram_sp, ft::ModelKind::Capped);
-  const co::MachineParams truth = titan();
-  EXPECT_LT(guess.tau_flop / truth.tau_flop, 3.0);
-  EXPECT_GT(guess.tau_flop / truth.tau_flop, 0.3);
-  EXPECT_LT(guess.tau_mem / truth.tau_mem, 3.0);
-  EXPECT_GT(guess.tau_mem / truth.tau_mem, 0.3);
-  EXPECT_LT(guess.pi1 / truth.pi1, 3.0);
-  EXPECT_GT(guess.pi1 / truth.pi1, 0.2);
-}
-
-TEST(InitialGuess, UncappedVariantHasNoCap) {
-  const mb::SuiteData data = titan_suite();
-  EXPECT_TRUE(
-      ft::initial_guess(data.dram_sp, ft::ModelKind::Uncapped).uncapped());
-}
-
-TEST(InitialGuess, TooFewObservationsThrows) {
-  const mb::SuiteData data = titan_suite();
-  const std::span<const mb::Observation> few(data.dram_sp.data(), 3);
-  EXPECT_THROW((void)ft::initial_guess(few, ft::ModelKind::Capped),
-               std::invalid_argument);
-}
-
 }  // namespace
