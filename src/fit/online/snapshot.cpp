@@ -152,7 +152,6 @@ std::shared_ptr<const ParamSnapshot> OnlineStore::resolve(
   }
   fit::FitOptions opt;
   opt.kind = ModelKind::Capped;
-  opt.nm_evaluations = options_.nm_evaluations;
   opt.lm_iterations = options_.lm_iterations;
   const fit::FitResult solved = fit::fit_observations(obs, opt);
 

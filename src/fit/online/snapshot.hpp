@@ -72,9 +72,8 @@ struct OnlineFitOptions {
   /// A re-solve needs at least this many windowed tuples; below it,
   /// resolve() refuses (returns null) instead of fitting noise.
   std::size_t min_resolve_observations = 6;
-  /// Solver iteration budget for the background re-solve — smaller than
-  /// the offline default because it runs repeatedly.
-  int nm_evaluations = 8000;
+  /// LM budget of the background re-solve's polish — smaller than the
+  /// offline default because it runs repeatedly.
   int lm_iterations = 60;
 };
 

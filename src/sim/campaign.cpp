@@ -239,7 +239,6 @@ struct Campaign::Impl {
     so.cache_shards = options.cache_shards;
     so.clock = &clock;
     so.online.window_capacity = options.online_window_capacity;
-    so.online.nm_evaluations = options.online_nm_evaluations;
     so.online.lm_iterations = options.online_lm_iterations;
     server = std::make_unique<serve::Server>(so);
     pools_predict = make_predict_pool(options.predict_keys);

@@ -147,12 +147,11 @@ struct CampaignOptions {
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 16;
   /// Online-fit solver budget for refit traffic. The production
-  /// defaults (4096-tuple window, 8000 NM evaluations) make every
+  /// defaults (4096-tuple window, 60 LM iterations) make every
   /// synchronous refit cost real milliseconds; a campaign with
   /// thousands of refits bounds the budget so the *code path* is
   /// exercised at a wall-clock cost that scales.
   std::size_t online_window_capacity = 256;
-  int online_nm_evaluations = 200;
   int online_lm_iterations = 10;
 
   /// Throws std::invalid_argument on nonsensical values.

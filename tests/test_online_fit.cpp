@@ -130,7 +130,6 @@ TEST(OnlineFit, RlsMatchesOfflineSolverOnTheSameStream) {
   // (the serve-layer e2e test covers Capped parity with resolve()).
   fit::FitOptions opt;
   opt.kind = fit::ModelKind::Uncapped;
-  opt.nm_evaluations = 8000;
   opt.lm_iterations = 60;
   const fit::FitResult solved = fit::fit_observations(obs, opt);
   const auto est = filter.estimate();
@@ -193,7 +192,6 @@ TEST(OnlineFit, ForgettingTracksMidStreamShift) {
 
 TEST(OnlineFit, StoreResolvePublishesBlendedSnapshot) {
   OnlineFitOptions opt;
-  opt.nm_evaluations = 2000;
   opt.lm_iterations = 30;
   OnlineStore store(opt);
   const Generator g;
@@ -231,7 +229,6 @@ TEST(OnlineFit, StoreResolvePublishesBlendedSnapshot) {
 
 TEST(OnlineFit, BackgroundResolverSweepsDirtyPlatforms) {
   OnlineFitOptions opt;
-  opt.nm_evaluations = 500;
   opt.lm_iterations = 10;
   OnlineStore store(opt);
   const Generator g;
@@ -266,7 +263,6 @@ TEST(OnlineFit, BackgroundResolverSweepsDirtyPlatforms) {
 // discipline hold under real contention.
 TEST(OnlineFit, ConcurrentObserveReadResolveIsRaceFree) {
   OnlineFitOptions opt;
-  opt.nm_evaluations = 300;
   opt.lm_iterations = 8;
   opt.forgetting = 0.99;
   OnlineStore store(opt);

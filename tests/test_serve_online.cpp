@@ -86,7 +86,6 @@ const char* kPredict =
 ServerOptions test_options() {
   ServerOptions o;
   o.threads = 2;
-  o.online.nm_evaluations = 2000;
   o.online.lm_iterations = 30;
   return o;
 }
@@ -236,7 +235,6 @@ TEST(ServeOnline, StreamingThousandTuplesWithBackgroundResolver) {
   }
   fitns::FitOptions opt;
   opt.kind = fitns::ModelKind::Capped;
-  opt.nm_evaluations = options.online.nm_evaluations;
   opt.lm_iterations = options.online.lm_iterations;
   const fitns::FitResult offline = fitns::fit_observations(obs, opt);
   // Same solver, same window, same budget: the time-side constants the
@@ -392,7 +390,6 @@ TEST(ServeOnline, PolicyAdviseTracksTheLearnedModel) {
 // the ingest path must never block on a solve (also a TSan target).
 TEST(ServeOnline, ObserveRemainsLiveUnderConcurrentRefit) {
   ServerOptions options = test_options();
-  options.online.nm_evaluations = 300;
   options.online.lm_iterations = 8;
   Server server(options);
 
