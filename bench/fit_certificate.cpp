@@ -17,7 +17,9 @@
 //   * campaigns whose fit threw.
 // Then a held-out scorecard: each campaign's capped and uncapped fits
 // predict a fresh DRAM/SP sweep, drawn with another suite seed at the
-// intensities 2^(k+1/2), k = -3..9. Per campaign the worst relative
+// intensities 2^(k+1/4), k = -3..9: off the fitting suite's own grid
+// (two points per octave, 2^(j/2)), so the sweep is held out in
+// intensity as well as in noise. Per campaign the worst relative
 // error over that sweep is kept, for time, energy and power; per
 // platform the probe prints the median and p90 of those worst errors,
 // and a two-sample K-S test of the capped worst energy errors against
@@ -99,10 +101,10 @@ struct PlatformCount {
   HeldOut capped, uncapped;
 };
 
-/// The held-out sweep's intensities: 2^(k+1/2), k = -3..9.
+/// The held-out sweep's intensities: 2^(k+1/4), k = -3..9.
 std::vector<double> held_out_intensities() {
   std::vector<double> grid;
-  for (int k = -3; k <= 9; ++k) grid.push_back(std::exp2(k + 0.5));
+  for (int k = -3; k <= 9; ++k) grid.push_back(std::exp2(k + 0.25));
   return grid;
 }
 
@@ -247,7 +249,7 @@ int main() {
                median_p90(c.uncapped.power), ks});
   }
   std::printf("\nHeld-out scorecard: worst relative error per campaign over "
-              "a fresh DRAM/SP sweep\nat 2^(k+1/2), k = -3..9, median/p90 "
+              "a fresh DRAM/SP sweep\nat 2^(k+1/4), k = -3..9, median/p90 "
               "over campaigns, in percent.\n\n%s\n",
               h.to_text().c_str());
   return 0;

@@ -29,7 +29,7 @@
 //                            fits in flight on the Heavy pool: the
 //                            isolation claim, measured
 //   observe_ingest_1t        "observe" with an 8-tuple batch: parse +
-//                            per-tuple RLS update + ring-buffer write,
+//                            per-tuple learner update + ring-buffer write,
 //                            never cached — the streaming ingest cost
 //   observe_under_refit_mt   same ingest on all threads while the
 //                            background resolver re-solves and publishes
@@ -423,7 +423,7 @@ ScenarioResult bench_policy_advise_1t(const Config& cfg, const char* name,
 }
 
 /// Streaming ingest cost, one thread: every op is an "observe" with an
-/// 8-tuple batch — parse, per-tuple RLS update, ring-buffer write.
+/// 8-tuple batch — parse, per-tuple learner update, ring-buffer write.
 /// Never cached, so the number is the pure per-request ingest path.
 ScenarioResult bench_observe_ingest_1t(const Config& cfg,
                                        const std::vector<std::string>& pool) {

@@ -8,23 +8,6 @@ namespace archline::fit {
 Mat::Mat(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Mat Mat::identity(std::size_t n) {
-  Mat m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-std::vector<double> matvec(const Mat& a, std::span<const double> x) {
-  if (x.size() != a.cols()) throw std::invalid_argument("matvec: dim mismatch");
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < a.cols(); ++c) acc += a(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
 Mat gram(const Mat& a) {
   Mat g(a.cols(), a.cols());
   for (std::size_t i = 0; i < a.cols(); ++i) {
@@ -91,7 +74,5 @@ double norm2(std::span<const double> x) noexcept {
   for (const double v : x) acc += v * v;
   return acc;
 }
-
-double norm(std::span<const double> x) noexcept { return std::sqrt(norm2(x)); }
 
 }  // namespace archline::fit

@@ -3,11 +3,17 @@
 //
 // Levenberg-Marquardt needs only J^T J accumulation and a symmetric
 // positive-definite solve of a handful of unknowns (<= 6 model
-// parameters), so a compact row-major matrix with Cholesky is all we
-// carry — implemented from scratch, no external dependencies.
+// parameters), and the linear energy constants are a three-variable
+// non-negative least-squares problem (nnls3), so a compact row-major
+// matrix with Cholesky is all we carry — implemented from scratch, no
+// external dependencies.
 
+#include <array>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace archline::fit {
@@ -28,17 +34,11 @@ class Mat {
     return data_[r * cols_ + c];
   }
 
-  [[nodiscard]] static Mat identity(std::size_t n);
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// y = A x. Dimensions must agree.
-[[nodiscard]] std::vector<double> matvec(const Mat& a,
-                                         std::span<const double> x);
 
 /// A^T A (Gram matrix).
 [[nodiscard]] Mat gram(const Mat& a);
@@ -52,8 +52,55 @@ class Mat {
 [[nodiscard]] std::vector<double> cholesky_solve(const Mat& s,
                                                  std::span<const double> b);
 
-/// Euclidean norm and squared norm.
+/// Squared Euclidean norm.
 [[nodiscard]] double norm2(std::span<const double> x) noexcept;
-[[nodiscard]] double norm(std::span<const double> x) noexcept;
+
+/// Non-negative least squares in x = (eps_flop, eps_mem, pi1), given the
+/// Gram matrix G = A^T A and A^T b of the linear rows ||A x - b||^2. The
+/// optimum is the least-squares solution over one of the 7 nonempty sets
+/// of free constants (the rest held at 0), so solving each set's normal
+/// equations and keeping the feasible solution that `score` ranks lowest
+/// is exact. The columns are scaled to unit norm first: eps is ~1e-10 J
+/// and pi1 ~10 W. `score(x)` is the full objective at x. Returns the
+/// lowest score (infinity when no set is feasible) and its x in `best`;
+/// the constants it left free are the positive entries of `best`.
+template <typename Score>
+double nnls3(const Mat& g, std::span<const double> atb, Score score,
+             std::array<double, 3>& best) {
+  double scale[3];
+  for (std::size_t c = 0; c < 3; ++c) scale[c] = 1.0 / std::sqrt(g(c, c));
+  double best_score = std::numeric_limits<double>::infinity();
+  for (unsigned set = 1; set < 8; ++set) {
+    std::vector<std::size_t> free;
+    for (std::size_t c = 0; c < 3; ++c)
+      if (set & (1u << c)) free.push_back(c);
+    Mat s(free.size(), free.size());
+    std::vector<double> rhs(free.size());
+    for (std::size_t i = 0; i < free.size(); ++i) {
+      for (std::size_t j = 0; j < free.size(); ++j)
+        s(i, j) = g(free[i], free[j]) * scale[free[i]] * scale[free[j]];
+      rhs[i] = atb[free[i]] * scale[free[i]];
+    }
+    std::vector<double> y;
+    try {
+      y = cholesky_solve(s, rhs);
+    } catch (const std::runtime_error&) {
+      continue;  // these columns are linearly dependent
+    }
+    std::array<double, 3> x = {0.0, 0.0, 0.0};
+    bool feasible = true;
+    for (std::size_t i = 0; i < free.size(); ++i) {
+      x[free[i]] = y[i] * scale[free[i]];
+      feasible = feasible && x[free[i]] > 0.0;
+    }
+    if (!feasible) continue;
+    const double f = score(x);
+    if (f < best_score) {
+      best_score = f;
+      best = x;
+    }
+  }
+  return best_score;
+}
 
 }  // namespace archline::fit

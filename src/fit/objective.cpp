@@ -11,31 +11,6 @@
 
 namespace archline::fit {
 
-std::size_t parameter_count(ModelKind kind) noexcept {
-  return kind == ModelKind::Capped ? 6 : 5;
-}
-
-std::vector<double> pack(const core::MachineParams& m, ModelKind kind) {
-  std::vector<double> x = {std::log(m.tau_flop), std::log(m.eps_flop),
-                           std::log(m.tau_mem), std::log(m.eps_mem),
-                           std::log(std::max(m.pi1, 1e-6))};
-  if (kind == ModelKind::Capped) x.push_back(std::log(m.delta_pi));
-  return x;
-}
-
-core::MachineParams unpack(std::span<const double> x, ModelKind kind) {
-  if (x.size() != parameter_count(kind))
-    throw std::invalid_argument("unpack: wrong parameter count");
-  core::MachineParams m;
-  m.tau_flop = std::exp(x[0]);
-  m.eps_flop = std::exp(x[1]);
-  m.tau_mem = std::exp(x[2]);
-  m.eps_mem = std::exp(x[3]);
-  m.pi1 = std::exp(x[4]);
-  m.delta_pi = kind == ModelKind::Capped ? std::exp(x[5]) : core::kUncapped;
-  return m;
-}
-
 namespace {
 
 // Two lanes of doubles. GCC and Clang lower these to SSE2 on x86-64 and

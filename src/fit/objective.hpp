@@ -1,11 +1,6 @@
 #pragma once
 // Residual functions connecting the roofline model to measured
-// observations, plus the parameter packing used by the optimizers.
-//
-// Parameters are optimized in log space: every model constant is a
-// positive physical quantity, and log-parameterization both enforces that
-// and equalizes scales across parameters that differ by 12 orders of
-// magnitude (tau_flop in ps vs pi1 in watts).
+// observations.
 //
 // CONTRACT — bit identity. The residuals and their sum are the inner loop
 // of every fit (the capped fit evaluates them hundreds of times per
@@ -38,19 +33,6 @@ enum class ModelKind {
   Capped,    ///< this paper: eq. (3) with the delta_pi term
   Uncapped,  ///< prior model: T = max(W tau_flop, Q tau_mem)
 };
-
-/// Number of packed parameters (6 capped, 5 uncapped).
-[[nodiscard]] std::size_t parameter_count(ModelKind kind) noexcept;
-
-/// Packs machine parameters into log-space optimizer coordinates
-/// [log tau_flop, log eps_flop, log tau_mem, log eps_mem, log pi1,
-///  (log delta_pi)].
-[[nodiscard]] std::vector<double> pack(const core::MachineParams& m,
-                                       ModelKind kind);
-
-/// Inverse of pack(). For Uncapped, delta_pi becomes core::kUncapped.
-[[nodiscard]] core::MachineParams unpack(std::span<const double> x,
-                                         ModelKind kind);
 
 /// Observations packed once per fit into contiguous columns — the form
 /// the objective reads. Time, energy and power residuals are relative,

@@ -1,12 +1,12 @@
 #pragma once
 // The background re-solver: a single thread that periodically sweeps
 // the OnlineStore for platforms with un-published observations and runs
-// the full nonlinear re-solve (§V pipeline) for each, publishing a new
-// epoch. This keeps the expensive Nelder-Mead + Levenberg-Marquardt
-// work off the serve hot path entirely: `observe` never waits on a
-// solve, and a forced synchronous "refit" request is Heavy: it runs on
-// the server's bounded worker pool, never on a thread that frames
-// Light requests.
+// the full nonlinear re-solve (§V capped fit: an exact NNLS branch and
+// a Levenberg-Marquardt profile over delta_pi) for each, publishing a
+// new epoch. This keeps that work off the serve hot path entirely:
+// `observe` never waits on a solve, and a forced synchronous "refit"
+// request is Heavy: it runs on the server's bounded worker pool, never
+// on a thread that frames Light requests.
 //
 // Lifecycle mirrors serve::Server: construct, start(), stop() (idempotent,
 // also run by the destructor). poke() wakes the thread immediately —

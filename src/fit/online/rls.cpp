@@ -1,114 +1,130 @@
 #include "fit/online/rls.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <numbers>
+#include <span>
+#include <vector>
+
+#include "fit/linalg.hpp"
 
 namespace archline::fit::online {
 
 namespace {
 
 /// Internal unit scale: regressors are (Gflop, GB, s) so theta lands in
-/// O(0.01..100) for the paper's platforms and P stays well conditioned.
+/// O(0.01..100) for the paper's platforms and G stays well conditioned.
 constexpr double kScale = 1e-9;
 
-/// Prior covariance magnitude: large enough that the first kDim
-/// observations dominate the prior completely, small enough that
-/// x^T P x cannot overflow for any sane tuple.
-constexpr double kPriorVariance = 1e6;
+/// Whether the smallest eigenvalue of G scaled to unit diagonal, D G D
+/// with D = diag(1/sqrt(G_ii)) as nnls3 scales its columns, is at least
+/// kIdentifiable of its largest. The eigenvalues of a symmetric 3x3
+/// matrix with unit diagonal and off-diagonals a, b, c are
+/// 1 + 2p cos(phi + 2 pi k/3), p = sqrt((a^2 + b^2 + c^2)/3),
+/// phi = acos(abc / p^3)/3.
+bool identifiable(const Mat& g) {
+  double d[3];
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (!(g(i, i) > 0.0)) return false;
+    d[i] = 1.0 / std::sqrt(g(i, i));
+  }
+  const double a = g(0, 1) * d[0] * d[1];
+  const double b = g(0, 2) * d[0] * d[2];
+  const double c = g(1, 2) * d[1] * d[2];
+  const double p1 = a * a + b * b + c * c;
+  if (p1 == 0.0) return true;
+  const double p = std::sqrt(p1 / 3.0);
+  const double phi =
+      std::acos(std::clamp(a * b * c / (p * p * p), -1.0, 1.0)) / 3.0;
+  const double largest = 1.0 + 2.0 * p * std::cos(phi);
+  const double smallest =
+      1.0 + 2.0 * p * std::cos(phi + 2.0 * std::numbers::pi / 3.0);
+  return smallest >= RlsFilter::kIdentifiable * largest;
+}
 
 }  // namespace
 
 RlsFilter::RlsFilter(double forgetting) noexcept
-    : lambda_(forgetting > 0.0 && forgetting <= 1.0 ? forgetting : 1.0) {
-  reset();
-}
-
-void RlsFilter::reset() noexcept {
-  for (int i = 0; i < kDim; ++i) {
-    theta_[i] = 0.0;
-    for (int j = 0; j < kDim; ++j) p_[i][j] = i == j ? kPriorVariance : 0.0;
-  }
-  residual_ss_ = 0.0;
-  weight_ = 0.0;
-  peak_flop_rate_ = 0.0;
-  peak_byte_rate_ = 0.0;
-  count_ = 0;
-}
+    : lambda_(forgetting > 0.0 && forgetting <= 1.0 ? forgetting : 1.0) {}
 
 void RlsFilter::observe(const Sample& s) noexcept {
-  if (!(s.seconds > 0.0)) return;  // defensive; the wire layer validates
   const double x[kDim] = {s.flops * kScale, s.bytes * kScale, s.seconds};
   const double y = s.joules;
 
-  // Gain k = P x / (lambda + x^T P x).
-  double px[kDim];
-  double xpx = 0.0;
+  double g[kDim][kDim];
+  double h[kDim];
+  const double yy = lambda_ * yy_ + y * y;
+  bool finite = std::isfinite(yy);
   for (int i = 0; i < kDim; ++i) {
-    px[i] = 0.0;
-    for (int j = 0; j < kDim; ++j) px[i] += p_[i][j] * x[j];
-    xpx += x[i] * px[i];
-  }
-  const double denom = lambda_ + xpx;
-  // Innovation before the update; its square feeds the noise estimate.
-  double predicted = 0.0;
-  for (int i = 0; i < kDim; ++i) predicted += x[i] * theta_[i];
-  const double innovation = y - predicted;
-
-  for (int i = 0; i < kDim; ++i) {
-    const double k = px[i] / denom;
-    theta_[i] += k * innovation;
-  }
-  // P <- (P - k x^T P) / lambda, kept symmetric explicitly (the textbook
-  // update loses symmetry to rounding after ~1e5 steps).
-  for (int i = 0; i < kDim; ++i)
     for (int j = i; j < kDim; ++j) {
-      const double v = (p_[i][j] - px[i] * px[j] / denom) / lambda_;
-      p_[i][j] = v;
-      p_[j][i] = v;
+      g[i][j] = lambda_ * g_[i][j] + x[i] * x[j];
+      finite = finite && std::isfinite(g[i][j]);
     }
+    h[i] = lambda_ * h_[i] + x[i] * y;
+    finite = finite && std::isfinite(h[i]);
+  }
+  if (!finite) return;
 
-  // Normalized innovation variance: e^2 * lambda / denom is the
-  // standard forgetting-RLS noise estimator (the a-priori residual
-  // shrunk by the gain), accumulated with the same forgetting.
-  residual_ss_ =
-      lambda_ * residual_ss_ + innovation * innovation * lambda_ / denom;
+  for (int i = 0; i < kDim; ++i) {
+    for (int j = i; j < kDim; ++j) g_[i][j] = g_[j][i] = g[i][j];
+    h_[i] = h[i];
+  }
+  yy_ = yy;
   weight_ = lambda_ * weight_ + 1.0;
-
-  // Sustained peaks: decay then refresh. A rate near the platform's
-  // ceiling refreshes the max every few tuples; after a real slowdown
-  // the old peak decays away in ~1/(1-lambda) observations.
-  peak_flop_rate_ *= lambda_;
-  peak_byte_rate_ *= lambda_;
-  if (s.flops > 0.0) {
-    const double r = s.flops / s.seconds;
-    if (r > peak_flop_rate_) peak_flop_rate_ = r;
-  }
-  if (s.bytes > 0.0) {
-    const double r = s.bytes / s.seconds;
-    if (r > peak_byte_rate_) peak_byte_rate_ = r;
-  }
   ++count_;
 }
 
-RlsEstimate RlsFilter::estimate() const noexcept {
+RlsEstimate RlsFilter::estimate() const {
   RlsEstimate e;
   e.count = count_;
   e.effective_count = weight_;
-  e.eps_flop = theta_[0] * kScale;
-  e.eps_mem = theta_[1] * kScale;
-  e.pi1 = theta_[2];
-  // Residual degrees of freedom use the effective sample size so the
-  // variance stays honest under heavy forgetting.
-  const double dof = weight_ - static_cast<double>(kDim);
-  const double sigma2 = dof > 1.0 ? residual_ss_ / dof : 0.0;
-  const auto se = [&](int i) {
-    const double v = sigma2 * p_[i][i];
-    return v > 0.0 ? std::sqrt(v) : 0.0;
+  Mat g(kDim, kDim);
+  for (int i = 0; i < kDim; ++i)
+    for (int j = 0; j < kDim; ++j) g(i, j) = g_[i][j];
+  e.identified = identifiable(g);
+  // ||X theta - y||^2 = yy - 2 theta^T h + theta^T G theta.
+  const auto rss = [&](const std::array<double, kDim>& theta) {
+    double f = yy_;
+    for (int i = 0; i < kDim; ++i) {
+      double gt = 0.0;
+      for (int j = 0; j < kDim; ++j) gt += g_[i][j] * theta[j];
+      f += theta[i] * (gt - 2.0 * h_[i]);
+    }
+    return f;
   };
-  e.se_eps_flop = se(0) * kScale;
-  e.se_eps_mem = se(1) * kScale;
-  e.se_pi1 = se(2);
-  e.tau_flop = peak_flop_rate_ > 0.0 ? 1.0 / peak_flop_rate_ : 0.0;
-  e.tau_mem = peak_byte_rate_ > 0.0 ? 1.0 / peak_byte_rate_ : 0.0;
+  std::array<double, kDim> theta{};
+  const double residual = nnls3(g, h_, rss, theta);
+  e.eps_flop = theta[0] * kScale;
+  e.eps_mem = theta[1] * kScale;
+  e.pi1 = theta[2];
+
+  // Standard errors over the free set, from the same unit-diagonal
+  // matrix nnls3 factored for it: (S^-1)_ii = (D S D)^-1_ii d_i^2. The
+  // residual degrees of freedom use the effective sample size so the
+  // variance stays honest under heavy forgetting.
+  std::vector<std::size_t> free;
+  for (std::size_t i = 0; i < kDim; ++i)
+    if (theta[i] > 0.0) free.push_back(i);
+  const double dof = weight_ - static_cast<double>(free.size());
+  if (free.empty() || !(dof > 0.0)) return e;
+  const double sigma2 = std::max(residual, 0.0) / dof;
+  double d[kDim];
+  for (std::size_t c = 0; c < kDim; ++c) d[c] = 1.0 / std::sqrt(g(c, c));
+  Mat s(free.size(), free.size());
+  for (std::size_t i = 0; i < free.size(); ++i)
+    for (std::size_t j = 0; j < free.size(); ++j)
+      s(i, j) = g(free[i], free[j]) * d[free[i]] * d[free[j]];
+  double se[kDim] = {0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < free.size(); ++i) {
+    std::vector<double> unit(free.size(), 0.0);
+    unit[i] = 1.0;
+    const double v = cholesky_solve(s, unit)[i] * d[free[i]] * d[free[i]];
+    se[free[i]] = std::sqrt(sigma2 * v);
+  }
+  e.se_eps_flop = se[0] * kScale;
+  e.se_eps_mem = se[1] * kScale;
+  e.se_pi1 = se[2];
   return e;
 }
 

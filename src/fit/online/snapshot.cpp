@@ -14,15 +14,16 @@ namespace archline::fit::online {
 
 namespace {
 
-/// Blend the solver's answer with the live RLS estimates: the solver is
+/// Blend the solver's answer with the learner's: the solver is
 /// authoritative for the time constants and the cap (the max() kink and
-/// delta_pi are exactly what RLS cannot express), the RLS filter is
-/// fresher for the linear energy constants. RLS values that are not yet
-/// usable (early noise can drive an estimate <= 0) fall back to the
-/// solver's.
+/// delta_pi are exactly what the linear learner cannot express), the
+/// learner is fresher for the linear energy constants once its stream
+/// identifies them. A constant the learner's NNLS held at 0 keeps the
+/// solver's value.
 core::MachineParams blend(const core::MachineParams& solved,
                           const RlsEstimate& rls) {
   core::MachineParams m = solved;
+  if (!rls.identified) return m;
   const auto usable = [](double v) {
     return v > 0.0 && std::isfinite(v);
   };
@@ -113,22 +114,23 @@ std::shared_ptr<const ParamSnapshot> OnlineStore::resolve(
   PlatformState* p = find(platform);
   if (!p) return nullptr;
 
-  // Copy the window and the filter state under the ingest lock; the
-  // expensive solve below runs unlocked so `observe` stays O(1) even
-  // while a re-solve is in flight.
+  // Copy the window and the filter's sums under the ingest lock; the
+  // solves below run unlocked so `observe` stays O(1) even while a
+  // re-solve is in flight.
   std::vector<Sample> window;
-  RlsEstimate rls;
+  RlsFilter filter;
   std::uint64_t total = 0;
   {
     std::lock_guard<std::mutex> lock(p->ingest_mutex);
     window = p->window;
-    rls = p->rls.estimate();
+    filter = p->rls;
     total = p->total;
     p->published_total = p->total;
   }
   if (window.size() < options_.min_resolve_observations) return nullptr;
 
   const auto t0 = std::chrono::steady_clock::now();
+  const RlsEstimate rls = filter.estimate();
   std::vector<microbench::Observation> obs;
   obs.reserve(window.size());
   char label[64];

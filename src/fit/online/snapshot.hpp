@@ -5,16 +5,15 @@
 // concurrency contract is spelled out here:
 //
 //   * Ingest (`observe`) takes only the one platform's ingest mutex,
-//     updates the RLS filter and the bounded re-solve window, and
+//     updates the learner's sums and the bounded re-solve window, and
 //     returns — O(1) per tuple, never blocked by a running re-solve.
 //   * Publication is an atomic snapshot swap: a re-solve builds a fresh
-//     immutable ParamSnapshot off to the side (the expensive
-//     Nelder-Mead + Levenberg-Marquardt work happens with NO ingest
-//     lock held), then swaps it in under a pointer mutex held for the
-//     duration of a shared_ptr assignment only. Readers (`params`,
-//     `predict` overlay) copy the shared_ptr under that same pointer
-//     mutex — nanoseconds — and then read the immutable snapshot
-//     lock-free. Readers never contend with the ingest path.
+//     immutable ParamSnapshot off to the side (the capped fit and the
+//     learner's NNLS run with NO ingest lock held), then swaps it in
+//     under a pointer mutex held for the duration of a shared_ptr
+//     assignment only. Readers (`params`, `predict` overlay) copy the
+//     shared_ptr under that same pointer mutex — nanoseconds — and then
+//     read the immutable snapshot lock-free. Readers never contend with the ingest path.
 //   * Every publication bumps the platform's epoch and the store's
 //     global generation. The generation rides in response-cache entries
 //     (serve/cache.hpp) so cached parameter-dependent replies miss
@@ -139,7 +138,7 @@ class OnlineStore {
 
   /// Synchronous re-solve + publish for one platform: copies the window
   /// under the ingest lock, runs the full §V pipeline unlocked, blends
-  /// with the live RLS estimates, swaps the snapshot in, bumps the
+  /// with the learner's estimates, swaps the snapshot in, bumps the
   /// epoch and global generation. Returns the new snapshot, or null
   /// when the window holds fewer than min_resolve_observations tuples.
   /// Throws only what fit::fit_observations throws (degenerate data).

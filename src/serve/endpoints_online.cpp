@@ -2,12 +2,13 @@
 // surface (docs/MODEL.md "Online fitting").
 //
 //   observe — Light, NOT cacheable: ingest one batch of (W, Q, t, E)
-//             tuples for a platform. O(1) per tuple (RLS update + ring
-//             buffer write); never waits on a re-solve. The reply
-//             echoes only batch-local facts, so identical requests
-//             produce identical bytes even though the store mutates.
+//             tuples for a platform. O(1) per tuple (normal-equation
+//             update + ring buffer write); never waits on a re-solve.
+//             The reply echoes only batch-local facts, so identical
+//             requests produce identical bytes even though the store
+//             mutates.
 //   params  — Light, cacheable + model_scoped: the platform's last
-//             PUBLISHED estimates with RLS confidence intervals.
+//             PUBLISHED estimates with confidence intervals.
 //             Deliberately reads the snapshot, not the live filter:
 //             the reply is a pure function of (request, epoch), which
 //             is what lets the generation-tagged cache serve it.
@@ -63,7 +64,7 @@ void add_machine(Json& out, const core::MachineParams& m) {
 }
 
 /// One linear-parameter row: point estimate, standard error, and the
-/// 95% normal interval from the RLS covariance.
+/// 95% normal interval around it.
 Json estimate_row(double value, double se) {
   Json row = Json::object();
   row.set("value", value);
@@ -127,6 +128,7 @@ Json do_params(const EndpointContext& ctx) {
                                    snap->rls.se_eps_flop));
   rls.set("eps_mem", estimate_row(snap->rls.eps_mem, snap->rls.se_eps_mem));
   rls.set("pi1", estimate_row(snap->rls.pi1, snap->rls.se_pi1));
+  rls.set("identified", snap->rls.identified);
   rls.set("effective_count", snap->rls.effective_count);
   out.set("rls", std::move(rls));
   out.set("resolved", snap->resolved);

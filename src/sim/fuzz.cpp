@@ -16,10 +16,11 @@ namespace {
 /// The protocol's stable machine-readable failure codes (protocol.cpp,
 /// endpoint_util.cpp, endpoints_*.cpp). Anything else in an
 /// {"ok":false} reply is a contract violation the fuzzer must report.
-constexpr std::array<std::string_view, 9> kKnownErrorCodes = {
+constexpr std::array<std::string_view, 10> kKnownErrorCodes = {
     "bad_request",   "parse_error", "unknown_platform",
     "unsupported",   "too_large",   "fit_failed",
     "internal",      "overloaded",  "deadline_exceeded",
+    "infeasible",
 };
 
 [[nodiscard]] bool known_code(std::string_view code) noexcept {
@@ -109,13 +110,17 @@ void op_flip_structure(std::string& s, const std::vector<std::string>&,
 }
 
 /// Replaces the digit run at a random position with an extreme number
-/// literal — overflow, underflow, huge exponents, -0, leading zeros.
+/// literal — overflow, underflow, huge exponents, -0, leading zeros,
+/// which the parser or the validators reject, and finite positive
+/// extremes (the largest double, the smallest subnormal), which pass
+/// validation and reach ingest and the fits.
 void op_extreme_number(std::string& s, const std::vector<std::string>&,
                        stats::Rng& rng) {
-  static constexpr std::array<std::string_view, 8> kNumbers = {
+  static constexpr std::array<std::string_view, 12> kNumbers = {
       "1e309",  "-1e309", "1e-400", "99999999999999999999999999",
       "-0.0",   "0.0000000000000000000000000001",
-      "2e2e2",  "00123",
+      "2e2e2",  "00123",  "1e300",  "1e-300",
+      "5e-324", "1.7976931348623157e308",
   };
   const std::size_t start = pick_offset(s, rng);
   std::size_t i = start;

@@ -19,29 +19,6 @@ TEST(Mat, ConstructionAndIndexing) {
   EXPECT_DOUBLE_EQ(m(0, 1), 7.0);
 }
 
-TEST(Mat, Identity) {
-  const ft::Mat eye = ft::Mat::identity(3);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j)
-      EXPECT_DOUBLE_EQ(eye(i, j), i == j ? 1.0 : 0.0);
-}
-
-TEST(Matvec, KnownProduct) {
-  ft::Mat a(2, 2);
-  a(0, 0) = 1.0; a(0, 1) = 2.0;
-  a(1, 0) = 3.0; a(1, 1) = 4.0;
-  const std::vector<double> x = {1.0, 1.0};
-  const auto y = ft::matvec(a, x);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-}
-
-TEST(Matvec, DimensionMismatchThrows) {
-  ft::Mat a(2, 2);
-  const std::vector<double> x = {1.0};
-  EXPECT_THROW((void)ft::matvec(a, x), std::invalid_argument);
-}
-
 TEST(Gram, SymmetricPositive) {
   ft::Mat a(3, 2);
   a(0, 0) = 1.0; a(0, 1) = 2.0;
@@ -65,8 +42,9 @@ TEST(MatvecTransposed, KnownProduct) {
 }
 
 TEST(CholeskySolve, Identity) {
-  const auto x = ft::cholesky_solve(ft::Mat::identity(3),
-                                    std::vector<double>{1.0, 2.0, 3.0});
+  ft::Mat eye(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) eye(i, i) = 1.0;
+  const auto x = ft::cholesky_solve(eye, std::vector<double>{1.0, 2.0, 3.0});
   EXPECT_DOUBLE_EQ(x[0], 1.0);
   EXPECT_DOUBLE_EQ(x[1], 2.0);
   EXPECT_DOUBLE_EQ(x[2], 3.0);
@@ -91,8 +69,11 @@ TEST(CholeskySolve, ResidualIsTiny) {
                          : 1.0 / (1.0 + static_cast<double>(i + j));
   const std::vector<double> b = {1.0, -2.0, 0.5};
   const auto x = ft::cholesky_solve(s, b);
-  const auto sx = ft::matvec(s, x);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(sx[i], b[i], 1e-12);
+  for (std::size_t i = 0; i < 3; ++i) {
+    double sx = 0.0;
+    for (std::size_t j = 0; j < 3; ++j) sx += s(i, j) * x[j];
+    EXPECT_NEAR(sx, b[i], 1e-12);
+  }
 }
 
 TEST(CholeskySolve, NotPositiveDefiniteThrows) {
@@ -112,7 +93,6 @@ TEST(CholeskySolve, DimMismatchThrows) {
 TEST(Norms, KnownValues) {
   const std::vector<double> x = {3.0, 4.0};
   EXPECT_DOUBLE_EQ(ft::norm2(x), 25.0);
-  EXPECT_DOUBLE_EQ(ft::norm(x), 5.0);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the fitting objective: packing, residuals, prediction errors,
+// Tests for the fitting objective: residuals, prediction errors,
 // and the heuristic initial guess.
 
 #include <gtest/gtest.h>
@@ -36,34 +36,6 @@ mb::SuiteData titan_suite(std::uint64_t seed = 5) {
   opt.include_caches = false;
   opt.include_random = false;
   return mb::run_suite(m, opt, rng);
-}
-
-TEST(ParameterCount, SixCappedFiveUncapped) {
-  EXPECT_EQ(ft::parameter_count(ft::ModelKind::Capped), 6u);
-  EXPECT_EQ(ft::parameter_count(ft::ModelKind::Uncapped), 5u);
-}
-
-TEST(PackUnpack, RoundTripCapped) {
-  const co::MachineParams m = titan();
-  const auto x = ft::pack(m, ft::ModelKind::Capped);
-  ASSERT_EQ(x.size(), 6u);
-  const co::MachineParams back = ft::unpack(x, ft::ModelKind::Capped);
-  EXPECT_NEAR(back.tau_flop, m.tau_flop, 1e-18);
-  EXPECT_NEAR(back.eps_mem, m.eps_mem, 1e-18);
-  EXPECT_NEAR(back.pi1, m.pi1, 1e-9);
-  EXPECT_NEAR(back.delta_pi, m.delta_pi, 1e-9);
-}
-
-TEST(PackUnpack, UncappedDropsCap) {
-  const auto x = ft::pack(titan(), ft::ModelKind::Uncapped);
-  ASSERT_EQ(x.size(), 5u);
-  EXPECT_TRUE(ft::unpack(x, ft::ModelKind::Uncapped).uncapped());
-}
-
-TEST(Unpack, WrongSizeThrows) {
-  EXPECT_THROW((void)ft::unpack(std::vector<double>{1.0, 2.0},
-                                ft::ModelKind::Capped),
-               std::invalid_argument);
 }
 
 TEST(Residuals, ZeroAtGroundTruthWithoutNoise) {

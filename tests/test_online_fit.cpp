@@ -1,11 +1,14 @@
-// Online-fit layer tests: RLS convergence against the generator and the
+// Online-fit layer tests: convergence against the generator and the
 // offline solver, forgetting-factor tracking of a mid-stream parameter
-// shift, and the OnlineStore / BackgroundResolver concurrency contract
-// (run under TSan in CI: concurrent observe / published / resolve must
-// be race-free by construction).
+// shift, degenerate streams (one shape, pure compute / memory,
+// overflowing tuples), the lambda = 1 batch-NNLS oracle, and the
+// OnlineStore / BackgroundResolver concurrency contract (run under TSan
+// in CI: concurrent observe / published / resolve must be race-free by
+// construction).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -14,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "fit/linalg.hpp"
 #include "fit/model_fit.hpp"
 #include "fit/online/resolver.hpp"
 #include "fit/online/rls.hpp"
@@ -79,6 +83,74 @@ double rel_err(double got, double want) {
   return std::abs(got - want) / std::abs(want);
 }
 
+/// OnlineStore::resolve()'s conversion of streamed tuples: repeats of
+/// one workload average, distinct workloads stay distinct kernels.
+std::vector<microbench::Observation> to_observations(
+    std::span<const Sample> stream) {
+  std::vector<microbench::Observation> obs;
+  obs.reserve(stream.size());
+  char label[64];
+  for (const Sample& s : stream) {
+    microbench::Observation o;
+    o.kernel.flops = s.flops;
+    o.kernel.bytes = s.bytes;
+    std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
+    o.kernel.label = label;
+    o.seconds = s.seconds;
+    o.joules = s.joules;
+    o.watts = s.joules / s.seconds;
+    obs.push_back(std::move(o));
+  }
+  return obs;
+}
+
+/// The window an OnlineStore of capacity `cap` holds after ingesting
+/// `stream`, in the store's ring order.
+std::vector<Sample> ring_window(std::span<const Sample> stream,
+                                std::size_t cap) {
+  if (stream.size() <= cap) return {stream.begin(), stream.end()};
+  std::vector<Sample> window(cap);
+  for (std::size_t t = stream.size() - cap; t < stream.size(); ++t)
+    window[t % cap] = stream[t];
+  return window;
+}
+
+/// One workload shape repeated: W = Q = 1e9, t = 0.1 s, true eps_flop =
+/// 1e-10, eps_mem = 2e-10, pi1 = 50 W, and 1 % lognormal noise on E.
+/// Every regressor row is the same, so the stream cannot separate the
+/// three energy constants.
+std::vector<Sample> single_shape_stream(std::size_t n, std::uint64_t seed) {
+  stats::Rng rng(seed, 11);
+  std::vector<Sample> out(n);
+  for (Sample& s : out) {
+    s.flops = 1e9;
+    s.bytes = 1e9;
+    s.seconds = 0.1;
+    s.joules = (1e9 * 1e-10 + 1e9 * 2e-10 + 50.0 * 0.1) *
+               rng.lognormal(0.0, 0.01);
+  }
+  return out;
+}
+
+void expect_finite(const fit::online::RlsEstimate& e) {
+  for (const double v : {e.eps_flop, e.eps_mem, e.pi1, e.se_eps_flop,
+                         e.se_eps_mem, e.se_pi1, e.effective_count})
+    EXPECT_TRUE(std::isfinite(v)) << v;
+}
+
+void expect_same(const fit::online::RlsEstimate& a,
+                 const fit::online::RlsEstimate& b) {
+  EXPECT_EQ(a.eps_flop, b.eps_flop);
+  EXPECT_EQ(a.eps_mem, b.eps_mem);
+  EXPECT_EQ(a.pi1, b.pi1);
+  EXPECT_EQ(a.se_eps_flop, b.se_eps_flop);
+  EXPECT_EQ(a.se_eps_mem, b.se_eps_mem);
+  EXPECT_EQ(a.se_pi1, b.se_pi1);
+  EXPECT_EQ(a.identified, b.identified);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.effective_count, b.effective_count);
+}
+
 TEST(OnlineFit, RlsConvergesToGeneratorConstants) {
   const Generator g;
   RlsFilter filter(0.998);
@@ -91,9 +163,6 @@ TEST(OnlineFit, RlsConvergesToGeneratorConstants) {
   EXPECT_LT(rel_err(est.eps_flop, g.eps_flop), 0.05) << est.eps_flop;
   EXPECT_LT(rel_err(est.eps_mem, g.eps_mem), 0.05) << est.eps_mem;
   EXPECT_LT(rel_err(est.pi1, g.pi1), 0.05) << est.pi1;
-  // Time constants come from decayed sustained peaks over exact times.
-  EXPECT_LT(rel_err(est.tau_flop, g.tau_flop), 0.10) << est.tau_flop;
-  EXPECT_LT(rel_err(est.tau_mem, g.tau_mem), 0.10) << est.tau_mem;
   // Standard errors must be finite, positive, and small relative to the
   // estimates after 2000 tuples at 1% noise.
   EXPECT_GT(est.se_eps_flop, 0.0);
@@ -107,23 +176,8 @@ TEST(OnlineFit, RlsMatchesOfflineSolverOnTheSameStream) {
   const auto stream = make_stream(g, 512, 0.005, 7);
 
   RlsFilter filter(1.0);  // no forgetting: closest analog of batch LS
-  std::vector<microbench::Observation> obs;
-  obs.reserve(stream.size());
-  char label[64];
-  for (const Sample& s : stream) {
-    filter.observe(s);
-    microbench::Observation o;
-    o.kernel.flops = s.flops;
-    o.kernel.bytes = s.bytes;
-    // Same labeling scheme as OnlineStore::resolve(): repeats of one
-    // workload average, distinct workloads stay distinct kernels.
-    std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
-    o.kernel.label = label;
-    o.seconds = s.seconds;
-    o.joules = s.joules;
-    o.watts = s.joules / s.seconds;
-    obs.push_back(o);
-  }
+  for (const Sample& s : stream) filter.observe(s);
+  const std::vector<microbench::Observation> obs = to_observations(stream);
 
   // Uncapped: the generator never drives power anywhere near a cap, so
   // fitting delta_pi would only add an unidentifiable degree of freedom
@@ -188,6 +242,136 @@ TEST(OnlineFit, ForgettingTracksMidStreamShift) {
   for (const Sample& s : make_stream(after, 300, 0.003, 2)) stuck.observe(s);
   EXPECT_GT(rel_err(stuck.estimate().eps_flop, after.eps_flop),
             rel_err(end.eps_flop, after.eps_flop));
+}
+
+// With lambda = 1 the learner's sums are gram() and matvec_transposed()
+// over the same rows in the same order, and its solve is the offline
+// fit's nnls3: the estimate must be that solution bit for bit.
+TEST(OnlineFit, UnforgettingLearnerIsTheBatchNnlsBitForBit) {
+  const auto stream = make_stream(Generator{}, 512, 0.01, 21);
+  RlsFilter filter(1.0);
+  fit::Mat a(stream.size(), 3);
+  std::vector<double> y(stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    filter.observe(stream[i]);
+    a(i, 0) = stream[i].flops * 1e-9;
+    a(i, 1) = stream[i].bytes * 1e-9;
+    a(i, 2) = stream[i].seconds;
+    y[i] = stream[i].joules;
+  }
+  const auto rss = [&](const std::array<double, 3>& x) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double r = a(i, 0) * x[0] + a(i, 1) * x[1] + a(i, 2) * x[2] - y[i];
+      acc += r * r;
+    }
+    return acc;
+  };
+  std::array<double, 3> x{};
+  ASSERT_TRUE(std::isfinite(
+      fit::nnls3(fit::gram(a), fit::matvec_transposed(a, y), rss, x)));
+
+  const auto est = filter.estimate();
+  EXPECT_EQ(est.eps_flop, x[0] * 1e-9);
+  EXPECT_EQ(est.eps_mem, x[1] * 1e-9);
+  EXPECT_EQ(est.pi1, x[2]);
+  EXPECT_TRUE(est.identified);
+  EXPECT_EQ(est.count, 512u);
+  EXPECT_EQ(est.effective_count, 512.0);
+}
+
+// One repeated workload shape at 1e3, 1e5 and 2e5 tuples: the learner
+// reports the constants as unidentified with finite numbers, and the
+// published machine is the re-solve's, not the learner's.
+TEST(OnlineFit, SingleShapeStreamPublishesTheResolve) {
+  const OnlineFitOptions opt;
+  OnlineStore store(opt);
+  const auto stream = single_shape_stream(200000, 3);
+  fit::FitOptions fit_opt;
+  fit_opt.kind = fit::ModelKind::Capped;
+  fit_opt.lm_iterations = opt.lm_iterations;
+  std::size_t fed = 0;
+  for (const std::size_t n : {1000u, 100000u, 200000u}) {
+    store.observe("GTX Titan", std::span(stream).subspan(fed, n - fed));
+    fed = n;
+    const auto snap = store.resolve("GTX Titan");
+    ASSERT_NE(snap, nullptr) << n;
+    EXPECT_EQ(snap->rls.count, n);
+    EXPECT_FALSE(snap->rls.identified) << n;
+    expect_finite(snap->rls);
+    const fit::FitResult solved = fit::fit_observations(
+        to_observations(
+            ring_window(std::span(stream).first(n), opt.window_capacity)),
+        fit_opt);
+    EXPECT_EQ(snap->machine.eps_flop, solved.machine.eps_flop) << n;
+    EXPECT_EQ(snap->machine.eps_mem, solved.machine.eps_mem) << n;
+    EXPECT_EQ(snap->machine.pi1, solved.machine.pi1) << n;
+    EXPECT_EQ(snap->machine.tau_flop, solved.machine.tau_flop) << n;
+    EXPECT_EQ(snap->machine.delta_pi, solved.machine.delta_pi) << n;
+    for (const double v :
+         {snap->machine.tau_flop, snap->machine.eps_flop,
+          snap->machine.tau_mem, snap->machine.eps_mem, snap->machine.pi1,
+          snap->machine.delta_pi})
+      EXPECT_TRUE(std::isfinite(v)) << n;
+  }
+}
+
+// A stream that varies only the regressor the time law follows leaves
+// one constant inseparable from pi1: pure compute (bytes constant, t
+// proportional to flops) and pure memory (flops 0, t proportional to
+// bytes).
+TEST(OnlineFit, PureComputeAndPureMemoryStreamsAreUnidentified) {
+  const Generator g;
+  stats::Rng rng(17, 11);
+  RlsFilter compute(0.998);
+  RlsFilter memory(0.998);
+  for (int i = 0; i < 2000; ++i) {
+    const double size = 5e7 * (1 + i % 8);
+    const double noise = rng.lognormal(0.0, 0.01);
+    Sample c;
+    c.flops = size;
+    c.bytes = 1e6;
+    c.seconds = size * g.tau_flop;
+    c.joules = (size * g.eps_flop + c.bytes * g.eps_mem + g.pi1 * c.seconds) *
+               noise;
+    compute.observe(c);
+    Sample m;
+    m.flops = 0.0;
+    m.bytes = size;
+    m.seconds = size * g.tau_mem;
+    m.joules = (size * g.eps_mem + g.pi1 * m.seconds) * noise;
+    memory.observe(m);
+  }
+  for (const RlsFilter* f : {&compute, &memory}) {
+    const auto est = f->estimate();
+    EXPECT_EQ(est.count, 2000u);
+    EXPECT_FALSE(est.identified);
+    expect_finite(est);
+  }
+  // The well-posed sweep of the convergence tests passes the same gate.
+  RlsFilter sweep(0.998);
+  for (const Sample& s : make_stream(g, 2000, 0.01, 42)) sweep.observe(s);
+  EXPECT_TRUE(sweep.estimate().identified);
+}
+
+// A tuple whose products overflow (1e300 flops squares past DBL_MAX;
+// so does the largest double as joules) never reaches the sums: the
+// filter is the one that never saw it.
+TEST(OnlineFit, OverflowingTupleLeavesTheSumsUnchanged) {
+  const auto stream = make_stream(Generator{}, 200, 0.01, 8);
+  RlsFilter clean(0.998);
+  RlsFilter hit(0.998);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    clean.observe(stream[i]);
+    hit.observe(stream[i]);
+    if (i == 100) {
+      hit.observe(Sample{1e300, 1e9, 0.1, 5.0});
+      hit.observe(Sample{1e9, 1e9, 0.1, 1.7976931348623157e308});
+      expect_same(hit.estimate(), clean.estimate());
+    }
+  }
+  EXPECT_EQ(hit.estimate().count, 200u);
+  expect_same(hit.estimate(), clean.estimate());
 }
 
 TEST(OnlineFit, StoreResolvePublishesBlendedSnapshot) {

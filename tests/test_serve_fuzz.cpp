@@ -69,6 +69,8 @@ TEST(ServeFuzz, ReplyValidatorAcceptsProtocolReplies) {
       R"({"ok":false,"error":"parse_error","message":"x"})", nullptr));
   EXPECT_TRUE(reply_acceptable(
       R"({"ok":false,"error":"deadline_exceeded"})", nullptr));
+  EXPECT_TRUE(reply_acceptable(
+      R"({"ok":false,"error":"infeasible","message":"x"})", nullptr));
 }
 
 TEST(ServeFuzz, ReplyValidatorRejectsContractViolations) {

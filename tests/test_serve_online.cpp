@@ -336,6 +336,31 @@ TEST(ServeOnline, SeededFitPrimesTheOnlineWindow) {
             "unknown_platform");
 }
 
+// One repeated workload shape cannot separate the energy constants: the
+// params reply says so and carries only finite numbers.
+TEST(ServeOnline, SingleShapeStreamIsReportedUnidentified) {
+  Server server(test_options());
+  archline::stats::Rng rng(5, 11);
+  std::vector<Tuple> batch(1000);
+  for (Tuple& t : batch)
+    t = {1e9, 1e9, 0.1, 5.3 * rng.lognormal(0.0, 0.01)};
+  ASSERT_TRUE(Json::parse(server.handle_now(observe_line("GTX Titan", batch)))
+                  .bool_or("ok", false));
+  const std::string refit =
+      server.handle_now(R"({"type":"refit","platform":"GTX Titan"})");
+  ASSERT_TRUE(Json::parse(refit).bool_or("ok", false)) << refit;
+
+  const std::string reply =
+      server.handle_now(R"({"type":"params","platform":"GTX Titan"})");
+  // Non-finite numbers render as null.
+  EXPECT_EQ(reply.find("null"), std::string::npos) << reply;
+  const Json params = Json::parse(reply);
+  ASSERT_TRUE(params.bool_or("ok", false));
+  const Json* rls = params.find("rls");
+  ASSERT_NE(rls, nullptr);
+  EXPECT_FALSE(rls->bool_or("identified", true)) << reply;
+}
+
 // policy_advise rides the same generation scoping as predict: a cached
 // recommendation must not survive a refit, and the post-refit
 // recommendation must be computed from the snapshot's per-point
