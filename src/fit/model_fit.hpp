@@ -15,8 +15,13 @@
 // solved by Levenberg-Marquardt, then LM polishes from the best point
 // and its neighbours).
 // Double precision and cache levels are fitted conditionally on the
-// DRAM/SP fit, Nelder-Mead then LM, mirroring how the paper's constants
-// share one pi1/delta_pi per platform.
+// DRAM/SP fit, mirroring how the paper's constants share one
+// pi1/delta_pi per platform. Each tail is the same search shape over
+// (tau, eps): a profile over log tau around the measured sustained
+// rate, with eps solved exactly at each point (with tau fixed, each
+// residual is affine in eps on either side of where a kernel's demand
+// crosses delta_pi), then LM polishes from the best point and its
+// neighbours.
 
 #include <limits>
 #include <optional>
@@ -27,11 +32,8 @@ namespace archline::fit {
 
 struct FitOptions {
   ModelKind kind = ModelKind::Capped;
-  /// Nelder-Mead budget of the DP and cache-level tails (a quarter of it
-  /// per tail); the DRAM/SP fit runs no Nelder-Mead.
-  int nm_evaluations = 20000;
-  /// Levenberg-Marquardt budget of the tails and of the capped DRAM/SP
-  /// fit's final polish.
+  /// Levenberg-Marquardt budget of each polish: the tails' and the
+  /// capped DRAM/SP fit's.
   int lm_iterations = 120;
 
   /// Measured idle power [W]; 0 = unknown. When set, a weighted residual

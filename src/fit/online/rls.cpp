@@ -48,7 +48,7 @@ bool identifiable(const Mat& g) {
 RlsFilter::RlsFilter(double forgetting) noexcept
     : lambda_(forgetting > 0.0 && forgetting <= 1.0 ? forgetting : 1.0) {}
 
-void RlsFilter::observe(const Sample& s) noexcept {
+bool RlsFilter::observe(const Sample& s) noexcept {
   const double x[kDim] = {s.flops * kScale, s.bytes * kScale, s.seconds};
   const double y = s.joules;
 
@@ -64,7 +64,7 @@ void RlsFilter::observe(const Sample& s) noexcept {
     h[i] = lambda_ * h_[i] + x[i] * y;
     finite = finite && std::isfinite(h[i]);
   }
-  if (!finite) return;
+  if (!finite) return false;
 
   for (int i = 0; i < kDim; ++i) {
     for (int j = i; j < kDim; ++j) g_[i][j] = g_[j][i] = g[i][j];
@@ -73,6 +73,7 @@ void RlsFilter::observe(const Sample& s) noexcept {
   yy_ = yy;
   weight_ = lambda_ * weight_ + 1.0;
   ++count_;
+  return true;
 }
 
 RlsEstimate RlsFilter::estimate() const {

@@ -86,7 +86,8 @@ class RlsFilter {
   /// Ingests one tuple: decays and adds to G, h and the sum of squares.
   /// O(kDim^2) arithmetic, no allocation. A tuple that would make any
   /// sum non-finite (e.g. 1e300 flops) is dropped and not counted.
-  void observe(const Sample& s) noexcept;
+  /// Returns whether the tuple was kept.
+  bool observe(const Sample& s) noexcept;
 
   /// Solves the forgotten normal equations (non-negative least squares)
   /// and gates the result on G's conditioning.

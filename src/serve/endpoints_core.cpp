@@ -3,9 +3,9 @@
 // byte-identical to the pre-registry dispatcher (pinned by
 // tests/test_serve_golden.cpp); only the plumbing moved here.
 //
-// Classes: everything closed-form is Light; "fit" runs Nelder-Mead +
-// Levenberg-Marquardt over inline observations (§V) and is the
-// archetypal Heavy request.
+// Classes: everything closed-form is Light; "fit" runs the capped
+// DRAM/SP fit (an exact solve plus a Levenberg-Marquardt profile) over
+// inline observations (§V) and is the archetypal Heavy request.
 
 #include <cmath>
 #include <stdexcept>

@@ -61,7 +61,7 @@ namespace archline::sim {
 
 /// Distinct fit requests: 12-point noiseless sweeps generated from each
 /// platform's model (a hair of seeded jitter keeps keys distinct when two
-/// platforms share constants). A miss is a full Nelder-Mead + LM run.
+/// platforms share constants). A miss is a full capped DRAM/SP fit.
 [[nodiscard]] std::vector<std::string> make_fit_pool(int keys,
                                                      std::uint64_t seed);
 

@@ -1,8 +1,6 @@
 #include "stats/correlation.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "stats/descriptive.hpp"
@@ -28,34 +26,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   if (sxx == 0.0 || syy == 0.0)
     throw std::invalid_argument("pearson: zero variance");
   return sxy / std::sqrt(sxx * syy);
-}
-
-std::vector<double> ranks(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&xs](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> r(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    // Mid-rank for the tie group [i, j] (1-based ranks).
-    const double mid =
-        (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) r[order[k]] = mid;
-    i = j + 1;
-  }
-  return r;
-}
-
-double spearman(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size())
-    throw std::invalid_argument("spearman: length mismatch");
-  const std::vector<double> rx = ranks(x);
-  const std::vector<double> ry = ranks(y);
-  return pearson(rx, ry);
 }
 
 }  // namespace archline::stats

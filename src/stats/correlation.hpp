@@ -6,7 +6,6 @@
 // across the 12 platforms; these functions reproduce that computation.
 
 #include <span>
-#include <vector>
 
 namespace archline::stats {
 
@@ -14,12 +13,5 @@ namespace archline::stats {
 /// length >= 2 with non-zero variance; throws std::invalid_argument else.
 [[nodiscard]] double pearson(std::span<const double> x,
                              std::span<const double> y);
-
-/// Spearman rank correlation (Pearson on mid-ranks; ties averaged).
-[[nodiscard]] double spearman(std::span<const double> x,
-                              std::span<const double> y);
-
-/// Mid-ranks of a sample (1-based; ties share the average rank).
-[[nodiscard]] std::vector<double> ranks(std::span<const double> xs);
 
 }  // namespace archline::stats

@@ -28,16 +28,6 @@ double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(variance(xs));
 }
 
-double min(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("min: empty sample");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("max: empty sample");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double quantile(std::span<const double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("quantile: empty sample");
   if (!(p >= 0.0 && p <= 1.0))
@@ -73,38 +63,6 @@ FiveNumberSummary summarize(std::span<const double> xs) {
   s.mean = mean(sorted);
   s.count = sorted.size();
   return s;
-}
-
-std::vector<double> relative_errors(std::span<const double> model,
-                                    std::span<const double> measured) {
-  if (model.size() != measured.size())
-    throw std::invalid_argument("relative_errors: length mismatch");
-  std::vector<double> errs;
-  errs.reserve(model.size());
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    if (measured[i] == 0.0)
-      throw std::invalid_argument("relative_errors: zero measured value");
-    errs.push_back((model[i] - measured[i]) / measured[i]);
-  }
-  return errs;
-}
-
-double geometric_mean(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("geometric_mean: empty sample");
-  double log_acc = 0.0;
-  for (const double x : xs) {
-    if (!(x > 0.0))
-      throw std::invalid_argument("geometric_mean: non-positive value");
-    log_acc += std::log(x);
-  }
-  return std::exp(log_acc / static_cast<double>(xs.size()));
-}
-
-double rms(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (const double x : xs) acc += x * x;
-  return std::sqrt(acc / static_cast<double>(xs.size()));
 }
 
 }  // namespace archline::stats

@@ -21,10 +21,6 @@ namespace archline::stats {
 /// Unbiased sample standard deviation.
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
-/// Sample minimum / maximum. Input must be non-empty.
-[[nodiscard]] double min(std::span<const double> xs);
-[[nodiscard]] double max(std::span<const double> xs);
-
 /// Quantile with linear interpolation (R type-7, the R/NumPy default).
 /// p must lie in [0, 1]; input must be non-empty (need not be sorted).
 [[nodiscard]] double quantile(std::span<const double> xs, double p);
@@ -60,17 +56,5 @@ struct FiveNumberSummary {
 
 /// Computes the five-number summary of a non-empty sample.
 [[nodiscard]] FiveNumberSummary summarize(std::span<const double> xs);
-
-/// Element-wise relative error (a - b) / b for paired samples.
-/// Used for the paper's (model - measured) / measured error metric.
-/// Throws std::invalid_argument on length mismatch or zero denominator.
-[[nodiscard]] std::vector<double> relative_errors(
-    std::span<const double> model, std::span<const double> measured);
-
-/// Geometric mean of strictly positive values.
-[[nodiscard]] double geometric_mean(std::span<const double> xs);
-
-/// Root-mean-square of a sample. Returns 0 for an empty input.
-[[nodiscard]] double rms(std::span<const double> xs) noexcept;
 
 }  // namespace archline::stats

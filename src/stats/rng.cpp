@@ -65,12 +65,4 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(1.0 - uniform()) / rate;
 }
 
-Rng Rng::split() noexcept {
-  const std::uint64_t hi = static_cast<std::uint64_t>(operator()()) << 32;
-  const std::uint64_t seed = hi | operator()();
-  const std::uint64_t hi2 = static_cast<std::uint64_t>(operator()()) << 32;
-  const std::uint64_t stream = hi2 | operator()();
-  return Rng(seed, stream);
-}
-
 }  // namespace archline::stats

@@ -97,9 +97,6 @@ class Rng {
   /// Exponential deviate with the given rate (mean 1/rate).
   [[nodiscard]] double exponential(double rate) noexcept;
 
-  /// Derives an independent child generator (for parallel substreams).
-  [[nodiscard]] Rng split() noexcept;
-
  private:
   std::uint64_t state_;
   std::uint64_t inc_;  // stream selector; must be odd

@@ -1,4 +1,4 @@
-// Tests for Pearson/Spearman correlation and mid-rank computation.
+// Tests for the Pearson correlation.
 
 #include <gtest/gtest.h>
 
@@ -62,42 +62,6 @@ TEST(Pearson, NearZeroForIndependent) {
   for (double& v : x) v = rng.normal();
   for (double& v : y) v = rng.normal();
   EXPECT_NEAR(st::pearson(x, y), 0.0, 0.05);
-}
-
-TEST(Ranks, SimpleOrdering) {
-  const std::vector<double> xs = {30.0, 10.0, 20.0};
-  const std::vector<double> r = st::ranks(xs);
-  EXPECT_DOUBLE_EQ(r[0], 3.0);
-  EXPECT_DOUBLE_EQ(r[1], 1.0);
-  EXPECT_DOUBLE_EQ(r[2], 2.0);
-}
-
-TEST(Ranks, TiesGetMidRank) {
-  const std::vector<double> xs = {1.0, 2.0, 2.0, 3.0};
-  const std::vector<double> r = st::ranks(xs);
-  EXPECT_DOUBLE_EQ(r[0], 1.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.5);
-  EXPECT_DOUBLE_EQ(r[2], 2.5);
-  EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
-TEST(Spearman, MonotoneNonlinearIsOne) {
-  const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y = {1.0, 8.0, 27.0, 64.0};  // x^3
-  EXPECT_NEAR(st::spearman(x, y), 1.0, 1e-12);
-}
-
-TEST(Spearman, ReversedIsMinusOne) {
-  const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y = {10.0, 7.0, 3.0, 1.0};
-  EXPECT_NEAR(st::spearman(x, y), -1.0, 1e-12);
-}
-
-TEST(Spearman, RobustToOutlier) {
-  // One huge outlier wrecks Pearson but not Spearman.
-  const std::vector<double> x = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const std::vector<double> y = {1.0, 2.0, 3.0, 4.0, 1000.0};
-  EXPECT_NEAR(st::spearman(x, y), 1.0, 1e-12);
 }
 
 }  // namespace

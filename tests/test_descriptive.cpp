@@ -37,18 +37,6 @@ TEST(Stddev, SqrtOfVariance) {
   EXPECT_NEAR(st::stddev(xs), std::sqrt(2.0), 1e-12);
 }
 
-TEST(MinMax, Basic) {
-  const std::vector<double> xs = {3.0, -1.0, 7.0, 2.0};
-  EXPECT_DOUBLE_EQ(st::min(xs), -1.0);
-  EXPECT_DOUBLE_EQ(st::max(xs), 7.0);
-}
-
-TEST(MinMax, EmptyThrows) {
-  const std::vector<double> empty;
-  EXPECT_THROW((void)st::min(empty), std::invalid_argument);
-  EXPECT_THROW((void)st::max(empty), std::invalid_argument);
-}
-
 TEST(Quantile, MedianOddCount) {
   const std::vector<double> xs = {5.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(st::median(xs), 3.0);
@@ -119,46 +107,6 @@ TEST(Summarize, OrderedInvariants) {
   EXPECT_LE(s.q25, s.median);
   EXPECT_LE(s.median, s.q75);
   EXPECT_LE(s.q75, s.max);
-}
-
-TEST(RelativeErrors, Basic) {
-  const std::vector<double> model = {11.0, 9.0};
-  const std::vector<double> meas = {10.0, 10.0};
-  const std::vector<double> errs = st::relative_errors(model, meas);
-  ASSERT_EQ(errs.size(), 2u);
-  EXPECT_NEAR(errs[0], 0.1, 1e-12);
-  EXPECT_NEAR(errs[1], -0.1, 1e-12);
-}
-
-TEST(RelativeErrors, MismatchThrows) {
-  const std::vector<double> a = {1.0};
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW((void)st::relative_errors(a, b), std::invalid_argument);
-}
-
-TEST(RelativeErrors, ZeroMeasuredThrows) {
-  const std::vector<double> a = {1.0};
-  const std::vector<double> b = {0.0};
-  EXPECT_THROW((void)st::relative_errors(a, b), std::invalid_argument);
-}
-
-TEST(GeometricMean, Basic) {
-  const std::vector<double> xs = {1.0, 4.0, 16.0};
-  EXPECT_NEAR(st::geometric_mean(xs), 4.0, 1e-12);
-}
-
-TEST(GeometricMean, NonPositiveThrows) {
-  const std::vector<double> xs = {1.0, 0.0};
-  EXPECT_THROW((void)st::geometric_mean(xs), std::invalid_argument);
-}
-
-TEST(Rms, Basic) {
-  const std::vector<double> xs = {3.0, 4.0};
-  EXPECT_NEAR(st::rms(xs), std::sqrt(12.5), 1e-12);
-}
-
-TEST(Rms, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(st::rms(std::vector<double>{}), 0.0);
 }
 
 }  // namespace

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "core/roofline.hpp"
-#include "fit/levmar.hpp"
 #include "fit/model_fit.hpp"
-#include "fit/nelder_mead.hpp"
 #include "platforms/platform_db.hpp"
 #include "serve/protocol.hpp"
 #include "sim/factory.hpp"
@@ -312,79 +310,55 @@ double uncapped_objective(const co::MachineParams& m,
   return acc;
 }
 
-/// The oracle's start: pi1 at 0.7 of the lowest observed power, eps_flop
-/// from the most compute-bound kernel's energy and eps_mem from the most
-/// bandwidth-bound one's, each net of the constant-power charge.
-co::MachineParams sweep_guess(std::span<const mb::Observation> obs) {
-  const auto by_intensity = [](const mb::Observation& a,
-                               const mb::Observation& b) {
-    return a.intensity() < b.intensity();
-  };
-  const mb::Observation& lo =
-      *std::min_element(obs.begin(), obs.end(), by_intensity);
-  const mb::Observation& hi =
-      *std::max_element(obs.begin(), obs.end(), by_intensity);
-  double min_watts = std::numeric_limits<double>::infinity();
-  for (const mb::Observation& o : obs) min_watts = std::min(min_watts, o.watts);
-  co::MachineParams m;
-  m.pi1 = 0.7 * min_watts;
-  m.eps_flop = std::max((hi.joules - m.pi1 * hi.seconds) / hi.kernel.flops,
-                        1e-15);
-  m.eps_mem = std::max((lo.joules - m.pi1 * lo.seconds -
-                        m.eps_flop * lo.kernel.flops) /
-                           lo.kernel.bytes,
-                       1e-15);
-  return m;
-}
+/// The KKT residuals of the uncapped objective at `m`, one per constant
+/// of x = (eps_flop, eps_mem, pi1). With the taus fixed, every residual
+/// is affine in x: the time residual T/t - 1 is constant, the energy
+/// residual is (W, Q, T)/e . x - 1, the power residual (W, Q, T)/(T p) .
+/// x - 1 and the idle anchor w pi1 / h - w. So the objective is a convex
+/// quadratic in x, and x >= 0 is its global minimum iff each constant's
+/// slope a_k . r is 0 where x_k > 0 and >= 0 where x_k = 0. Returns each
+/// slope as a cosine, a_k . r / (|a_k| |r|) over the rows that depend on
+/// x, so that one tolerance serves every scale. An eps of DBL_MIN counts
+/// as on its bound.
+struct Kkt {
+  double cosine[3];
+  bool on_bound[3];
+};
 
-/// The search the closed form replaced, kept as its oracle: 3-start
-/// Nelder-Mead -> Levenberg-Marquardt over log (eps_flop, eps_mem, pi1)
-/// with the taus fixed to the measured throughputs. Returns the lowest
-/// objective it reaches.
-double searched_uncapped_objective(std::span<const mb::Observation> obs,
-                                   const ft::FitOptions& opt) {
-  const ft::MeasuredThroughput taus = ft::measure_throughput(obs);
-  const auto decode = [&](std::span<const double> x) {
-    co::MachineParams m;
-    m.tau_flop = taus.tau_flop;
-    m.tau_mem = taus.tau_mem;
-    m.eps_flop = std::exp(x[0]);
-    m.eps_mem = std::exp(x[1]);
-    m.pi1 = std::exp(x[2]);
-    return m;
+Kkt uncapped_kkt(const co::MachineParams& m,
+                 std::span<const mb::Observation> obs,
+                 const ft::FitOptions& opt) {
+  const double x[3] = {m.eps_flop, m.eps_mem, m.pi1};
+  double slope[3] = {0.0, 0.0, 0.0};
+  double col2[3] = {0.0, 0.0, 0.0};
+  double rss = 0.0;
+  const auto row = [&](const double (&a)[3], double b) {
+    const double r = a[0] * x[0] + a[1] * x[1] + a[2] * x[2] - b;
+    rss += r * r;
+    for (int k = 0; k < 3; ++k) {
+      slope[k] += a[k] * r;
+      col2[k] += a[k] * a[k];
+    }
   };
-  const auto objective = [&](std::span<const double> x) {
-    return uncapped_objective(decode(x), obs, opt);
-  };
-  const auto residuals = [&](std::span<const double> x,
-                             std::vector<double>& r) {
-    const co::MachineParams m = decode(x);
-    r = ft::time_energy_residuals(m, obs);
-    if (opt.idle_watts_hint > 0.0)
-      r.push_back(opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0));
-  };
-  const co::MachineParams seed = sweep_guess(obs);
-  co::MachineParams anchored = seed;
-  anchored.pi1 = opt.idle_watts_hint;
-  co::MachineParams raised = anchored;
-  raised.pi1 *= 1.3;
-  double best = std::numeric_limits<double>::infinity();
-  for (const co::MachineParams& start : {anchored, raised, seed}) {
-    const std::vector<double> x0 = {std::log(start.eps_flop),
-                                    std::log(start.eps_mem),
-                                    std::log(std::max(start.pi1, 1e-6))};
-    ft::NelderMeadOptions nm_opt;
-    nm_opt.max_evaluations = 20000 / 3;
-    nm_opt.initial_step = 0.35;
-    const ft::NelderMeadResult nm = ft::nelder_mead(objective, x0, nm_opt);
-    ft::LevmarOptions lm_opt;
-    lm_opt.max_iterations = 120;
-    best = std::min(best, ft::levenberg_marquardt(residuals, nm.x, lm_opt).rss);
+  for (const mb::Observation& o : obs) {
+    const double t = std::max(o.kernel.flops * m.tau_flop,
+                              o.kernel.bytes * m.tau_mem);
+    row({o.kernel.flops / o.joules, o.kernel.bytes / o.joules, t / o.joules},
+        1.0);
+    const double tp = t * o.watts;
+    row({o.kernel.flops / tp, o.kernel.bytes / tp, t / tp}, 1.0);
   }
-  return best;
+  if (opt.idle_watts_hint > 0.0)
+    row({0.0, 0.0, opt.idle_weight / opt.idle_watts_hint}, opt.idle_weight);
+  Kkt kkt{};
+  for (int k = 0; k < 3; ++k) {
+    kkt.cosine[k] = slope[k] / std::sqrt(col2[k] * rss);
+    kkt.on_bound[k] = x[k] <= std::numeric_limits<double>::min();
+  }
+  return kkt;
 }
 
-TEST(UncappedClosedForm, NoHigherThanTheMultiStartSearch) {
+TEST(UncappedClosedForm, MeetsTheKktConditions) {
   archline::stats::Rng rng(2301);
   for (int trial = 0; trial < 24; ++trial) {
     const UncappedSweep s = random_uncapped_sweep(rng);
@@ -394,10 +368,14 @@ TEST(UncappedClosedForm, NoHigherThanTheMultiStartSearch) {
     const ft::FitResult r = ft::fit_observations(s.obs, opt);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.rss, uncapped_objective(r.machine, s.obs, opt)) << trial;
-    const double searched = searched_uncapped_objective(s.obs, opt);
-    EXPECT_LE(r.rss, searched * (1.0 + 1e-12))
-        << "trial " << trial << ": closed form " << r.rss << ", search "
-        << searched;
+    const Kkt kkt = uncapped_kkt(r.machine, s.obs, opt);
+    for (int k = 0; k < 3; ++k) {
+      if (kkt.on_bound[k])
+        EXPECT_GT(kkt.cosine[k], -1e-9) << "trial " << trial << ", x" << k;
+      else
+        EXPECT_LT(std::abs(kkt.cosine[k]), 1e-9)
+            << "trial " << trial << ", x" << k;
+    }
   }
 }
 

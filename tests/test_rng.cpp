@@ -119,15 +119,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   for (const double x : xs) EXPECT_GE(x, 0.0);
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent(555);
-  Rng child = parent.split();
-  int same = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (parent() == child()) ++same;
-  EXPECT_LT(same, 5);
-}
-
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::min() == 0);
   static_assert(Rng::max() == 0xFFFFFFFFu);
