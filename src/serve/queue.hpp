@@ -70,6 +70,18 @@ class BoundedQueue {
     return item;
   }
 
+  /// Pops without blocking; nullopt when the queue is empty, closed or
+  /// not. On success calls on_depth(post-pop depth) under the lock.
+  template <typename OnDepth = IgnoreDepth>
+  [[nodiscard]] std::optional<T> try_pop(OnDepth&& on_depth = {}) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (items_.empty()) return std::nullopt;
+    std::optional<T> item(std::move(items_.front()));
+    items_.pop_front();
+    on_depth(items_.size());
+    return item;
+  }
+
   /// Rejects future pushes and wakes all blocked consumers. Items
   /// already queued remain poppable (drain semantics).
   void close() {

@@ -131,6 +131,17 @@ bool Server::enqueue(std::string line, Done done,
   return true;
 }
 
+bool Server::run_queued() {
+  const auto publish = [this](std::size_t depth) {
+    metrics_.on_queue_depth(depth);
+  };
+  std::optional<Job> job = queue_.try_pop(publish);
+  if (!job) return false;
+  Reply scratch;
+  run_job(*job, scratch);
+  return true;
+}
+
 std::string Server::handle_now(std::string_view line) {
   std::string out;
   handle_into(line, out);

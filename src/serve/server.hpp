@@ -154,6 +154,13 @@ class Server {
   [[nodiscard]] bool enqueue(std::string line, Done done,
                              std::shared_ptr<ShardedLruCache> cache);
 
+  /// Test seam: pops one queued Heavy job without blocking and runs it
+  /// on the calling thread exactly as a worker would (run_job: the
+  /// deadline check, then evaluate and `done`). Returns false when the
+  /// queue is empty. sim::Campaign drives the Heavy pool in virtual
+  /// time through it, on a server that was never started.
+  [[nodiscard]] bool run_queued();
+
   /// The partition callers without their own use (submit, handle_into).
   [[nodiscard]] const std::shared_ptr<ShardedLruCache>& cache()
       const noexcept {

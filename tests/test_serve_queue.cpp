@@ -1,5 +1,5 @@
 // BoundedQueue tests: bounded admission, FIFO pops with post-pop
-// depth, drain-after-close, reopen, and a multi-producer /
+// depth, the non-blocking try_pop, drain-after-close, reopen, and a multi-producer /
 // multi-consumer stress over the waiter-gated wake path.
 
 #include <gtest/gtest.h>
@@ -48,6 +48,19 @@ TEST(ServeQueue, PopReportsPostPopDepth) {
   std::size_t depth = 99;
   ASSERT_TRUE(q.pop([&depth](std::size_t d) { depth = d; }).has_value());
   EXPECT_EQ(depth, 6u);  // 7 pushed - 1 taken
+}
+
+TEST(ServeQueue, TryPopNeverBlocks) {
+  BoundedQueue<int> q(16);
+  EXPECT_FALSE(q.try_pop().has_value());  // empty and open: no wait
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(i));
+  std::size_t depth = 99;
+  EXPECT_EQ(q.try_pop([&depth](std::size_t d) { depth = d; }), 0);
+  EXPECT_EQ(depth, 2u);
+  q.close();  // closed items still drain, in order
+  EXPECT_EQ(q.try_pop(), 1);
+  EXPECT_EQ(q.try_pop(), 2);
+  EXPECT_FALSE(q.try_pop().has_value());
 }
 
 TEST(ServeQueue, DrainAfterCloseWithBatches) {

@@ -299,6 +299,42 @@ TEST(ServeServer, DeadlineBoundaryIsExclusive) {
   EXPECT_EQ(server.metrics().snapshot().deadline_exceeded, 0u);
 }
 
+TEST(ServeServer, RunQueuedRunsOneJobInFifoOrderOnTheCaller) {
+  // Workers not started: run_queued is the only executor. It pops one
+  // job per call, oldest first, applies the queue deadline on the
+  // injected clock, and reports an empty queue with false.
+  archline::sim::SimClock clock;
+  ServerOptions options = small_options();
+  options.request_deadline_ms = 10;
+  options.clock = &clock;
+  Server server(options);
+  std::vector<std::string> bodies;
+  const auto keep = [&](std::string&& b) { bodies.push_back(std::move(b)); };
+  EXPECT_FALSE(server.run_queued());
+  ASSERT_TRUE(server.submit(fit_request(0), keep));
+  clock.advance_ms(5);
+  ASSERT_TRUE(server.submit(fit_request(1), keep));  // deadline: 15 ms
+
+  ASSERT_TRUE(server.run_queued());  // job 0, 5 ms into its 10 ms
+  ASSERT_EQ(bodies.size(), 1u);
+  EXPECT_EQ(bodies[0], server.handle_now(fit_request(0)));
+  clock.advance_ms(11);  // job 1 is now 1 ms past its deadline
+  ASSERT_TRUE(server.submit(fit_request(2), keep));  // deadline: 26 ms
+  ASSERT_TRUE(server.run_queued());
+  ASSERT_EQ(bodies.size(), 2u);
+  EXPECT_EQ(bodies[1], deadline_exceeded_body());
+  ASSERT_TRUE(server.run_queued());
+  ASSERT_EQ(bodies.size(), 3u);
+  EXPECT_EQ(bodies[2], server.handle_now(fit_request(2)));
+  EXPECT_FALSE(server.run_queued());
+  EXPECT_EQ(bodies.size(), 3u);
+
+  const auto snap = server.metrics().snapshot();
+  EXPECT_EQ(snap.deadline_exceeded, 1u);
+  EXPECT_EQ(snap.queue_depth, 0u);
+  EXPECT_EQ(snap.queue_peak, 2u);
+}
+
 TEST(ServeServer, OrderedWriterRestoresSubmissionOrder) {
   std::vector<std::string> out;
   OrderedWriter writer([&](const std::string& body) { out.push_back(body); });
