@@ -1,14 +1,8 @@
 #include "powermon/integrator.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace archline::powermon {
-
-bool Measurement::consistent(double tol) const noexcept {
-  return std::abs(joules - avg_watts * seconds) <=
-         tol * std::max(1.0, std::abs(joules));
-}
 
 Measurement integrate_mean(const SampledCapture& capture) {
   if (capture.channels.empty())
@@ -29,36 +23,6 @@ Measurement integrate_mean(const SampledCapture& capture) {
   m.seconds = span;
   m.avg_watts = total_watts;
   m.joules = total_watts * span;
-  return m;
-}
-
-Measurement integrate_trapezoid(const SampledCapture& capture) {
-  if (capture.channels.empty())
-    throw std::invalid_argument("integrate_trapezoid: no channels");
-  const double span = capture.window_end - capture.window_begin;
-  if (!(span > 0.0))
-    throw std::invalid_argument("integrate_trapezoid: empty window");
-
-  double total_joules = 0.0;
-  for (const ChannelSamples& ch : capture.channels) {
-    const auto& xs = ch.samples;
-    if (xs.size() < 2)
-      throw std::invalid_argument(
-          "integrate_trapezoid: need >= 2 samples per channel");
-    double acc = 0.0;
-    // Extend the first/last samples to the window edges so the estimate
-    // covers the full span.
-    acc += xs.front().watts() * (xs.front().t - capture.window_begin);
-    for (std::size_t i = 1; i < xs.size(); ++i)
-      acc += 0.5 * (xs[i - 1].watts() + xs[i].watts()) *
-             (xs[i].t - xs[i - 1].t);
-    acc += xs.back().watts() * (capture.window_end - xs.back().t);
-    total_joules += acc;
-  }
-  Measurement m;
-  m.seconds = span;
-  m.joules = total_joules;
-  m.avg_watts = total_joules / span;
   return m;
 }
 

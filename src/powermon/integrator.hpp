@@ -17,10 +17,6 @@ struct Measurement {
   double seconds = 0.0;    ///< measured execution time
   double joules = 0.0;     ///< estimated total energy
   double avg_watts = 0.0;  ///< estimated average power
-
-  /// Energy/time consistency: joules == avg_watts * seconds by
-  /// construction for the paper's estimator.
-  [[nodiscard]] bool consistent(double tol = 1e-9) const noexcept;
 };
 
 /// The paper's estimator: per-channel mean instantaneous power, summed
@@ -36,10 +32,5 @@ struct Measurement {
 [[nodiscard]] Measurement sample_mean(const Capture& capture,
                                       const SamplerConfig& cfg,
                                       stats::Rng& rng);
-
-/// Reference estimator: trapezoidal integration of the samples (more
-/// accurate for non-stationary traces; used in tests to bound the error of
-/// the mean estimator).
-[[nodiscard]] Measurement integrate_trapezoid(const SampledCapture& capture);
 
 }  // namespace archline::powermon

@@ -24,14 +24,6 @@ void PowerTrace::add_constant(double duration, double watts) {
   add_point(t0 + duration, watts);
 }
 
-void PowerTrace::add_ramp(double duration, double watts) {
-  if (!(duration >= 0.0))
-    throw std::invalid_argument("PowerTrace: negative duration");
-  if (points_.empty())
-    throw std::invalid_argument("PowerTrace: ramp needs a starting point");
-  add_point(points_.back().t + duration, watts);
-}
-
 double PowerTrace::value(double t) const noexcept {
   if (points_.empty()) return 0.0;
   if (t <= points_.front().t) return points_.front().watts;
@@ -62,19 +54,8 @@ double PowerTrace::integral(double t0, double t1) const noexcept {
 }
 
 double PowerTrace::total_energy() const noexcept {
-  return integral(start_time(), end_time());
-}
-
-double PowerTrace::start_time() const noexcept {
-  return points_.empty() ? 0.0 : points_.front().t;
-}
-
-double PowerTrace::end_time() const noexcept {
-  return points_.empty() ? 0.0 : points_.back().t;
-}
-
-double PowerTrace::duration() const noexcept {
-  return end_time() - start_time();
+  if (points_.empty()) return 0.0;
+  return integral(points_.front().t, points_.back().t);
 }
 
 PowerTrace PowerTrace::scaled(double factor) const {
@@ -89,12 +70,6 @@ double Capture::true_energy() const noexcept {
   double acc = 0.0;
   for (const Rail& r : rails) acc += r.trace.integral(window_begin, window_end);
   return acc;
-}
-
-double Capture::true_avg_power() const noexcept {
-  const double span = window_end - window_begin;
-  if (!(span > 0.0)) return 0.0;
-  return true_energy() / span;
 }
 
 Capture split_across_rails(const PowerTrace& device,

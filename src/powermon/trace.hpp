@@ -44,10 +44,6 @@ class PowerTrace {
   /// the current end (or t = 0 if empty).
   void add_constant(double duration, double watts);
 
-  /// Appends a linear ramp from the current end power to `watts` over
-  /// `duration`.
-  void add_ramp(double duration, double watts);
-
   /// Instantaneous power at time t.
   [[nodiscard]] double value(double t) const noexcept;
 
@@ -58,9 +54,6 @@ class PowerTrace {
   /// Full-span exact energy.
   [[nodiscard]] double total_energy() const noexcept;
 
-  [[nodiscard]] double start_time() const noexcept;
-  [[nodiscard]] double end_time() const noexcept;
-  [[nodiscard]] double duration() const noexcept;
   [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
   [[nodiscard]] const std::vector<TracePoint>& points() const noexcept {
     return points_;
@@ -194,9 +187,6 @@ struct Capture {
 
   /// Exact total energy across rails over the kernel window.
   [[nodiscard]] double true_energy() const noexcept;
-
-  /// Exact average power across rails over the kernel window.
-  [[nodiscard]] double true_avg_power() const noexcept;
 };
 
 /// Splits a single device trace across rails according to the split

@@ -55,6 +55,11 @@ KNOWN = [
      "with the simulator's noise-free answer"),
     (r"archline::serve::Json::operator==\(",
      ORACLE + ": test_serve_protocol checks parse(dump(v)) == v"),
+    (r"archline::powermon::PowerTrace::total_energy\(",
+     ORACLE + ": test_integrator's exact energy, and test_trace's "
+     "full-span integral"),
+    (r"archline::stats::(stddev|variance)\(",
+     ORACLE + ": test_rng checks its distributions' spread with them"),
     (r"archline::fit::online::BackgroundResolver::poke\(",
      "test seam: wakes the resolver so tests need not wait out its "
      "interval"),
