@@ -3,9 +3,11 @@
 //
 // Runs one sim::Campaign scenario (see campaign_scenario_names()) and
 // prints its CampaignReport. The whole run is a pure function of
-// (--scenario, --seed, overrides): the JSON report is byte-identical
-// across machines and runs, so a CI artifact reproduces locally with
-// the flags stamped inside it.
+// (--scenario, --seed, --connections, --virtual-seconds): the JSON
+// report is byte-identical across machines and runs. The report stamps
+// only the seed and virtual_seconds, so reproducing an archived report
+// takes the scenario name and any --connections override from the
+// command that wrote it.
 //
 // Usage:
 //   archline_campaign [--scenario NAME] [--seed N] [--connections N]
