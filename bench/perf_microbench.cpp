@@ -4,8 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <span>
+#include <vector>
+
 #include "core/roofline.hpp"
+#include "fit/levmar.hpp"
 #include "fit/model_fit.hpp"
+#include "fit/objective.hpp"
 #include "microbench/intensity.hpp"
 #include "microbench/native_kernels.hpp"
 #include "microbench/parallel.hpp"
@@ -178,6 +184,46 @@ void BM_FitMachinePaperShape(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitMachinePaperShape);
+
+// One Levenberg-Marquardt solve of the binding branch's inner problem,
+// as the capped fit runs it at each of its 21 profile points: three
+// iterations over log (eps_flop, eps_mem, pi1) at a fixed delta_pi, on one
+// Table I suite's DRAM/SP observations. The start is the fitted machine's
+// constants scaled by 0.8 and the cap is 0.9 of the fitted one, so every
+// iteration takes a step.
+void BM_LevmarBindingInner(benchmark::State& state) {
+  const platforms::PlatformSpec& spec = platforms::platform("GTX 680");
+  stats::Rng rng(microbench::campaign_seed(20140519, spec.name));
+  const microbench::SuiteData data = microbench::run_suite(
+      sim::make_machine(spec), microbench::SuiteOptions{}, rng);
+  core::MachineParams at = fit::fit_machine(data).machine;
+  at.delta_pi *= 0.9;
+  fit::ObservationColumns cols(data.dram_sp);
+  const std::vector<double> seed = {std::log(0.8 * at.eps_flop),
+                                    std::log(0.8 * at.eps_mem),
+                                    std::log(0.8 * at.pi1)};
+  const fit::ResidualFn residuals = [&](std::span<const double> x,
+                                        std::vector<double>& r) {
+    core::MachineParams m = at;
+    m.eps_flop = std::exp(x[0]);
+    m.eps_mem = std::exp(x[1]);
+    m.pi1 = std::exp(x[2]);
+    r.resize(3 * cols.size());
+    cols.residuals(m, r);
+  };
+  fit::LevmarOptions opt;
+  opt.max_iterations = 3;
+  int iterations = 0;
+  for (auto _ : state) {
+    const fit::LevmarResult lm =
+        fit::levenberg_marquardt(residuals, seed, opt);
+    iterations = lm.iterations;
+    benchmark::DoNotOptimize(lm.rss);
+  }
+  state.counters["observations"] = static_cast<double>(data.dram_sp.size());
+  state.counters["iterations"] = iterations;
+}
+BENCHMARK(BM_LevmarBindingInner);
 
 void BM_NativeIntensityLadder(benchmark::State& state) {
   const auto elements = static_cast<std::size_t>(state.range(0));

@@ -10,14 +10,16 @@ namespace archline::fit {
 
 namespace {
 
-/// Central-difference Jacobian of r at x into `j` (m x n); `rp` and `rm`
-/// are the evaluation buffers, reused across columns.
+/// Central-difference Jacobian of r at x into `j` (m x n); `xp` holds
+/// the perturbed point and `rp` and `rm` the evaluations, reused across
+/// columns.
 void central_differences(const ResidualFn& r, std::span<const double> x,
-                         double rel_step, std::vector<double>& rp,
-                         std::vector<double>& rm, Mat& j) {
+                         double rel_step, std::vector<double>& xp,
+                         std::vector<double>& rp, std::vector<double>& rm,
+                         Mat& j) {
   const std::size_t m = j.rows();
   const std::size_t n = x.size();
-  std::vector<double> xp(x.begin(), x.end());
+  xp.assign(x.begin(), x.end());
   for (std::size_t c = 0; c < n; ++c) {
     const double h = rel_step * std::max(1.0, std::abs(x[c]));
     const double saved = xp[c];
@@ -43,24 +45,30 @@ LevmarResult levenberg_marquardt(const ResidualFn& residuals,
   std::vector<double> r;
   residuals(x, r);
   if (r.empty()) throw std::invalid_argument("levmar: no residuals");
-  // Evaluation and step buffers, reused by every iteration.
+  // Evaluation, normal-equation and step buffers, reused by every
+  // iteration.
   std::vector<double> r_new;
   std::vector<double> r_minus;
+  std::vector<double> x_probe;
   const std::size_t m = r.size();
   const std::size_t n = x.size();
+  std::vector<double> jtr(n);
   std::vector<double> neg(n);
+  std::vector<double> step(n);
   std::vector<double> x_new(n);
   Mat j(m, n);
+  Mat jtj(n, n);
   Mat damped(n, n);
+  Mat factor(n, n);
   double rss = norm2(r);
   double lambda = options.initial_lambda;
 
   LevmarResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
-    central_differences(residuals, x, options.fd_step, r_new, r_minus, j);
-    const Mat jtj = gram(j);
-    const std::vector<double> jtr = matvec_transposed(j, r);
+    central_differences(residuals, x, options.fd_step, x_probe, r_new,
+                        r_minus, j);
+    normal_equations(j, r, jtj, jtr);
 
     // Gradient convergence: ||J^T r||_inf.
     double grad_inf = 0.0;
@@ -80,11 +88,8 @@ LevmarResult levenberg_marquardt(const ResidualFn& residuals,
       damped = jtj;
       for (std::size_t i = 0; i < n; ++i)
         damped(i, i) += lambda * std::max(jtj(i, i), 1e-12);
-      std::vector<double> step;
-      try {
-        // Solve (J^T J + lambda diag) step = -J^T r.
-        step = cholesky_solve(damped, neg);
-      } catch (const std::runtime_error&) {
+      // Solve (J^T J + lambda diag) step = -J^T r.
+      if (!try_cholesky_solve(damped, neg, factor, step)) {
         lambda *= options.lambda_up;
         continue;
       }

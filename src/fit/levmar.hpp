@@ -6,7 +6,11 @@
 // the DP and cache-level tails' over tau. Marquardt damping scales the
 // diagonal of J^T J; the Jacobian comes from central differences, which
 // is adequate because the roofline residuals are piecewise smooth and the
-// start lands near the right regime cell.
+// start lands near the right regime cell. Each iteration forms J^T J and
+// J^T r in one pass over J's rows (fit::normal_equations, bit for bit
+// the serial row-order sums), and every buffer an iteration needs (J,
+// the normal equations, the damped matrix, its Cholesky factor and the
+// step) is allocated once per call.
 
 #include <functional>
 #include <span>

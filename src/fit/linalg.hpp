@@ -1,8 +1,8 @@
 #pragma once
 // Small dense linear algebra for the fitting substrate.
 //
-// Levenberg-Marquardt needs only J^T J accumulation and a symmetric
-// positive-definite solve of a handful of unknowns (<= 6 model
+// Levenberg-Marquardt needs only the normal equations J^T J, J^T r and a
+// symmetric positive-definite solve of a handful of unknowns (<= 6 model
 // parameters), and the linear energy constants are a three-variable
 // non-negative least-squares problem (nnls3), so a compact row-major
 // matrix with Cholesky is all we carry — implemented from scratch, no
@@ -40,15 +40,25 @@ class Mat {
   std::vector<double> data_;
 };
 
-/// A^T A (Gram matrix).
-[[nodiscard]] Mat gram(const Mat& a);
+/// The normal equations of ||A x - y||^2: A^T A into `ata` (n x n, n =
+/// a.cols()) and A^T y into `aty` (n entries), in one pass over A's rows.
+/// Each entry has its own accumulator, summed from 0.0 in row order, so it
+/// equals the spelled-out serial sum over the rows bit for bit; the lower
+/// triangle of `ata` mirrors the upper. Throws std::invalid_argument when
+/// y, ata or aty do not fit A.
+void normal_equations(const Mat& a, std::span<const double> y, Mat& ata,
+                      std::span<double> aty);
 
-/// A^T y.
-[[nodiscard]] std::vector<double> matvec_transposed(const Mat& a,
-                                                    std::span<const double> y);
+/// Solves S x = b for symmetric positive-definite S via Cholesky, into
+/// `x`, with `factor` (n x n) as the scratch for the lower factor; `x`
+/// may not alias `b`. Returns false, with `x` unspecified, when S is not
+/// positive definite. Allocates nothing.
+[[nodiscard]] bool try_cholesky_solve(const Mat& s, std::span<const double> b,
+                                      Mat& factor, std::span<double> x);
 
-/// Solves S x = b for symmetric positive-definite S via Cholesky.
-/// Throws std::runtime_error if S is not positive definite.
+/// try_cholesky_solve into a new vector. Throws std::invalid_argument on
+/// a dimension mismatch and std::runtime_error if S is not positive
+/// definite.
 [[nodiscard]] std::vector<double> cholesky_solve(const Mat& s,
                                                  std::span<const double> b);
 

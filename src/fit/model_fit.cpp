@@ -136,9 +136,12 @@ core::MachineParams solve_flat(std::span<const microbench::Observation> obs,
                                                : core::kUncapped;
     return m;
   };
+  Mat g(3, 3);
+  std::array<double, 3> atb{};
+  normal_equations(a, b, g, atb);
   std::array<double, 3> x{};
   rss_out = nnls3(
-      gram(a), matvec_transposed(a, b),
+      g, atb,
       [&](const std::array<double, 3>& c) {
         return objective(cols, machine(c), opt);
       },

@@ -91,18 +91,13 @@ class MeanOfSamples {
 
 /// More ticks than any window has: an answer that never changes.
 constexpr std::uint64_t kForever = std::uint64_t{1} << 62;
-/// The room of a span end that can never reach the region's edge.
-constexpr double kNever = std::numeric_limits<double>::infinity();
 
-/// How many more ticks a probe span's answer holds when the end of the
-/// span that decides it is `room` seconds from where the answer could
-/// change. Each tick moves both ends of [max(t - m, begin),
-/// min(t + m, end)] up by at most dt plus the rounding of t += dt and
-/// t +- m, under 2^-12 dt while dt > 2^-40 of the times the ticks reach
-/// (|begin|, |end|, dt and m); counting half of room / dt leaves the
-/// other half to cover it. While those times stay below 2^1000, a room
-/// that overflows to infinity lies beyond every tick's span, so it
-/// holds for good too.
+/// How many more ticks a probe span's answer "not flat" holds when the
+/// span's start is `room` seconds from where the answer could change.
+/// Each tick moves both ends of [max(t - m, begin), min(t + m, end)] up
+/// by at most dt plus the rounding of t += dt and t +- m, under 2^-12 dt
+/// while dt > 2^-40 of the times the ticks reach (|begin|, |end|, dt and
+/// m); counting half of room / dt leaves the other half to cover it.
 std::uint64_t holds_for(double room, double dt) noexcept {
   const double ticks = room / (2.0 * dt);
   if (ticks >= 0x1p62) return kForever;
@@ -133,7 +128,9 @@ double check_capture(const Capture& capture, const SamplerConfig& cfg) {
 /// and jitter, reads the trace and quantizes V and I, handing each kept
 /// sample to `sink` in order. A sample whose every possible probe lies in
 /// one constant region of the trace reads that region's value and skips
-/// its jitter draw with Rng::advance instead of drawing it.
+/// its jitter draw with Rng::advance instead of drawing it; without
+/// dropout, the ticks after it that stay in that region are one tight
+/// loop.
 template <typename Sink>
 void sample_into(const Capture& capture, const SamplerConfig& cfg,
                  double rate, stats::Rng& rng, Sink& sink) {
@@ -151,6 +148,7 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
   const double end = capture.window_end;
   const double jitter_s = cfg.timestamp_jitter_s;
   const double dropout = cfg.dropout_rate;
+  const bool lossy = dropout > 0.0;
   const bool quantize = cfg.quantize;
   // A draw of uniform(-J, J) rounds into [-J, J], so t + jitter rounds
   // into [t - 2J, t + 2J] with room to spare. No sample takes the flat
@@ -162,11 +160,6 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
   for (const Capture::Rail& rail : capture.rails) {
     sink.begin(rail.channel, rate);
     TraceCursor trace(rail.trace);
-    // Whether the last tested tick's probe span lies in one constant
-    // region, its value, and for how many more ticks that answer holds.
-    bool flat = false;
-    double flat_watts = 0.0;
-    std::uint64_t holds = flat_path ? 0 : kForever;
     stats::Rng draws = rng;
     // Outputs owed by flat samples, skipped in one jump before the next
     // real draw.
@@ -188,19 +181,35 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
       return quantize ? quantize_adc(amps, levels, amps_scale, exact_round)
                       : amps;
     };
-    // The ADC's last power bits and the current they read: a plateau
-    // repeats one power, so it divides once.
+    // The ADC's last power bits and the current they read: repeats of one
+    // power divide once.
     std::uint64_t memo_bits = std::bit_cast<std::uint64_t>(0.0);
     double memo_amps = read_amps(0.0);
+    const auto adc = [&](double watts) {
+      const auto bits = std::bit_cast<std::uint64_t>(watts);
+      if (bits != memo_bits) {
+        memo_bits = bits;
+        memo_amps = read_amps(watts);
+      }
+      return memo_amps;
+    };
     // Blocks of samples in two passes: the draws and the trace first,
     // then the ADC, whose dependent divisions then overlap across
     // samples.
     constexpr std::size_t kBlock = 64;
     double stamps[kBlock];
     double powers[kBlock];
+    // For how many more ticks the last tested tick's answer "not flat"
+    // holds: on a ramp, most ticks skip the test.
+    std::uint64_t holds = flat_path ? 0 : kForever;
     for (double t = begin; t <= end;) {
+      // Set when the block ends at a tick that starts a flat run: the
+      // run's region.
+      const TraceCursor::Region* run = nullptr;
       std::size_t n = 0;
       for (; n < kBlock && t <= end; t += dt) {
+        bool flat = false;
+        double watts = 0.0;
         if (holds > 0) {
           --holds;
         } else {
@@ -208,21 +217,19 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
           const double b = std::min(t + margin, end);
           const TraceCursor::Region& r = trace.region(a);
           flat = a >= r.from && b <= r.to;
-          flat_watts = r.watts;
-          // The distance the span's end can move before the answer may
-          // change: to the region's start, past its end, or (b clamped
-          // at `end`) never.
-          holds = holds_for(a < r.from ? r.from - a
-                            : !flat    ? r.to - a
-                            : b < end  ? r.to - b
-                                       : kNever,
-                            dt);
+          watts = r.watts;
+          if (flat && !lossy) {
+            run = &r;
+            break;
+          }
+          // The distance the span's start can move before the answer
+          // may change: to the region's start, or past its end.
+          if (!flat) holds = holds_for(a < r.from ? r.from - a : r.to - a, dt);
         }
-        if (dropout > 0.0) {
+        if (lossy) {
           settle();
           if (draws.uniform() < dropout) continue;  // sample lost in transit
         }
-        double watts = flat_watts;
         if (flat) {
           skipped += 2;  // the two outputs of the jitter's uniform()
         } else {
@@ -235,14 +242,24 @@ void sample_into(const Capture& capture, const SamplerConfig& cfg,
         stamps[n] = t;
         powers[n++] = watts;
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto bits = std::bit_cast<std::uint64_t>(powers[i]);
-        if (bits != memo_bits) {
-          memo_bits = bits;
-          memo_amps = read_amps(powers[i]);
-        }
-        sink.add(stamps[i], volts_reading, memo_amps);
-      }
+      for (std::size_t i = 0; i < n; ++i)
+        sink.add(stamps[i], volts_reading, adc(powers[i]));
+      if (run == nullptr) continue;
+      // The flat run from t: a later tick's span [max(t - m, begin),
+      // min(t + m, end)] starts no earlier, so it stays in the region
+      // exactly while its end does, which are the ticks the test above
+      // would call flat. The run holds t itself, so the body runs first:
+      // a loop that might run no tick leaves the sink's sums in memory,
+      // reloaded every tick.
+      const double to = run->to;
+      const double amps = adc(run->watts);
+      std::uint64_t k = 0;
+      do {
+        sink.add(t, volts_reading, amps);
+        t += dt;
+        ++k;
+      } while (t <= end && (end <= to || t + margin <= to));
+      skipped += 2 * k;
     }
     settle();
     rng = draws;

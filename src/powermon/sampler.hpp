@@ -27,10 +27,13 @@
 //     formula). When every time the clamped probe can take lies in one
 //     constant region of the trace (TraceCursor::region), the reading
 //     is that region's value, which is value() at any of those times.
-//     That answer may be reused for the next ticks only as far as a
-//     bound that covers the rounding of t shows it cannot change, and
-//     the ADC may reuse the current it last computed for the same power
-//     bits;
+//     Both ends of the span only rise with t, so without dropout the
+//     ticks after a flat one are flat exactly while fl(t + 2J) (or the
+//     window end) stays within the region's end: one tight loop adds
+//     them with the region's current. A "not flat" answer may be
+//     reused for the next ticks only as far as a bound that covers the
+//     rounding of t shows it cannot change, and the ADC may reuse the
+//     current it last computed for the same power bits;
 //   * the streaming estimator, sample_mean() in integrator.hpp, is the
 //     paper's §IV-h mean: per channel acc += V * I in sample order, then
 //     total += acc / count over channels in order — the sums

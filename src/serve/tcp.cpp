@@ -49,6 +49,11 @@ constexpr int kMaxIov = 64;
 /// keep the window open forever.
 constexpr auto kSpinBeforePark = std::chrono::milliseconds(1);
 
+/// Lock stripes of each shard's cache partition, whatever --cache-shards
+/// says (that stripes only the server's own partition); each stripe's
+/// LRU bound is the partition's capacity over this count.
+constexpr std::size_t kPartitionStripes = 4;
+
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -869,8 +874,8 @@ bool TcpListener::open(std::string* error) {
         1, cache_capacity / static_cast<std::size_t>(shards_));
     partitions_.reserve(static_cast<std::size_t>(shards_));
     for (int i = 0; i < shards_; ++i) {
-      auto partition = std::make_shared<ShardedLruCache>(per_shard,
-                                                         /*shards=*/4);
+      auto partition =
+          std::make_shared<ShardedLruCache>(per_shard, kPartitionStripes);
       server_.add_cache_partition(partition);
       partitions_.push_back(std::move(partition));
     }

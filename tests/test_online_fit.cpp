@@ -244,9 +244,9 @@ TEST(OnlineFit, ForgettingTracksMidStreamShift) {
             rel_err(end.eps_flop, after.eps_flop));
 }
 
-// With lambda = 1 the learner's sums are gram() and matvec_transposed()
-// over the same rows in the same order, and its solve is the offline
-// fit's nnls3: the estimate must be that solution bit for bit.
+// With lambda = 1 the learner's sums are normal_equations()'s over the
+// same rows in the same order, and its solve is the offline fit's nnls3:
+// the estimate must be that solution bit for bit.
 TEST(OnlineFit, UnforgettingLearnerIsTheBatchNnlsBitForBit) {
   const auto stream = make_stream(Generator{}, 512, 0.01, 21);
   RlsFilter filter(1.0);
@@ -267,9 +267,11 @@ TEST(OnlineFit, UnforgettingLearnerIsTheBatchNnlsBitForBit) {
     }
     return acc;
   };
+  fit::Mat g(3, 3);
+  std::array<double, 3> aty{};
+  fit::normal_equations(a, y, g, aty);
   std::array<double, 3> x{};
-  ASSERT_TRUE(std::isfinite(
-      fit::nnls3(fit::gram(a), fit::matvec_transposed(a, y), rss, x)));
+  ASSERT_TRUE(std::isfinite(fit::nnls3(g, aty, rss, x)));
 
   const auto est = filter.estimate();
   EXPECT_EQ(est.eps_flop, x[0] * 1e-9);

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "microbench/intensity.hpp"
 #include "platforms/platform_db.hpp"
@@ -712,6 +714,99 @@ TEST(SamplerFlat, TableOnePlatformRuns) {
   for (const char* name : {"GTX Titan", "Xeon Phi", "Arndale CPU"}) {
     SCOPED_TRACE(name);
     expect_exact(platform_capture(name), pm::SamplerConfig{});
+  }
+}
+
+// ---- Flat runs ----------------------------------------------------------
+// Without dropout, the ticks after a flat one that stay in its region are
+// consumed in one loop that stops at the window's end or on the first
+// tick whose span end fl(t + 2J) passes the region's end. Four rails, so
+// the period is 1/768 s (not a power of two), from a window start that is
+// no tick of 0, under a margin 2J of 0, 40 us and more than three periods.
+
+/// The four rails of `t`, each at its own voltage and share.
+pm::Capture four_rails(const pm::PowerTrace& t, double begin, double end) {
+  pm::Capture cap;
+  for (std::size_t i = 0; i < 4; ++i)
+    cap.rails.push_back(
+        {.channel = {.name = "rail" + std::to_string(i),
+                     .nominal_volts = 1.8 + 3.0 * static_cast<double>(i)},
+         .trace = t.scaled(0.1 + 0.2 * static_cast<double>(i))});
+  cap.window_begin = begin;
+  cap.window_end = end;
+  return cap;
+}
+
+/// The jitters J whose margins 2J are 0, 40 us and 3.2 periods at 4 rails.
+std::vector<double> flat_run_jitters() {
+  return {0.0, 20e-6, 1.6 / pm::effective_rate(pm::SamplerConfig{}, 4)};
+}
+
+TEST(SamplerFlatRun, RunReachesTheWindowEnd) {
+  // A ramp, then a plateau whose region ends past the window end, exactly
+  // on it (the next breakpoint one ulp after it), one ulp before it, or
+  // never; and a window that ends on a tick.
+  const double begin = 0.0371;
+  const double dt = 1.0 / 768.0;
+  double tick = begin;
+  for (int i = 0; i < 300; ++i) tick += dt;
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (const double end : {0.33, tick}) {
+    for (const double next : {2.0, std::nextafter(end, inf), end, inf}) {
+      pm::PowerTrace t;
+      t.add_point(0.0, 20.0);
+      t.add_point(0.05, 90.0);
+      if (next < inf) {
+        t.add_point(next, 90.0);
+        t.add_point(next, 40.0);
+        t.add_point(next + 1.0, 40.0);
+      }
+      for (const double jitter : flat_run_jitters()) {
+        SCOPED_TRACE(testing::Message() << "end " << end << " next "
+                                        << next - end << " jitter " << jitter);
+        pm::SamplerConfig cfg;
+        cfg.timestamp_jitter_s = jitter;
+        expect_exact(four_rails(t, begin, end), cfg);
+      }
+    }
+  }
+}
+
+TEST(SamplerFlatRun, RunStopsOnTheFirstTickPastTheRegionEnd) {
+  // A plateau whose region ends one ulp before a step: the run takes tick
+  // k exactly when fl(tick_k + 2J) lies before the step. The step sits
+  // one ulp before that time, on it, and one ulp after it.
+  const double begin = 0.0123;
+  const double dt = 1.0 / 768.0;
+  ASSERT_EQ(pm::effective_rate(pm::SamplerConfig{}, 4), 768.0);
+  for (const double jitter : flat_run_jitters()) {
+    pm::SamplerConfig cfg;
+    cfg.timestamp_jitter_s = jitter;
+    for (const int k : {200, 431, 640}) {
+      double tick = begin;
+      for (int i = 0; i < k; ++i) tick += dt;
+      const double edge = tick + 2.0 * jitter;
+      for (const double step : {std::nextafter(edge, 0.0), edge,
+                                std::nextafter(edge, 1.0)}) {
+        SCOPED_TRACE(testing::Message() << "jitter " << jitter << " tick "
+                                        << k << " step " << step - edge);
+        pm::PowerTrace t;
+        t.add_point(0.0, 75.0);
+        t.add_point(step, 75.0);
+        t.add_point(step, 30.0);
+        t.add_point(1.0, 30.0);
+        const pm::Capture cap = four_rails(t, begin, 0.9);
+        expect_exact(cap, cfg);
+        if (jitter == 0.0) {
+          // The probe is the tick itself: tick k reads the plateau only
+          // when the step lies after it.
+          Rng rng(8);
+          const pm::SampledCapture got = pm::sample(cap, cfg, rng);
+          const double want = step > tick ? 75.0 : 30.0;
+          EXPECT_NEAR(got.channels[0].samples[k].watts(), 0.1 * want, 0.1);
+        }
+      }
+    }
   }
 }
 

@@ -26,9 +26,11 @@
 // --shards N runs N thread-per-core event-loop shards, each with its
 // own SO_REUSEPORT listener (or a round-robin fd handoff from shard 0
 // with --no-reuseport / on kernels without SO_REUSEPORT), connection
-// table, and response-cache partition. NOTE: before the sharded front
-// end, --shards set the cache's internal lock striping — that knob is
-// now --cache-shards. --pin-shards additionally pins shard i's loop
+// table, and response-cache partition (4 lock stripes each). NOTE:
+// before the sharded front end, --shards set the cache's internal lock
+// striping — that knob is now --cache-shards, and it stripes only the
+// server's own partition, which --stdio and in-process callers probe;
+// TCP shards never do. --pin-shards additionally pins shard i's loop
 // thread to the i-th CPU of the process's affinity mask (ignored, with
 // a stderr note, when the mask holds fewer CPUs than shards).
 //
