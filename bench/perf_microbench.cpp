@@ -1,11 +1,29 @@
 // Library microbenchmarks (google-benchmark): regression guard on the hot
-// paths — model evaluation, simulator runs, sampling, fitting, and the
-// native host kernels.
+// paths — model evaluation, simulator runs, sampling, fitting, the
+// native host kernels, and the serving path's per-request costs
+// (`--benchmark_filter=Serve`).
+//
+// The BM_Serve* cases drive serve::Server in process: a cached hit on 1
+// and 4 threads, the miss path, predict_batch, JSON parsing,
+// policy_advise, observe ingest and a Light request through submit().
+// BM_ServeTcp* cross a one-shard TcpListener on loopback, one request
+// per round trip, and report the round trip's p50/p99 as counters.
+// Request lines come from sim/request_pools, the vocabulary
+// serve_loadgen and the campaigns send. Whole-daemon load (shard
+// scaling, the Heavy flood, ingest under refit) is serve_loadgen's job.
 
 #include <benchmark/benchmark.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/roofline.hpp"
@@ -17,7 +35,13 @@
 #include "microbench/parallel.hpp"
 #include "microbench/suite.hpp"
 #include "platforms/platform_db.hpp"
+#include "serve/json.hpp"
+#include "serve/server.hpp"
+#include "serve/tcp.hpp"
 #include "sim/factory.hpp"
+#include "sim/request_pools.hpp"
+#include "sim/tcp_client.hpp"
+#include "stats/descriptive.hpp"
 
 namespace {
 
@@ -255,6 +279,225 @@ void BM_NativePointerChase(benchmark::State& state) {
                           static_cast<std::int64_t>(slots));
 }
 BENCHMARK(BM_NativePointerChase)->Arg(1 << 12)->Arg(1 << 18);
+
+// ---- Serving path ----------------------------------------------------------
+
+const std::vector<std::string>& predict_pool() {
+  static const std::vector<std::string> pool = sim::make_predict_pool(64);
+  return pool;
+}
+
+/// predict_batch lines of n elements each (16 keys at 256, else 64).
+std::vector<std::string> batch_pool(int n) {
+  return sim::make_batch_pool(n == 256 ? 16 : 64, {n});
+}
+
+serve::ServerOptions uncached() {
+  serve::ServerOptions opt;
+  opt.cache_capacity = 0;  // every request takes the full miss path
+  return opt;
+}
+
+void warm(serve::Server& server, const std::vector<std::string>& pool) {
+  for (const std::string& line : pool) (void)server.handle_now(line);
+}
+
+/// One pool line per iteration through handle_into, round robin from
+/// `first`, into one reused reply buffer.
+void handle_pool(benchmark::State& state, serve::Server& server,
+                 const std::vector<std::string>& pool, std::size_t first = 0) {
+  std::string out;
+  std::size_t i = first % pool.size();
+  for (auto _ : state) {
+    server.handle_into(pool[i], out);
+    if (++i == pool.size()) i = 0;
+  }
+}
+
+// The steady-state hit path. Every thread probes the same warmed Server,
+// so items/s at threads:4 is the shared cache's aggregate hit rate.
+void BM_ServeCachedHit(benchmark::State& state) {
+  static serve::Server server;
+  [[maybe_unused]] static const bool warmed =
+      (warm(server, predict_pool()), true);
+  handle_pool(state, server, predict_pool(),
+              static_cast<std::size_t>(state.thread_index()) * 16);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeCachedHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// Parse, model evaluation and render with the cache off.
+void BM_ServeMissPredict(benchmark::State& state) {
+  serve::Server server(uncached());
+  handle_pool(state, server, predict_pool());
+}
+BENCHMARK(BM_ServeMissPredict);
+
+// predict_batch on the miss path without the transport: items/s is
+// predictions/s, the SoA evaluate and render cost per element.
+void BM_ServePredictBatch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  serve::Server server(uncached());
+  handle_pool(state, server, batch_pool(n));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ServePredictBatch)->Arg(1)->Arg(64)->Arg(256);
+
+// A predict line through the owned parse and through the in-situ parse
+// the protocol uses.
+void BM_ServeJsonParse(benchmark::State& state,
+                       serve::Json (*parse)(std::string_view, int)) {
+  const std::vector<std::string>& pool = predict_pool();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(parse(pool[i], 64));
+    if (++i == pool.size()) i = 0;
+  }
+}
+BENCHMARK_CAPTURE(BM_ServeJsonParse, parse, &serve::Json::parse);
+BENCHMARK_CAPTURE(BM_ServeJsonParse, parse_in_situ,
+                  &serve::Json::parse_in_situ);
+
+// hit: the cache probe a control loop pays asking the same question each
+// period. miss: parse, the ladder sweep (race/steady/cap plans per
+// operating point), argmin and the plan-table render.
+void BM_ServePolicyAdvise(benchmark::State& state, bool hit) {
+  const std::vector<std::string> pool = sim::make_policy_pool();
+  serve::Server server(hit ? serve::ServerOptions{} : uncached());
+  if (hit) warm(server, pool);
+  handle_pool(state, server, pool);
+}
+BENCHMARK_CAPTURE(BM_ServePolicyAdvise, hit, true);
+BENCHMARK_CAPTURE(BM_ServePolicyAdvise, miss, false);
+
+// observe with 8 tuples: parse, the learner update per tuple and the
+// re-solve window write. Never cached.
+void BM_ServeObserveIngest(benchmark::State& state) {
+  serve::Server server;
+  handle_pool(state, server, sim::make_observe_pool(64, 42));
+}
+BENCHMARK(BM_ServeObserveIngest);
+
+// A warmed predict through submit(): a Light request finishes on the
+// submitting thread, so this is submit's inline path (probe, hit, done).
+void BM_ServeSubmitLight(benchmark::State& state) {
+  serve::Server server;
+  server.start();
+  const std::vector<std::string>& pool = predict_pool();
+  warm(server, pool);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    bool answered = false;
+    if (!server.submit(pool[i], [&](std::string&&) { answered = true; }) ||
+        !answered) {
+      state.SkipWithError("a Light request did not finish inside submit");
+      break;
+    }
+    if (++i == pool.size()) i = 0;
+  }
+  server.shutdown();
+}
+BENCHMARK(BM_ServeSubmitLight);
+
+/// A Server behind a one-shard TcpListener on an ephemeral loopback
+/// port, its event loop on a thread of its own, and one client socket.
+struct TcpServe {
+  serve::Server server;
+  serve::TcpListener listener;
+  std::atomic<bool> stop{false};
+  std::thread loop;
+  int fd = -1;
+  std::string error;
+
+  static serve::ServerOptions options(bool cache) {
+    serve::ServerOptions opt = cache ? serve::ServerOptions{} : uncached();
+    opt.threads = 2;
+    return opt;
+  }
+  static serve::TcpOptions tcp_options() {
+    serve::TcpOptions tcp;
+    tcp.port = 0;
+    tcp.poll_interval_ms = 5;
+    return tcp;
+  }
+
+  explicit TcpServe(bool cache)
+      : server(options(cache)), listener(server, tcp_options()) {
+    server.start();
+    if (!listener.open(&error)) return;
+    loop = std::thread([this] { listener.run(stop); });
+    fd = sim::connect_tcp("127.0.0.1", listener.port());
+    if (fd < 0) error = "cannot connect to the listener";
+  }
+  ~TcpServe() {
+    if (fd >= 0) ::close(fd);
+    stop.store(true, std::memory_order_release);
+    if (loop.joinable()) loop.join();
+    server.shutdown();
+  }
+};
+
+/// One pool line per iteration as a blocking round trip, sent every
+/// `gap` on a fixed schedule when gap > 0 (then each iteration's time is
+/// its round trip alone). Counters: round-trip p50/p99 in µs.
+void tcp_round_trips(benchmark::State& state, TcpServe& tcp,
+                     const std::vector<std::string>& pool,
+                     std::chrono::microseconds gap) {
+  using Clock = std::chrono::steady_clock;
+  if (!tcp.error.empty()) {
+    state.SkipWithError(tcp.error.c_str());
+    return;
+  }
+  std::vector<double> rtt_us;
+  rtt_us.reserve(static_cast<std::size_t>(
+      std::min<benchmark::IterationCount>(state.max_iterations, 1 << 20)));
+  std::string reply;
+  std::size_t i = 0;
+  auto next_send = Clock::now();
+  for (auto _ : state) {
+    if (gap.count() > 0) {
+      std::this_thread::sleep_until(next_send);
+      next_send += gap;
+    }
+    const auto t0 = Clock::now();
+    const bool ok = sim::request_once(tcp.fd, pool[i], reply);
+    const std::chrono::duration<double> rtt = Clock::now() - t0;
+    if (!ok || !sim::reply_ok(reply)) {
+      state.SkipWithError("round trip failed");
+      break;
+    }
+    if (gap.count() > 0) state.SetIterationTime(rtt.count());
+    rtt_us.push_back(rtt.count() * 1e6);
+    if (++i == pool.size()) i = 0;
+  }
+  std::sort(rtt_us.begin(), rtt_us.end());
+  state.counters["p50_us"] = stats::nearest_rank(rtt_us, 0.50);
+  state.counters["p99_us"] = stats::nearest_rank(rtt_us, 0.99);
+}
+
+// predict_batch with the cache off, one request per round trip: items/s
+// is the predictions/s a client sees. Everything a request pays once
+// (framing, the shard's read, the reply's write) amortizes over the batch.
+void BM_ServeTcpPredictBatch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  TcpServe tcp(false);
+  tcp_round_trips(state, tcp, batch_pool(n), {});
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ServeTcpPredictBatch)->Arg(1)->Arg(64)->Arg(256)->UseRealTime();
+
+// One warmed hit every Arg µs: the shard idles between requests, so the
+// round trip includes what it pays to notice a request after a gap (a
+// park and wake unless it is still spinning), as in perfbench cold-open.
+void BM_ServeTcpPacedHit(benchmark::State& state) {
+  TcpServe tcp(true);
+  std::string reply;  // warm the shard's own cache partition
+  for (const std::string& line : predict_pool())
+    (void)sim::request_once(tcp.fd, line, reply);
+  tcp_round_trips(state, tcp, predict_pool(),
+                  std::chrono::microseconds(state.range(0)));
+}
+BENCHMARK(BM_ServeTcpPacedHit)->Arg(200)->UseManualTime()->Iterations(4000);
 
 }  // namespace
 

@@ -102,7 +102,7 @@ struct Config {
   int fit_keys = 4;       ///< distinct fit requests in the pool
   double fit_frac = 0.10;
   std::uint64_t seed = 42;
-  std::string scenario = "mixed";  ///< "mixed" | "heavy-starvation"
+  std::string scenario = "mixed";  ///< one of the --scenario names above
   bool inproc = false;
   bool json = false;  ///< emit one JSON summary object instead of text
 };

@@ -1,7 +1,8 @@
 #pragma once
 // The serve request vocabulary: every request line that serve_loadgen,
-// serve_throughput, and sim::Campaign send is built here, once, so the
-// three speak byte-identical traffic for the same sizes and seed. A
+// perf_microbench's BM_Serve* cases, and sim::Campaign send is built
+// here, once, so the three speak byte-identical traffic for the same
+// sizes and seed. A
 // campaign regression therefore reproduces against a real daemon with
 // the same mix, and a loadgen run is the measured counterpart of a
 // campaign on the same lines. The reply classifiers at the end are the

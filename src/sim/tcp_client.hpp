@@ -1,7 +1,8 @@
 #pragma once
 // A small blocking TCP client for newline-delimited JSON servers: the
 // one socket helper set behind serve_loadgen's probe and stats round
-// trips, serve_throughput's TCP scenarios, and the transport tests.
+// trips, perf_microbench's BM_ServeTcp* round trips, and the transport
+// tests.
 // Linux-only, like the serve transport itself. Every call blocks; the
 // caller owns the fd and closes it.
 
