@@ -52,7 +52,7 @@ const Endpoint* Registry::by_id(std::uint8_t id) const noexcept {
   return id < count_ ? &endpoints_[id] : nullptr;
 }
 
-RequestClass classify_line(std::string_view line) noexcept {
+std::string_view request_type(std::string_view line) noexcept {
   // Find `"type"` followed (after optional whitespace) by `:` and a
   // string value — without parsing the document. JSON string escaping
   // cannot produce the byte sequence `"type"` inside a string value
@@ -62,34 +62,35 @@ RequestClass classify_line(std::string_view line) noexcept {
   // pathological line is misclassified Light — the dispatcher's real
   // parse still produces the correct reply bytes.
   static constexpr std::string_view kNeedle = "\"type\"";
+  static constexpr std::string_view kNone = "invalid";
+  const auto space = [](char ch) {
+    return ch == ' ' || ch == '\t' || ch == '\r' || ch == '\n';
+  };
   std::size_t pos = 0;
   while ((pos = line.find(kNeedle, pos)) != std::string_view::npos) {
     std::size_t i = pos + kNeedle.size();
-    while (i < line.size() &&
-           (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' ||
-            line[i] == '\n'))
-      ++i;
+    while (i < line.size() && space(line[i])) ++i;
     if (i >= line.size() || line[i] != ':') {
       pos += kNeedle.size();
       continue;
     }
     ++i;
-    while (i < line.size() &&
-           (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' ||
-            line[i] == '\n'))
-      ++i;
-    if (i >= line.size() || line[i] != '"') return RequestClass::Light;
+    while (i < line.size() && space(line[i])) ++i;
+    if (i >= line.size() || line[i] != '"') return kNone;
     const std::size_t begin = ++i;
     // Endpoint names never contain escapes; a backslash or a missing
-    // closing quote means "not one of ours" -> Light.
+    // closing quote means "not one of ours".
     while (i < line.size() && line[i] != '"' && line[i] != '\\') ++i;
-    if (i >= line.size() || line[i] != '"') return RequestClass::Light;
-    const Endpoint* ep =
-        Registry::instance().find(line.substr(begin, i - begin));
-    if (ep == nullptr) return RequestClass::Light;
-    return ep->classify ? ep->classify(line) : ep->klass;
+    if (i >= line.size() || line[i] != '"') return kNone;
+    return line.substr(begin, i - begin);
   }
-  return RequestClass::Light;
+  return kNone;
+}
+
+RequestClass classify_line(std::string_view line) noexcept {
+  const Endpoint* ep = Registry::instance().find(request_type(line));
+  if (ep == nullptr) return RequestClass::Light;
+  return ep->classify ? ep->classify(line) : ep->klass;
 }
 
 }  // namespace archline::serve

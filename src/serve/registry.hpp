@@ -151,12 +151,17 @@ void register_online_endpoints(Registry& r);
 void register_batch_endpoints(Registry& r);
 void register_policy_endpoints(Registry& r);
 
-/// Admission-time classification without a full JSON parse: scans the
-/// raw request line for its "type" member and returns the matching
-/// endpoint's class. Unknown types, missing types, and malformed lines
-/// classify Light — their replies are cheap errors. Misclassification
-/// can only affect where the request runs, never reply bytes (the
-/// dispatcher re-parses properly).
+/// The value of the raw request line's "type" member, found without a
+/// JSON parse, or "invalid" when there is none (malformed line, no
+/// such member, a non-string value, or one holding an escape). The
+/// value need not name an endpoint.
+[[nodiscard]] std::string_view request_type(std::string_view line) noexcept;
+
+/// Admission-time classification without a full JSON parse: the class
+/// of the endpoint request_type() names. Unknown types, missing types,
+/// and malformed lines classify Light — their replies are cheap errors.
+/// Misclassification can only affect where the request runs, never
+/// reply bytes (the dispatcher re-parses properly).
 [[nodiscard]] RequestClass classify_line(std::string_view line) noexcept;
 
 }  // namespace archline::serve

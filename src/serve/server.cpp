@@ -267,61 +267,6 @@ void Server::shutdown() {
   running_.store(false, std::memory_order_release);
 }
 
-// ---- OrderedWriter --------------------------------------------------------
-
-void OrderedWriter::flush_ready(std::unique_lock<std::mutex>& lock) {
-  while (!out_of_order_.empty() &&
-         out_of_order_.begin()->first == next_to_write_) {
-    flush_batch_.clear();
-    auto it = out_of_order_.begin();
-    while (it != out_of_order_.end() &&
-           it->first == next_to_write_ + flush_batch_.size()) {
-      flush_batch_.push_back(std::move(it->second));
-      it = out_of_order_.erase(it);
-    }
-    lock.unlock();
-    for (const std::string& body : flush_batch_) sink_(body);
-    lock.lock();
-    next_to_write_ += flush_batch_.size();
-  }
-  flushing_ = false;
-  if (next_to_write_ == sequence_.load(std::memory_order_acquire))
-    all_done_.notify_all();
-}
-
-void OrderedWriter::complete(std::uint64_t seq, std::string&& body) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Fast path: this response is the next to write, nothing is buffered,
-  // and nobody else owns the sink — write it directly, without ever
-  // parking it in the map, and without holding the mutex across sink_.
-  if (!flushing_ && seq == next_to_write_ && out_of_order_.empty()) {
-    flushing_ = true;
-    lock.unlock();
-    sink_(body);
-    lock.lock();
-    ++next_to_write_;
-    flush_ready(lock);
-    return;
-  }
-  out_of_order_.emplace(seq, std::move(body));
-  if (flushing_ || out_of_order_.begin()->first != next_to_write_) return;
-  flushing_ = true;
-  flush_ready(lock);
-}
-
-std::size_t OrderedWriter::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<std::size_t>(
-      sequence_.load(std::memory_order_acquire) - next_to_write_);
-}
-
-void OrderedWriter::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [&] {
-    return next_to_write_ == sequence_.load(std::memory_order_acquire);
-  });
-}
-
 // ---- Stream transport -----------------------------------------------------
 
 void run_stream(Server& server, std::istream& in, std::ostream& out) {

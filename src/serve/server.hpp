@@ -38,7 +38,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -276,48 +275,36 @@ class Server {
   std::mutex lifecycle_mutex_;  ///< serializes start/shutdown
 };
 
-/// Restores FIFO response order for one connection when a worker pool
-/// completes requests out of order: responses are released strictly by
-/// sequence number, buffering any that finish early. The sink callback
-/// receives each response body in submission order.
-///
-/// The sink is invoked WITHOUT the writer's mutex held (a single
-/// "flushing" owner drains ready runs), so a slow sink — a blocking
-/// socket write, a contended downstream lock — never stalls workers
-/// that are merely delivering out-of-order completions.
+/// Restores FIFO response order for one connection when replies finish
+/// out of order: responses are released strictly by sequence number,
+/// buffering any that finish early. Single-threaded: the transport
+/// shard that owns the connection calls it, and worker completions
+/// reach that shard through its completion channel (serve/shard_core).
 class OrderedWriter {
  public:
-  using Sink = std::function<void(const std::string&)>;
-
-  explicit OrderedWriter(Sink sink) : sink_(std::move(sink)) {}
-
   /// Reserves the next sequence number (call in submission order).
   [[nodiscard]] std::uint64_t next_sequence() noexcept { return sequence_++; }
 
-  /// Delivers response `seq`; flushes it and any directly following
-  /// buffered responses to the sink, in order.
-  void complete(std::uint64_t seq, std::string&& body);
-
-  /// Number of reserved-but-undelivered responses.
-  [[nodiscard]] std::size_t pending() const;
-
-  /// Blocks until every reserved sequence number has been delivered.
-  void drain();
+  /// Accepts response `seq`; hands it and any directly following
+  /// buffered responses to `sink(std::string&&)`, in order.
+  template <class Sink>
+  void complete(std::uint64_t seq, std::string&& body, Sink&& sink) {
+    if (seq != next_to_write_) {
+      out_of_order_.emplace(seq, std::move(body));
+      return;
+    }
+    sink(std::move(body));
+    ++next_to_write_;
+    for (auto it = out_of_order_.begin();
+         it != out_of_order_.end() && it->first == next_to_write_;
+         it = out_of_order_.erase(it), ++next_to_write_)
+      sink(std::move(it->second));
+  }
 
  private:
-  /// Writes runs of contiguous buffered responses starting at
-  /// next_to_write_, releasing the lock around each run of sink calls.
-  /// Pre: lock held and flushing_ == true; post: flushing_ == false.
-  void flush_ready(std::unique_lock<std::mutex>& lock);
-
-  Sink sink_;
-  std::atomic<std::uint64_t> sequence_{0};  ///< next to reserve
-  mutable std::mutex mutex_;
-  std::condition_variable all_done_;
+  std::uint64_t sequence_ = 0;  ///< next to reserve
   std::uint64_t next_to_write_ = 0;
-  bool flushing_ = false;  ///< one thread at a time owns the sink
   std::map<std::uint64_t, std::string> out_of_order_;
-  std::vector<std::string> flush_batch_;  ///< flusher-owned scratch
 };
 
 /// Serves newline-delimited requests from `in` to `out` on the calling

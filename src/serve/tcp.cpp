@@ -25,21 +25,13 @@
 #include <utility>
 #include <vector>
 
-#include "serve/iobuf.hpp"
+#include "serve/shard_core.hpp"
 
 namespace archline::serve {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Frame separator shared by every iovec the flush path builds.
-constexpr char kNewline = '\n';
-
-/// Most reply segments one sendv() call gathers. 64 replies per
-/// syscall amortizes the crossing thoroughly; IOV_MAX is 1024, so the
-/// 2-segments-per-reply layout stays far under the kernel limit.
-constexpr int kMaxIov = 64;
 
 /// Spin, then park: a shard whose last non-empty epoll_wait returned
 /// less than this long ago polls with timeout 0 (yielding its CPU after
@@ -49,48 +41,10 @@ constexpr int kMaxIov = 64;
 /// keep the window open forever.
 constexpr auto kSpinBeforePark = std::chrono::milliseconds(1);
 
-/// Lock stripes of each shard's cache partition, whatever --cache-shards
-/// says (that stripes only the server's own partition); each stripe's
-/// LRU bound is the partition's capacity over this count.
-constexpr std::size_t kPartitionStripes = 4;
-
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
-
-/// Worker threads finish responses out on their own schedule; this is
-/// the hand-off back to the owning shard. complete() under the writer's
-/// lock pushes each connection's responses here in FIFO order, and the
-/// eventfd wakes that shard's epoll_wait. After close() pushes are
-/// dropped — that is what makes it safe for straggler callbacks (queue
-/// drain during Server::shutdown) to outlive the loop.
-struct CompletionChannel {
-  std::mutex mutex;
-  std::vector<std::pair<std::uint64_t, std::string>> ready;
-  int event_fd = -1;
-  bool closed = false;
-
-  void push(std::uint64_t conn_id, const std::string& body) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (closed) return;
-    ready.emplace_back(conn_id, body);
-    const std::uint64_t one = 1;
-    // Under the lock so close() cannot free the fd mid-write.
-    [[maybe_unused]] const ssize_t n =
-        ::write(event_fd, &one, sizeof one);
-  }
-
-  void take(std::vector<std::pair<std::uint64_t, std::string>>& out) {
-    std::lock_guard<std::mutex> lock(mutex);
-    out.swap(ready);
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mutex);
-    closed = true;
-  }
-};
 
 /// Handoff-fallback plumbing: the acceptor shard pushes freshly
 /// accepted fds here; the owning shard's eventfd wakes it to admit
@@ -128,45 +82,16 @@ struct HandoffQueue {
   }
 };
 
-/// Everything a shard knows about one socket. `submitted` counts
-/// requests accepted from the wire; `written` counts responses framed
-/// for sending; the connection may close only when they agree and the
-/// outbound buffers have drained.
-///
-/// Outbound data lives in two places, always sent in this order:
-///   * `out`    — partially-sent residue and copied inline-hit frames
-///                (cursor buffer: consuming sent bytes is O(1));
-///   * `pending`— whole reply bodies not yet touched by sendv(), moved
-///                in from workers with zero copies; flush() gathers
-///                them (+ newline separators) into one writev.
-struct Conn {
-  int fd = -1;
-  std::uint64_t id = 0;
-  std::shared_ptr<OrderedWriter> writer;
-  ConsumableBuffer in;   ///< residual partial line (no newline yet)
-  ConsumableBuffer out;  ///< framed bytes awaiting (re)send
-  std::vector<std::string> pending;  ///< un-sent reply bodies, FIFO
-  std::size_t pending_next = 0;      ///< first un-sent index in pending
-  std::uint64_t submitted = 0;
-  std::uint64_t written = 0;
-  /// No further reads: peer EOF, an oversized line, or server stop.
-  bool half_closed = false;
-  std::uint32_t interest = 0;  ///< current epoll event mask
-  Clock::time_point last_activity;
-};
-
-[[nodiscard]] bool has_outbound(const Conn& c) noexcept {
-  return !c.out.empty() || c.pending_next < c.pending.size();
-}
-
-/// One event-loop shard: its own epoll instance, connection table,
-/// completion channel, and (optionally) listen socket, handoff inbox,
-/// and response-cache partition. Everything here is touched by exactly
-/// one thread; the CompletionChannel and HandoffQueue are the only
-/// cross-thread doors, and both are internally locked.
+/// One event-loop shard: the epoll driver of a ShardCore. The loop owns
+/// the fds, the epoll interest set, the completion and handoff
+/// eventfds, spin-then-park and the drain grace; the core owns every
+/// decision about a connection. Everything here is touched by exactly
+/// one thread; the core's completion channel and the HandoffQueue are
+/// the only cross-thread doors, and both are internally locked.
 class ShardLoop {
  public:
-  // epoll_event.data.u64 routing within one shard.
+  // epoll_event.data.u64 routing within one shard; connection ids
+  // start after these.
   static constexpr std::uint64_t kListenId = 0;
   static constexpr std::uint64_t kWakeId = 1;
   static constexpr std::uint64_t kHandoffId = 2;
@@ -174,108 +99,67 @@ class ShardLoop {
 
   ShardLoop(Server& server, const TcpOptions& options, int shard,
             int shard_count, int listen_fd,
-            std::shared_ptr<ShardedLruCache> cache, std::size_t max_conns,
-            HandoffQueue* inbox, std::vector<HandoffQueue*> targets)
-      : server_(server),
-        options_(options),
-        shard_(static_cast<std::size_t>(shard)),
+            std::shared_ptr<ShardedLruCache> cache, HandoffQueue* inbox,
+            std::vector<HandoffQueue*> targets)
+      : options_(options),
+        shard_(static_cast<std::uint64_t>(shard)),
         shard_count_(static_cast<std::uint64_t>(shard_count)),
         listen_fd_(listen_fd),
-        cache_(std::move(cache)),
-        max_conns_(max_conns),
         inbox_(inbox),
         targets_(std::move(targets)),
-        metrics_(server.metrics()),
-        max_line_(server.options().limits.max_request_bytes),
         clock_(options.clock ? *options.clock : sim::real_clock()),
-        ops_(options.socket_ops ? *options.socket_ops : real_socket_ops()) {}
+        ops_(options.socket_ops ? *options.socket_ops : real_socket_ops()),
+        core_(server, std::move(cache), shard, shard_count,
+              options.max_connections, options.idle_timeout_ms) {}
 
   void run(const std::atomic<bool>& stop);
 
  private:
-  void update_interest(Conn& c) {
+  /// A connection's socket and its state in the core.
+  struct Sock {
+    int fd = -1;
+    std::uint32_t interest = 0;  ///< current epoll event mask
+    ShardCore::Conn* conn = nullptr;
+  };
+
+  /// The core's completion wake-up: one eventfd write.
+  static void wake(void* event_fd) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n =
+        ::write(*static_cast<const int*>(event_fd), &one, sizeof one);
+  }
+
+  void update_interest(Sock& s) {
     const std::uint32_t want =
-        (c.half_closed ? 0u : EPOLLIN) | (has_outbound(c) ? EPOLLOUT : 0u);
-    if (want == c.interest) return;
+        (s.conn->half_closed ? 0u : EPOLLIN) |
+        (ShardCore::has_outbound(*s.conn) ? EPOLLOUT : 0u);
+    if (want == s.interest) return;
     epoll_event mod{};
     mod.events = want;
-    mod.data.u64 = c.id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &mod);
-    c.interest = want;
+    mod.data.u64 = s.conn->id;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, s.fd, &mod);
+    s.interest = want;
   }
 
   void destroy(std::uint64_t id, bool idle_timeout = false) {
-    auto it = conns_.find(id);
-    if (it == conns_.end()) return;
-    // Counters first: a peer that observes the EOF must already see the
-    // close reflected in a stats snapshot.
-    metrics_.on_connection_closed(shard_);
-    if (idle_timeout) metrics_.on_connection_idle_closed(shard_);
+    auto it = socks_.find(id);
+    if (it == socks_.end()) return;
+    core_.close(*it->second.conn, idle_timeout);
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
     ::close(it->second.fd);
-    conns_.erase(it);
-  }
-
-  /// Accounts `n` sent bytes against out-then-pending, in send order.
-  /// A reply cut mid-body moves its unsent tail into `out` (the next
-  /// writev resumes there), so partial progress is O(tail), never a
-  /// front-erase of everything buffered.
-  void consume_outbound(Conn& c, std::size_t n) {
-    const std::size_t from_out = std::min(n, c.out.size());
-    c.out.consume(from_out);
-    n -= from_out;
-    while (n > 0) {
-      std::string& body = c.pending[c.pending_next];
-      const std::size_t framed = body.size() + 1;  // + newline
-      if (n >= framed) {
-        n -= framed;
-        ++c.pending_next;
-        continue;
-      }
-      // Partial mid-reply: out is empty here (writev consumed it
-      // first), so the tail lands at the front of the send order.
-      c.out.append(body.data() + n, body.size() - n);
-      c.out.push_back(kNewline);
-      ++c.pending_next;
-      n = 0;
-    }
-    if (c.pending_next == c.pending.size()) {
-      c.pending.clear();
-      c.pending_next = 0;
-    } else if (c.pending_next >= 64) {
-      // Bound the dead prefix under a never-draining pipeline.
-      c.pending.erase(c.pending.begin(),
-                      c.pending.begin() +
-                          static_cast<std::ptrdiff_t>(c.pending_next));
-      c.pending_next = 0;
-    }
+    socks_.erase(it);
   }
 
   /// Gathers everything outbound into as few sendv() calls as the
   /// socket accepts. Returns false when the connection died (and was
   /// destroyed).
-  bool flush(Conn& c) {
-    while (has_outbound(c)) {
-      // Stamped BEFORE the send: once the bytes are out, the peer may
-      // read them and advance a SimClock before this thread runs again,
-      // and a later stamp would then make the connection look freshly
-      // active forever (the idle sweep would never fire).
+  bool flush(Sock& s) {
+    ShardCore::Conn& c = *s.conn;
+    while (ShardCore::has_outbound(c)) {
       const Clock::time_point sent_at = clock_.now();
-      std::array<iovec, kMaxIov> iov;
-      int cnt = 0;
-      if (!c.out.empty()) {
-        iov[static_cast<std::size_t>(cnt++)] =
-            iovec{const_cast<char*>(c.out.data()), c.out.size()};
-      }
-      for (std::size_t i = c.pending_next;
-           i < c.pending.size() && cnt + 2 <= kMaxIov; ++i) {
-        std::string& body = c.pending[i];
-        iov[static_cast<std::size_t>(cnt++)] =
-            iovec{body.data(), body.size()};
-        iov[static_cast<std::size_t>(cnt++)] =
-            iovec{const_cast<char*>(&kNewline), 1};
-      }
-      const ssize_t n = ops_.sendv(c.fd, iov.data(), cnt);
+      std::array<iovec, ShardCore::kMaxIov> iov;
+      const int cnt = ShardCore::gather(c, iov.data());
+      const ssize_t n = ops_.sendv(s.fd, iov.data(), cnt);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -283,165 +167,63 @@ class ShardLoop {
         return false;
       }
       if (n == 0) break;  // defensive: no progress, no spin
-      c.last_activity = sent_at;
-      consume_outbound(c, static_cast<std::size_t>(n));
+      core_.sent(c, static_cast<std::size_t>(n), sent_at);
     }
     return true;
   }
 
-  /// Close once nothing can ever arrive for this connection again.
+  /// After the core took input for `s`: send what is ready, close the
+  /// connection once it is finished, else refresh its interest.
   /// Returns false when the connection was closed.
-  bool maybe_close(Conn& c) {
-    if (c.half_closed && c.written == c.submitted && !has_outbound(c)) {
-      destroy(c.id);
+  bool settle(Sock& s) {
+    if (!flush(s)) return false;
+    if (ShardCore::finished(*s.conn)) {
+      destroy(s.conn->id);
       return false;
     }
+    update_interest(s);
     return true;
   }
 
-  /// A worker-completed reply: takes ownership, zero copies.
-  void frame_owned(Conn& c, std::string&& body) {
-    ++c.written;
-    c.pending.push_back(std::move(body));
-  }
-
-  /// A reply finished on this thread: the body lives in the loop's
-  /// reusable scratch buffer, so it is copied out — into `out` when
-  /// FIFO allows (its capacity is reused across requests; zero
-  /// allocations steady-state), else into pending.
-  void frame_copy(Conn& c, const std::string& body) {
-    ++c.written;
-    if (c.pending_next == c.pending.size()) {
-      c.pending.clear();
-      c.pending_next = 0;
-      c.out.append(body.data(), body.size());
-      c.out.push_back(kNewline);
-    } else {
-      c.pending.push_back(body);
-    }
-  }
-
-  void submit_line(Conn& c, std::string_view line) {
-    if (line.empty() || line == "\r") return;
-    metrics_.on_shard_request(shard_);
-    // A cache hit or a Light miss finishes here, on the loop thread,
-    // against this shard's partition: it never touches the worker pool
-    // or another core. FIFO safety: with nothing in flight the reply is
-    // framed directly; otherwise it is sequenced through the
-    // OrderedWriter behind the in-flight responses.
-    const bool in_order = c.submitted == c.written;
-    ++c.submitted;
-    const Server::Inline how = server_.serve_inline(line, *cache_, scratch_);
-    if (how != Server::Inline::HeavyMiss) {
-      if (how == Server::Inline::Hit) metrics_.on_shard_cached(shard_);
-      if (in_order) {
-        frame_copy(c, scratch_);
-      } else {
-        const std::uint64_t seq = c.writer->next_sequence();
-        c.writer->complete(seq, std::string(scratch_));
-      }
+  void handle_read(Sock& s) {
+    char chunk[65536];
+    const ssize_t n = ops_.recv(s.fd, chunk, sizeof chunk);
+    if (n < 0) {
+      if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)
+        destroy(s.conn->id);
       return;
     }
-    // A Heavy miss (already probed and counted) goes to the pool; the
-    // worker's miss-fill lands in this shard's partition.
-    const std::uint64_t seq = c.writer->next_sequence();
-    std::shared_ptr<OrderedWriter> writer = c.writer;
-    const bool admitted = server_.enqueue(
-        std::string(line),
-        [writer, seq](std::string&& body) {
-          writer->complete(seq, std::move(body));
-        },
-        cache_);
-    if (!admitted)
-      c.writer->complete(seq, std::string(overloaded_body()));
-  }
-
-  // Extracts complete lines FIRST, so a burst of small pipelined
-  // requests is never mistaken for one oversized line; only the
-  // residual partial line is bounded. On EOF the final un-terminated
-  // line is a real request and gets a real reply.
-  void process_input(Conn& c, bool eof) {
-    const std::string_view buf = c.in.view();
-    std::size_t start = 0;
-    for (std::size_t nl = buf.find('\n', start);
-         nl != std::string_view::npos; nl = buf.find('\n', start)) {
-      submit_line(c, buf.substr(start, nl - start));
-      start = nl + 1;
-    }
-    c.in.consume(start);
-    if (eof) {
-      if (!c.in.empty()) {
-        submit_line(c, c.in.view());
-        c.in.clear();
-      }
-      c.half_closed = true;
-    } else if (c.in.size() > max_line_) {
-      // A line this long can only ever be rejected; answer now and
-      // stop reading rather than buffering without bound.
-      const std::uint64_t seq = c.writer->next_sequence();
-      ++c.submitted;
-      c.writer->complete(
-          seq, error_body("too_large", "request line never ended"));
-      c.in.clear();
-      c.half_closed = true;
-    }
-  }
-
-  // Returns false when the connection was destroyed.
-  bool handle_read(Conn& c) {
-    char chunk[65536];
-    const ssize_t n = ops_.recv(c.fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        return true;
-      destroy(c.id);
-      return false;
-    }
-    c.last_activity = clock_.now();
-    if (n == 0) {
-      process_input(c, /*eof=*/true);
-    } else {
-      c.in.append(chunk, static_cast<std::size_t>(n));
-      process_input(c, /*eof=*/false);
-    }
+    if (n == 0)
+      core_.receive_eof(*s.conn, clock_.now());
+    else
+      core_.receive(*s.conn,
+                    std::string_view(chunk, static_cast<std::size_t>(n)),
+                    clock_.now());
     // Replies finished on this thread leave in one sendv now, not after
     // another epoll round trip for EPOLLOUT.
-    if (!flush(c)) return false;
-    if (!maybe_close(c)) return false;
-    update_interest(c);
-    return true;
+    settle(s);
   }
 
   /// Registers an accepted (or handed-off) fd with this shard, or
   /// rejects it against the shard's connection slice.
   void admit(int fd) {
-    if (conns_.size() >= max_conns_) {
-      // Admission control at the door: a canned overloaded reply
-      // (best effort — the socket buffer of a fresh connection
-      // always has room for one line) and an immediate close.
-      metrics_.on_connection_rejected(shard_);
+    ShardCore::Conn* c = core_.admit(next_id_, clock_.now());
+    if (c == nullptr) {
+      // Admission control at the door: a canned overloaded reply (best
+      // effort — the socket buffer of a fresh connection always has
+      // room for one line) and an immediate close.
       const std::string reply = overloaded_body() + "\n";
       [[maybe_unused]] const ssize_t n =
           ops_.send(fd, reply.data(), reply.size());
       ::close(fd);
       return;
     }
-    const std::uint64_t id = next_id_++;
-    Conn& c = conns_[id];
-    c.fd = fd;
-    c.id = id;
-    c.last_activity = clock_.now();
-    c.interest = EPOLLIN;
-    std::shared_ptr<CompletionChannel> channel = channel_;
-    c.writer = std::make_shared<OrderedWriter>(
-        [channel, id](const std::string& body) {
-          channel->push(id, body);
-        });
+    ++next_id_;
+    socks_.emplace(c->id, Sock{fd, EPOLLIN, c});
     epoll_event add{};
     add.events = EPOLLIN;
-    add.data.u64 = id;
+    add.data.u64 = c->id;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &add);
-    metrics_.on_connection_opened(shard_);
   }
 
   void handle_accepts() {
@@ -457,7 +239,7 @@ class ShardLoop {
         // Handoff fallback: deterministic round-robin placement in
         // accept order, self included.
         const std::uint64_t target = next_target_++ % shard_count_;
-        if (target != static_cast<std::uint64_t>(shard_)) {
+        if (target != shard_) {
           targets_[static_cast<std::size_t>(target)]->push(fd);
           continue;
         }
@@ -486,65 +268,61 @@ class ShardLoop {
   void drain_completions() {
     std::uint64_t counter = 0;
     [[maybe_unused]] const ssize_t n =
-        ::read(channel_->event_fd, &counter, sizeof counter);
-    ready_.clear();
-    channel_->take(ready_);
+        ::read(wake_fd_, &counter, sizeof counter);
+    core_.take_completions(ready_);
     // Frame everything first, then flush each touched connection once —
     // this is what turns a burst of pipelined completions into a
     // single writev per connection.
-    touched_.clear();
-    for (auto& [id, body] : ready_) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;  // connection already gone
-      frame_owned(it->second, std::move(body));
-      if (touched_.empty() || touched_.back() != id) touched_.push_back(id);
+    ids_.clear();
+    for (ShardCore::Completion& done : ready_) {
+      const ShardCore::Conn* c = core_.complete(std::move(done));
+      if (c == nullptr) continue;  // connection already gone
+      if (ids_.empty() || ids_.back() != c->id) ids_.push_back(c->id);
     }
-    for (const std::uint64_t id : touched_) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      Conn& c = it->second;
-      if (!flush(c)) continue;
-      if (!maybe_close(c)) continue;
-      update_interest(c);
+    for (const std::uint64_t id : ids_) {
+      auto it = socks_.find(id);
+      if (it != socks_.end()) settle(it->second);
     }
   }
 
-  Server& server_;
+  /// Every open connection's id, for loops that may destroy.
+  const std::vector<std::uint64_t>& open_ids() {
+    ids_.clear();
+    for (const auto& [id, s] : socks_) ids_.push_back(id);
+    return ids_;
+  }
+
   const TcpOptions& options_;
-  const std::size_t shard_;
+  const std::uint64_t shard_;
   const std::uint64_t shard_count_;
   const int listen_fd_;  ///< -1: this shard does not accept
-  const std::shared_ptr<ShardedLruCache> cache_;  ///< never null
-  const std::size_t max_conns_;
   HandoffQueue* const inbox_;  ///< null unless handoff-mode non-acceptor
   const std::vector<HandoffQueue*> targets_;  ///< non-empty: acceptor
-  Metrics& metrics_;
-  const std::size_t max_line_;
   const sim::ClockSource& clock_;
   SocketOps& ops_;
+  ShardCore core_;
 
   int epoll_fd_ = -1;
-  std::shared_ptr<CompletionChannel> channel_;
-  std::unordered_map<std::uint64_t, Conn> conns_;
+  int wake_fd_ = -1;  ///< the completion eventfd
+  std::unordered_map<std::uint64_t, Sock> socks_;
   std::uint64_t next_id_ = kFirstConnId;
   std::uint64_t next_target_ = 0;
   bool stopping_ = false;
   Clock::time_point stop_at_{};
-  std::string scratch_;  ///< inline cache-hit reply buffer (reused)
-  std::vector<std::pair<std::uint64_t, std::string>> ready_;
-  std::vector<std::uint64_t> touched_;
+  std::vector<ShardCore::Completion> ready_;
+  std::vector<std::uint64_t> ids_;
   std::vector<int> handed_;
 };
 
 void ShardLoop::run(const std::atomic<bool>& stop) {
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) return;
-  channel_ = std::make_shared<CompletionChannel>();
-  channel_->event_fd = ::eventfd(0, EFD_NONBLOCK);
-  if (channel_->event_fd < 0) {
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
     ::close(epoll_fd_);
     return;
   }
+  core_.set_wake(&ShardLoop::wake, &wake_fd_);
 
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -553,7 +331,7 @@ void ShardLoop::run(const std::atomic<bool>& stop) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   }
   ev.data.u64 = kWakeId;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, channel_->event_fd, &ev);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
   if (inbox_) {
     ev.data.u64 = kHandoffId;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, inbox_->event_fd, &ev);
@@ -561,6 +339,7 @@ void ShardLoop::run(const std::atomic<bool>& stop) {
 
   std::array<epoll_event, 64> events;
   Clock::time_point last_events_at{};  // epoch: the first wait parks
+  std::vector<std::uint64_t> expired;
 
   while (true) {
     if (!stopping_ && stop.load(std::memory_order_acquire)) {
@@ -570,25 +349,20 @@ void ShardLoop::run(const std::atomic<bool>& stop) {
       stop_at_ = clock_.now();
       if (listen_fd_ >= 0)
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-      std::vector<std::uint64_t> ids;
-      ids.reserve(conns_.size());
-      for (auto& [id, c] : conns_) ids.push_back(id);
-      for (const std::uint64_t id : ids) {
-        auto it = conns_.find(id);
-        if (it == conns_.end()) continue;
-        it->second.half_closed = true;
-        if (!maybe_close(it->second)) continue;
-        update_interest(it->second);
+      core_.stop();
+      for (const std::uint64_t id : open_ids()) {
+        Sock& s = socks_.at(id);
+        if (ShardCore::finished(*s.conn))
+          destroy(id);
+        else
+          update_interest(s);
       }
     }
-    if (stopping_ && conns_.empty()) break;
+    if (stopping_ && socks_.empty()) break;
     const auto grace = std::chrono::milliseconds(options_.drain_grace_ms);
     if (stopping_ && clock_.now() - stop_at_ > grace) {
       // Peers that stopped reading do not get to hold shutdown hostage.
-      std::vector<std::uint64_t> ids;
-      ids.reserve(conns_.size());
-      for (auto& [id, c] : conns_) ids.push_back(id);
-      for (const std::uint64_t id : ids) destroy(id);
+      for (const std::uint64_t id : open_ids()) destroy(id);
       break;
     }
 
@@ -642,49 +416,36 @@ void ShardLoop::run(const std::atomic<bool>& stop) {
         drain_handoff();
         continue;
       }
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;  // destroyed earlier this batch
-      Conn& c = it->second;
+      auto it = socks_.find(id);
+      if (it == socks_.end()) continue;  // destroyed earlier this batch
       if (flags & (EPOLLHUP | EPOLLERR)) {
         destroy(id);
         continue;
       }
-      if ((flags & EPOLLIN) && !c.half_closed) {
-        if (!handle_read(c)) continue;
+      if ((flags & EPOLLIN) && !it->second.conn->half_closed) {
+        handle_read(it->second);
+        it = socks_.find(id);
+        if (it == socks_.end()) continue;
       }
-      if (flags & EPOLLOUT) {
-        if (!flush(c)) continue;
-        if (!maybe_close(c)) continue;
-        update_interest(c);
-      }
+      if (flags & EPOLLOUT) settle(it->second);
     }
 
-    // Idle sweep: connections with no traffic and nothing in flight for
-    // idle_timeout_ms are closed. Ones with pending responses are
-    // exempt — they are "busy", just waiting on workers or the socket.
-    if (options_.idle_timeout_ms > 0) {
-      const auto now = clock_.now();
-      const auto limit = std::chrono::milliseconds(options_.idle_timeout_ms);
-      std::vector<std::uint64_t> expired;
-      for (auto& [id, c] : conns_) {
-        const bool pending = c.submitted != c.written || has_outbound(c);
-        if (!pending && now - c.last_activity > limit) expired.push_back(id);
-      }
-      for (const std::uint64_t id : expired)
-        destroy(id, /*idle_timeout=*/true);
-    }
+    // Idle sweep: the core names the connections that idled past the
+    // timeout with nothing owed or unsent.
+    expired.clear();
+    core_.collect_expired(clock_.now(), expired);
+    for (const std::uint64_t id : expired) destroy(id, /*idle_timeout=*/true);
   }
 
   // Straggler callbacks (e.g. the queue drain inside Server::shutdown)
-  // may still fire after this point; mark the channel closed so their
-  // pushes are dropped instead of touching freed fds. Likewise the
-  // handoff inbox: fds the acceptor pushes from here on are closed at
-  // the push.
-  channel_->close();
-  ::close(channel_->event_fd);
-  channel_->event_fd = -1;
+  // may still fire after this point; stop the core's wake-ups so they
+  // never touch the closed eventfd. Likewise the handoff inbox: fds
+  // the acceptor pushes from here on are closed at the push.
+  core_.set_wake(nullptr, nullptr);
+  ::close(wake_fd_);
+  wake_fd_ = -1;
   if (inbox_) inbox_->close_incoming();
-  for (auto& [id, c] : conns_) ::close(c.fd);
+  for (const auto& [id, s] : socks_) ::close(s.fd);
   ::close(epoll_fd_);
 }
 
@@ -761,7 +522,8 @@ void TcpListener::close_listeners() noexcept {
 }
 
 void TcpListener::drop_partitions() noexcept {
-  for (const auto& p : partitions_) server_.remove_cache_partition(p.get());
+  for (const auto& p : partitions_)
+    if (p != server_.cache()) server_.remove_cache_partition(p.get());
   partitions_.clear();
 }
 
@@ -863,23 +625,9 @@ bool TcpListener::open(std::string* error) {
     }
   }
 
-  // Per-shard response-cache partitions, each a slice of the server's
-  // configured capacity. Generation scoping (entries remember the
-  // online-parameter generation they were filled under) makes refit
-  // invalidation work per-partition for free. With caching off the
-  // shards share the server's own (disabled) partition.
-  const std::size_t cache_capacity = server_.options().cache_capacity;
-  if (cache_capacity > 0) {
-    const std::size_t per_shard = std::max<std::size_t>(
-        1, cache_capacity / static_cast<std::size_t>(shards_));
-    partitions_.reserve(static_cast<std::size_t>(shards_));
-    for (int i = 0; i < shards_; ++i) {
-      auto partition =
-          std::make_shared<ShardedLruCache>(per_shard, kPartitionStripes);
-      server_.add_cache_partition(partition);
-      partitions_.push_back(std::move(partition));
-    }
-  }
+  // Per-shard response-cache partitions; with caching off the shards
+  // share the server's own (disabled) partition.
+  partitions_ = make_shard_partitions(server_, shards_);
   return true;
 }
 
@@ -887,15 +635,7 @@ void TcpListener::run(const std::atomic<bool>& stop) {
   if (listen_fds_.empty()) return;
   server_.metrics().set_transport_shards(static_cast<std::size_t>(shards_));
 
-  // The connection cap is divided across shards, remainder first — so
-  // the sum is exactly max_connections and shards=1 keeps the old
-  // whole-cap semantics.
   const std::size_t n = static_cast<std::size_t>(shards_);
-  std::vector<std::size_t> caps(n);
-  for (std::size_t i = 0; i < n; ++i)
-    caps[i] = options_.max_connections / n +
-              (i < options_.max_connections % n ? 1 : 0);
-
   const bool handoff_mode = !reuseport_ && shards_ > 1;
   std::vector<std::unique_ptr<HandoffQueue>> handoff(n);
   std::vector<HandoffQueue*> targets;
@@ -944,9 +684,7 @@ void TcpListener::run(const std::atomic<bool>& stop) {
     }
     const int lfd = reuseport_ ? listen_fds_[i]
                                : (shard == 0 ? listen_fds_[0] : -1);
-    ShardLoop loop(server_, options_, shard, shards_, lfd,
-                   partitions_.empty() ? server_.cache() : partitions_[i],
-                   caps[i],
+    ShardLoop loop(server_, options_, shard, shards_, lfd, partitions_[i],
                    handoff_mode && shard > 0 ? handoff[i].get() : nullptr,
                    handoff_mode && shard == 0 ? targets
                                               : std::vector<HandoffQueue*>{});

@@ -11,16 +11,24 @@
 // placement in tests), shard 0 accepts and round-robins fds to its
 // peers over eventfd-signalled handoff queues.
 //
+// Each shard is an epoll driver around a serve::ShardCore
+// (serve/shard_core.hpp), which makes every connection decision with no
+// I/O: framing, in-order release, admission, idle expiry, half-close on
+// stop. The driver owns the fds, the epoll interest set, the completion
+// and handoff eventfds, spin-then-park and the drain grace, and feeds
+// the core through the SocketOps and ClockSource seams below; the
+// virtual-time sim::Campaign drives the same core.
+//
 // Workers hand finished Heavy replies back to the owning shard through
-// an eventfd-signalled completion channel; a per-connection
-// OrderedWriter keeps them in request order with the inline replies.
-// The shard coalesces every reply buffered for a connection into one
-// writev() per epoll wake, falling back to EPOLLOUT when the socket's
-// send buffer is full. A busy shard simply stops reading, which is the
-// transport's backpressure. For 1 ms after its last events a shard
-// polls without blocking (yielding its CPU between empty polls), then
-// parks in epoll_wait, so steady traffic skips the wake-up and an idle
-// server uses no CPU.
+// the core's completion channel and the shard's eventfd; a
+// per-connection OrderedWriter keeps them in request order with the
+// inline replies. The shard coalesces every reply buffered for a
+// connection into one writev() per epoll wake, falling back to EPOLLOUT
+// when the socket's send buffer is full. A busy shard simply stops
+// reading, which is the transport's backpressure. For 1 ms after its
+// last events a shard polls without blocking (yielding its CPU between
+// empty polls), then parks in epoll_wait, so steady traffic skips the
+// wake-up and an idle server uses no CPU.
 //
 // Connection lifecycle is bounded and explicit:
 //   * at most `max_connections` sockets are admitted (split across
@@ -195,8 +203,8 @@ class TcpListener {
   Server& server_;
   TcpOptions options_;
   std::vector<int> listen_fds_;
-  /// Per-shard response-cache partitions, created by open() when
-  /// caching is on and probed by the owning shard's loop thread.
+  /// Per-shard response-cache partitions (make_shard_partitions),
+  /// created by open() and probed by the owning shard's loop thread.
   /// shared_ptr because Heavy jobs in the worker queue hold a reference
   /// for miss-fill after a shard force-closes its connections at
   /// shutdown.

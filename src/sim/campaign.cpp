@@ -1,11 +1,14 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstring>
 #include <deque>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -13,6 +16,7 @@
 #include "serve/json.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
+#include "serve/shard_core.hpp"
 #include "sim/clock.hpp"
 #include "sim/request_pools.hpp"
 #include "stats/descriptive.hpp"
@@ -37,23 +41,6 @@ constexpr int kOnlineLmIterations = 10;
 
 [[nodiscard]] std::uint64_t to_ns(double seconds) noexcept {
   return static_cast<std::uint64_t>(seconds * 1e9);
-}
-
-// ---- request inspection ---------------------------------------------------
-
-/// The request's wire "type" (for latency bucketing). Malformed lines
-/// bucket as "invalid" — their replies are cheap canned errors.
-[[nodiscard]] std::string_view request_type(std::string_view line) noexcept {
-  static constexpr std::string_view kKey = "\"type\"";
-  const std::size_t at = line.find(kKey);
-  if (at == std::string_view::npos) return "invalid";
-  std::size_t i = at + kKey.size();
-  while (i < line.size() && (line[i] == ' ' || line[i] == ':')) ++i;
-  if (i >= line.size() || line[i] != '"') return "invalid";
-  const std::size_t begin = ++i;
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string_view::npos) return "invalid";
-  return line.substr(begin, end - begin);
 }
 
 [[nodiscard]] LatencyStats summarize(std::vector<std::uint64_t>& samples) {
@@ -167,13 +154,14 @@ std::string CampaignReport::to_json() const {
 // ---- the discrete-event engine --------------------------------------------
 
 struct Campaign::Impl {
+  using Core = serve::ShardCore;
+
   enum class EventKind : std::uint8_t {
     Open,       ///< connection admission (a = conn)
     Arrival,    ///< client initiates one request (a = conn)
-    Frame,      ///< a dripped request's final byte lands (a = conn)
-    Reset,      ///< client tears the connection down (a = conn)
-    IdleCheck,  ///< idle-reaper probe (a = conn)
-    ShardDone,  ///< a shard finishes a hit or Light miss (a = shard)
+    Send,       ///< a client's next scheduled chunk leaves it (a = conn)
+    IdleCheck,  ///< idle-expiry probe (a = conn)
+    ShardDone,  ///< a shard finishes the chunk it read (a = shard)
     HeavyDone,  ///< a Heavy worker finishes its job (a = worker)
   };
 
@@ -189,56 +177,43 @@ struct Campaign::Impl {
     }
   };
 
-  enum class ConnState : std::uint8_t {
-    Unopened,
-    Open,
-    Refused,
-    ClosedClean,
-    Reset,
-    IdleClosed,
+  enum class State : std::uint8_t { Closed, Open, Reset };
+
+  static constexpr std::uint32_t kNoLine = UINT32_MAX;
+
+  /// Bytes on the wire, or the client's reset, which reaches the
+  /// shard behind the bytes sent before it.
+  struct Chunk {
+    std::string_view bytes;
+    std::uint32_t conn = 0;
+    std::uint32_t endpoint = kNoLine;  ///< type of the line it completes
+    bool reset = false;
   };
 
-  enum class ReplyKind : std::uint8_t { Pending, Executed, Shed };
-
-  /// One reply a connection is owed.
-  struct Owed {
-    std::uint64_t framed_ns;
-    std::uint32_t endpoint = 0;  ///< interned wire-type id (Executed)
-    ReplyKind kind = ReplyKind::Pending;
-  };
-
-  struct Conn {
-    ConnState state = ConnState::Unopened;
+  /// A virtual client; its connection is id conn + 1 in its shard's core.
+  struct Client {
+    State state = State::Closed;
     Behavior behavior = Behavior::Pipelined;
-    stats::Rng rng{0, 0};
-    ArrivalSpec spec;
-    std::uint32_t shard = 0;
-    std::uint64_t last_activity_ns = 0;
     bool idle_armed = false;
-    bool arrivals_live = false;
+    std::uint32_t shard = 0;
     std::uint32_t normal_left = 0;  ///< PartialReset: requests before the stub
     std::size_t trace_at = 0;
-    /// Slow-loris frames in flight, in send order.
-    std::deque<const std::string*> dripping;
-    std::uint64_t last_frame_end_ns = 0;
-    /// Replies owed, in request order: like the transport's
-    /// OrderedWriter, a reply that is ready waits for every earlier
-    /// one. owed_base is the sequence number of the front.
-    std::deque<Owed> owed;
-    std::uint64_t owed_base = 0;
+    stats::Rng rng{0, 0};
+    std::uint64_t drip_end_ns = 0;
+    std::deque<Chunk> sending;  ///< scheduled chunks, in send order
+    /// Lines sent whole and not yet answered: when, and their type.
+    std::deque<std::pair<std::uint64_t, std::uint32_t>> awaiting;
+    std::uint64_t received = 0;  ///< replies delivered
   };
 
-  /// A framed request on its way through a shard and the Heavy pool.
-  struct Ticket {
-    const std::string* line;
-    std::uint32_t conn;
-    std::uint64_t seq;  ///< its reply's place in the connection's order
-  };
-
+  /// A modeled shard runs the server's own ShardCore; it reads chunks
+  /// in arrival order and takes Heavy replies back when it is free.
   struct Shard {
-    std::shared_ptr<serve::ShardedLruCache> partition;
-    std::deque<Ticket> backlog;      ///< framed, not yet started
-    std::optional<Ticket> serving;  ///< empty = idle
+    std::unique_ptr<Core> core;
+    std::deque<Chunk> inbox;  ///< arrived at its sockets, not yet read
+    std::vector<Core::Completion> replies;  ///< handed back by workers
+    bool busy = false;
+    std::uint32_t serving = 0;  ///< the client whose chunk it serves
   };
 
   explicit Impl(CampaignOptions opts) : options(std::move(opts)) {
@@ -248,81 +223,69 @@ struct Campaign::Impl {
     so.queue_capacity = options.queue_capacity;
     so.request_deadline_ms = options.request_deadline_ms;
     so.cache_capacity = options.cache_capacity;
-    so.cache_shards = options.cache_shards;
     so.clock = &clock;
     so.online.window_capacity = kOnlineWindowCapacity;
     so.online.lm_iterations = kOnlineLmIterations;
     server = std::make_unique<serve::Server>(so);
-    // One partition per shard, each an equal slice of the capacity, as
-    // TcpListener::open builds them; with caching off the shards share
-    // the server's own (disabled) partition.
-    shards.resize(static_cast<std::size_t>(options.shards));
-    const std::size_t per_shard = std::max<std::size_t>(
-        1, options.cache_capacity / shards.size());
-    for (Shard& s : shards) {
-      if (options.cache_capacity == 0) {
-        s.partition = server->cache();
-        continue;
-      }
-      s.partition = std::make_shared<serve::ShardedLruCache>(
-          per_shard, options.cache_shards);
-      server->add_cache_partition(s.partition);
+    // The campaign's 0 means no cap; the core's cap is a hard one.
+    const std::size_t cap = options.max_connections > 0
+                                ? options.max_connections
+                                : std::numeric_limits<std::size_t>::max();
+    const auto partitions =
+        serve::make_shard_partitions(*server, options.shards);
+    shards.resize(partitions.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      shards[i].core = std::make_unique<Core>(*server, partitions[i],
+                                              static_cast<int>(i),
+                                              options.shards, cap,
+                                              options.idle_timeout_ms);
+      shards[i].core->set_observer(&Impl::on_served, this);
     }
     heavy.resize(static_cast<std::size_t>(options.heavy_workers));
-    pools_predict = make_predict_pool(kPredictKeys);
-    pools_params = make_params_pool();
-    const WorkloadMix& m = options.workload;
-    if (m.predict_batch > 0) pools_batch = make_batch_pool(kBatchKeys);
-    if (m.observe > 0 || m.refit > 0)
-      pools_observe = make_observe_pool(kObserveKeys, options.seed);
-    if (m.policy_advise > 0) pools_policy = make_policy_pool();
-    if (m.refit > 0) pools_refit = make_refit_pool();
-    if (m.trace > 0) pools_trace = make_trace_pool();
-    if (m.bad_json > 0)
-      pools_bad = make_bad_json_pool(so.limits.max_request_bytes);
+    pools = {make_predict_pool(kPredictKeys),
+             make_batch_pool(kBatchKeys),
+             make_observe_pool(kObserveKeys, options.seed),
+             make_params_pool(),
+             make_policy_pool(),
+             make_refit_pool(),
+             make_trace_pool(),
+             make_bad_json_pool(so.limits.max_request_bytes)};
+    for (Pool& pool : pools)
+      for (std::string& line : pool) line.push_back('\n');  // wire lines
   }
 
-  // ---- configuration + fixed state ----
   CampaignOptions options;
   SimClock clock;
-  std::vector<std::string> pools_predict, pools_batch, pools_observe,
-      pools_params, pools_policy, pools_refit, pools_trace, pools_bad;
+  using Pool = std::vector<std::string>;
+  std::array<Pool, 8> pools;  ///< in WorkloadMix order
 
-  // ---- event loop ----
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
   std::uint64_t next_seq = 0;
   std::uint64_t now_ns = 0;
   std::uint64_t end_ns = 0;
   std::uint64_t clock_ns = 0;  ///< SimClock position (advance-only)
-  /// Work that must settle before the campaign may finish: scheduled
-  /// frames, owed replies, and pending resets. The drain phase runs
-  /// until this returns to zero.
-  std::uint64_t pending_work = 0;
 
-  // ---- virtual server ----
   std::vector<Shard> shards;
-  /// Each Heavy worker's job; empty = idle.
-  std::vector<std::optional<Ticket>> heavy;
-  /// The job Server::run_queued just answered; its reply is in scratch.
-  Ticket ran{};
+  /// Each Heavy worker's job (its shard and reply); empty = idle.
+  std::vector<std::optional<std::pair<std::uint32_t, Core::Completion>>>
+      heavy;
+  std::vector<std::uint32_t> pokes;  ///< shards handed a reply to take
+  std::vector<Core::Completion> taken;
+  std::uint64_t charge_ns = 0;  ///< on_served's tally for one read
 
-  // ---- clients ----
-  std::vector<Conn> conns;
-  std::size_t open_count = 0;
+  std::vector<Client> conns;
   std::uint32_t next_shard = 0;  ///< round-robin cursor, in open order
+  std::vector<std::string> transcripts;  ///< kept only by replay()
 
-  // ---- accounting ----
   CampaignReport report;
   std::vector<std::vector<std::uint64_t>> latencies;  ///< per interned type
   std::vector<std::string> endpoint_names;
   std::map<std::string, std::uint32_t, std::less<>> endpoint_ids;
-  std::string scratch;  ///< reusable reply buffer
   stats::Rng service_rng{0, 0};
   bool ran_once = false;
 
   /// Declared last, so it is destroyed first: its destructor runs any
-  /// job still queued, and the job's callback writes `ran` and
-  /// `scratch`.
+  /// job still queued, whose reply lands in a core's channel.
   std::unique_ptr<serve::Server> server;
 
   // ---- helpers ----
@@ -341,53 +304,35 @@ struct Campaign::Impl {
     return id;
   }
 
-  void advance_clock_to(std::uint64_t t_ns) {
+  /// Moves the SimClock to `t_ns` for the server and returns the same
+  /// instant as the cores' clock reading (SimClock starts at epoch).
+  Core::Clock::time_point now_at(std::uint64_t t_ns) {
     if (t_ns > clock_ns) {
       clock.advance(std::chrono::nanoseconds(t_ns - clock_ns));
       clock_ns = t_ns;
     }
+    return Core::Clock::time_point(std::chrono::nanoseconds(t_ns));
   }
 
-  void note_activity(Conn& c, std::uint64_t t_ns) {
-    if (t_ns > c.last_activity_ns) c.last_activity_ns = t_ns;
+  [[nodiscard]] Core& core_of(std::uint32_t ci) {
+    return *shards[conns[ci].shard].core;
   }
-
-  void arm_idle(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    if (options.idle_timeout_ms <= 0 || c.idle_armed ||
-        c.state != ConnState::Open)
-      return;
-    // Probe at the earliest instant the connection could have gone
-    // stale — last activity plus the timeout, NOT now plus the timeout:
-    // a re-arm after a near-miss probe must not push the next check a
-    // whole extra timeout into the future.
-    const std::uint64_t at =
-        std::max(t_ns, c.last_activity_ns + to_ns(options.idle_timeout_ms *
-                                                  1e-3));
-    if (at >= end_ns) return;  // shutdown will close it first
-    c.idle_armed = true;
-    schedule(at, EventKind::IdleCheck, ci);
+  [[nodiscard]] Core::Conn& conn_of(std::uint32_t ci) {
+    return *core_of(ci).find(ci + 1);
   }
 
   /// Draws one request line for `c` from the workload mix.
-  [[nodiscard]] const std::string* draw_line(Conn& c) {
+  [[nodiscard]] const std::string& draw_line(Client& c) {
     const WorkloadMix& m = options.workload;
-    const double sum = m.predict + m.predict_batch + m.observe + m.params +
-                       m.policy_advise + m.refit + m.trace + m.bad_json;
-    double r = c.rng.uniform() * sum;
-    const auto pick = [&](const std::vector<std::string>& pool)
-        -> const std::string* {
-      return &pool[static_cast<std::size_t>(c.rng.below(pool.size()))];
-    };
-    if ((r -= m.predict) < 0.0) return pick(pools_predict);
-    if ((r -= m.predict_batch) < 0.0) return pick(pools_batch);
-    if ((r -= m.observe) < 0.0) return pick(pools_observe);
-    if ((r -= m.params) < 0.0) return pick(pools_params);
-    if ((r -= m.policy_advise) < 0.0) return pick(pools_policy);
-    if ((r -= m.refit) < 0.0) return pick(pools_refit);
-    if ((r -= m.trace) < 0.0)
-      return &pools_trace[c.trace_at++ % pools_trace.size()];
-    return pick(pools_bad);
+    const std::array<double, 8> w = {m.predict, m.predict_batch, m.observe,
+                                     m.params,  m.policy_advise, m.refit,
+                                     m.trace,   m.bad_json};
+    double r = c.rng.uniform() * std::accumulate(w.begin(), w.end(), 0.0);
+    std::size_t k = 0;  // the last pool takes whatever is left
+    while (k + 1 < w.size() && (r -= w[k]) >= 0.0) ++k;
+    const Pool& pool = pools[k];
+    if (k == 6) return pool[c.trace_at++ % pool.size()];  // the GOP trace
+    return pool[static_cast<std::size_t>(c.rng.below(pool.size()))];
   }
 
   [[nodiscard]] std::uint64_t service_ns(std::uint64_t base) {
@@ -408,247 +353,265 @@ struct Campaign::Impl {
     return false;
   }
 
-  // ---- reply delivery ----
+  // ---- the server: shards run their cores, workers the Heavy queue ----
 
-  /// Marks `ticket`'s reply ready at `t_ns` and releases every reply
-  /// its connection can now send in order.
-  void complete(const Ticket& ticket, ReplyKind kind, std::uint64_t t_ns) {
-    Conn& c = conns[ticket.conn];
-    Owed& reply = c.owed[static_cast<std::size_t>(ticket.seq - c.owed_base)];
-    reply.kind = kind;
-    if (kind == ReplyKind::Executed)
-      reply.endpoint = intern(request_type(*ticket.line));
-    while (!c.owed.empty() && c.owed.front().kind != ReplyKind::Pending) {
-      deliver(c, c.owed.front(), t_ns);
-      c.owed.pop_front();
-      ++c.owed_base;
+  /// The cores' observer, once per request line a shard took: a hit or
+  /// a Light miss charges the shard its service time; handing a Heavy
+  /// miss to the queue costs it nothing.
+  static void on_served(void* self, serve::Server::Inline how,
+                        std::string_view reply) {
+    Impl& m = *static_cast<Impl*>(self);
+    ++m.report.requests_framed;
+    const ServiceModel& sm = m.options.service;
+    if (how != serve::Server::Inline::HeavyMiss) {
+      const bool ok = m.count_outcome(reply);
+      m.charge_ns += m.service_ns(
+          how == serve::Server::Inline::Hit ? sm.cached_hit_ns
+          : ok                              ? sm.light_miss_ns
+                                            : sm.error_reply_ns);
+    } else if (!reply.empty()) {  // the queue was full
+      ++m.report.overloaded;
+      ++m.report.errors_by_code["overloaded"];
     }
-    if (c.owed.empty()) arm_idle(ticket.conn, t_ns);
   }
 
-  void deliver(Conn& c, const Owed& reply, std::uint64_t t_ns) {
-    --pending_work;
-    if (c.state != ConnState::Open) {
-      ++report.replies_abandoned;
-      return;
-    }
-    ++report.replies_delivered;
-    if (reply.kind == ReplyKind::Executed)
-      latencies[reply.endpoint].push_back(t_ns - reply.framed_ns);
-    note_activity(c, t_ns);
-  }
-
-  // ---- the modeled server: shards and the Heavy pool ----
-
-  void frame_request(std::uint32_t ci, const std::string* line,
-                     std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    ++report.requests_framed;
-    ++pending_work;
-    note_activity(c, t_ns);
-    const Ticket ticket{line, ci, c.owed_base + c.owed.size()};
-    c.owed.push_back(Owed{t_ns});
-    Shard& s = shards[c.shard];
-    s.backlog.push_back(ticket);
-    report.max_light_depth =
-        std::max<std::uint64_t>(report.max_light_depth, s.backlog.size());
-    run_shard(c.shard, t_ns);
-  }
-
-  /// An idle shard takes requests off its backlog, in frame order,
-  /// until one occupies it: a hit or a Light miss runs for its service
-  /// time, while a Heavy miss is handed to the server's queue at no cost
-  /// to the shard.
+  /// A free shard takes the Heavy replies handed back to it, then the
+  /// chunks at its sockets in arrival order, until a read occupies it.
   void run_shard(std::uint32_t si, std::uint64_t t_ns) {
     Shard& s = shards[si];
-    while (!s.serving && !s.backlog.empty()) {
-      const Ticket ticket = s.backlog.front();
-      s.backlog.pop_front();
-      advance_clock_to(t_ns);
-      const serve::Server::Inline how =
-          server->serve_inline(*ticket.line, *s.partition, scratch);
-      if (how == serve::Server::Inline::HeavyMiss) {
-        submit_heavy(ticket, s.partition, t_ns);
+    while (!s.busy) {
+      if (!s.replies.empty()) {
+        std::vector<Core::Completion> batch;
+        batch.swap(s.replies);
+        for (Core::Completion& done : batch)
+          if (const Core::Conn* c = s.core->complete(std::move(done)))
+            settle(static_cast<std::uint32_t>(c->id - 1), t_ns);
         continue;
       }
-      const ServiceModel& sm = options.service;
-      const bool ok = count_outcome(scratch);
-      std::uint64_t base = sm.cached_hit_ns;
-      if (how == serve::Server::Inline::Evaluated)
-        base = ok ? sm.light_miss_ns : sm.error_reply_ns;
-      s.serving = ticket;
-      schedule(t_ns + service_ns(base), EventKind::ShardDone, si);
+      if (s.inbox.empty()) return;
+      const Chunk chunk = s.inbox.front();
+      s.inbox.pop_front();
+      Core::Conn* c = s.core->find(chunk.conn + 1);
+      if (c == nullptr) continue;  // the server closed it: bytes lost
+      const Core::Clock::time_point now = now_at(t_ns);
+      if (chunk.reset) {
+        close(chunk.conn, false);
+        continue;
+      }
+      charge_ns = 0;
+      s.core->receive(*c, chunk.bytes, now);
+      run_heavy(t_ns);  // a free worker takes what the read queued
+      if (charge_ns == 0) {
+        settle(chunk.conn, t_ns);
+        continue;
+      }
+      s.busy = true;
+      s.serving = chunk.conn;
+      schedule(t_ns + charge_ns, EventKind::ShardDone, si);
     }
   }
 
-  void submit_heavy(const Ticket& ticket,
-                    const std::shared_ptr<serve::ShardedLruCache>& partition,
-                    std::uint64_t t_ns) {
-    const auto done = [this, ticket](std::string&& body) {
-      ran = ticket;
-      scratch.swap(body);
-    };
-    if (!server->enqueue(*ticket.line, done, partition)) {
-      ++report.overloaded;
-      ++report.errors_by_code["overloaded"];
-      complete(ticket, ReplyKind::Shed, t_ns);
-      return;
+  /// Sends client `ci` all its shard's core has for it, then closes the
+  /// connection if it is finished, else keeps its idle probe armed.
+  void settle(std::uint32_t ci, std::uint64_t t_ns) {
+    Core::Conn& c = conn_of(ci);
+    while (Core::has_outbound(c)) {
+      std::array<iovec, Core::kMaxIov> iov;
+      const int cnt = Core::gather(c, iov.data());
+      std::size_t n = 0;
+      bool shed = false;
+      for (const iovec& seg :
+           std::span(iov.data(), static_cast<std::size_t>(cnt))) {
+        const std::string_view bytes(static_cast<const char*>(seg.iov_base),
+                                     seg.iov_len);
+        n += bytes.size();
+        if (!transcripts.empty()) transcripts[ci].append(bytes);
+        // A segment without a newline is one whole reply the writer
+        // released; shed load never comes inline, and is not timed.
+        const auto ends = std::count(bytes.begin(), bytes.end(), '\n');
+        if (ends == 0)
+          shed = bytes == serve::overloaded_body() ||
+                 bytes == serve::deadline_exceeded_body();
+        for (auto k = ends; k > 0; --k, shed = false) deliver(ci, t_ns, !shed);
+      }
+      core_of(ci).sent(c, n, now_at(t_ns));
     }
-    run_heavy(t_ns);
+    if (Core::finished(c))
+      close(ci, false);
+    else
+      arm_idle(ci, t_ns);
   }
 
-  /// Idle Heavy workers take queued jobs through Server::run_queued, as
-  /// its worker threads do; a job past its deadline is answered without
-  /// occupying the worker.
+  void deliver(std::uint32_t ci, std::uint64_t t_ns, bool timed) {
+    Client& c = conns[ci];
+    if (c.state != State::Open) return;  // reset: abandoned at close
+    ++report.replies_delivered;
+    ++c.received;
+    if (c.awaiting.empty()) return;  // replay() times nothing
+    const auto [sent_ns, endpoint] = c.awaiting.front();
+    c.awaiting.pop_front();
+    if (timed) latencies[endpoint].push_back(t_ns - sent_ns);
+  }
+
+  /// The server forgets client `ci`'s connection; what it took and
+  /// never delivered is abandoned (only a reset leaves any).
+  void close(std::uint32_t ci, bool idle) {
+    Client& cl = conns[ci];
+    Core::Conn& c = conn_of(ci);
+    report.replies_abandoned += c.submitted - cl.received;
+    core_of(ci).close(c, idle);
+    if (cl.state != State::Open) return;  // a reset counts when sent
+    cl.state = State::Closed;
+    ++(idle ? report.idle_closed : report.closed_clean);
+  }
+
+  /// Free modeled Heavy workers take queued jobs through
+  /// Server::run_queued, as its worker threads do; a job past its
+  /// deadline is answered without occupying the worker.
   void run_heavy(std::uint64_t t_ns) {
     for (std::size_t w = 0; w < heavy.size(); ++w) {
       while (!heavy[w]) {
-        advance_clock_to(t_ns);
+        (void)now_at(t_ns);
         if (!server->run_queued()) return;
-        if (scratch == serve::deadline_exceeded_body()) {
+        // The job pushed its reply into its own shard's channel.
+        std::uint32_t si = 0;
+        for (shards[si].core->take_completions(taken); taken.empty();)
+          shards[++si].core->take_completions(taken);
+        if (taken.front().body == serve::deadline_exceeded_body()) {
           ++report.deadline_exceeded;
           ++report.errors_by_code["deadline_exceeded"];
-          complete(ran, ReplyKind::Shed, t_ns);
+          shards[si].replies.push_back(std::move(taken.front()));
+          pokes.push_back(si);
           continue;
         }
         const ServiceModel& sm = options.service;
-        const std::uint64_t base =
-            count_outcome(scratch) ? sm.heavy_miss_ns : sm.error_reply_ns;
-        heavy[w] = ran;
+        const std::uint64_t base = count_outcome(taken.front().body)
+                                       ? sm.heavy_miss_ns
+                                       : sm.error_reply_ns;
+        heavy[w].emplace(si, std::move(taken.front()));
         schedule(t_ns + service_ns(base), EventKind::HeavyDone,
                  static_cast<std::uint32_t>(w));
       }
     }
   }
 
-  // ---- client behaviors ----
+  // ---- the clients ----
 
-  void send_request(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    ++report.requests_sent;
-    note_activity(c, t_ns);
-    const std::string* line = draw_line(c);
-    if (c.behavior == Behavior::SlowLoris) {
-      const double drip =
-          options.slow_loris_drip_s * c.rng.uniform(0.5, 1.5);
-      const std::uint64_t frames_at =
-          std::max(c.last_frame_end_ns, t_ns) + to_ns(drip);
-      c.last_frame_end_ns = frames_at;
-      c.dripping.push_back(line);
-      ++pending_work;
-      schedule(frames_at, EventKind::Frame, ci);
-    } else {
-      frame_request(ci, line, t_ns);
-    }
+  /// Client `ci` puts `chunk` on the wire; it reaches its shard at once.
+  void send(std::uint32_t ci, const Chunk& chunk, std::uint64_t t_ns) {
+    Client& c = conns[ci];
+    if (chunk.endpoint != kNoLine)
+      c.awaiting.emplace_back(t_ns, chunk.endpoint);
+    Shard& s = shards[c.shard];
+    s.inbox.push_back(chunk);
+    report.max_light_depth =
+        std::max<std::uint64_t>(report.max_light_depth, s.inbox.size());
+    run_shard(c.shard, t_ns);
   }
 
-  void on_open(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    // Round-robin over every accepted socket, refused ones included,
-    // like the transport's handoff mode.
-    c.shard = next_shard++ % static_cast<std::uint32_t>(shards.size());
-    ++report.connections_opened;
-    if (options.max_connections > 0 &&
-        open_count >= options.max_connections) {
-      --report.connections_opened;
-      ++report.connections_refused;
-      c.state = ConnState::Refused;
+  /// Queues `chunk` to leave client `ci` at `t_ns`, behind its others.
+  void send_at(std::uint32_t ci, const Chunk& chunk, std::uint64_t t_ns) {
+    conns[ci].sending.push_back(chunk);
+    schedule(t_ns, EventKind::Send, ci);
+  }
+
+  void send_request(std::uint32_t ci, std::uint64_t t_ns) {
+    Client& c = conns[ci];
+    ++report.requests_sent;
+    const std::string_view line = draw_line(c);
+    const std::uint32_t endpoint = intern(serve::request_type(line));
+    if (c.behavior != Behavior::SlowLoris) {
+      send(ci, Chunk{line, ci, endpoint}, t_ns);
       return;
     }
-    ++open_count;
-    c.state = ConnState::Open;
-    note_activity(c, t_ns);
-    if (c.behavior == Behavior::IdleCamper) {
-      // One request, then silence: the idle reaper's prey.
-      send_request(ci, t_ns);
-      arm_idle(ci, t_ns);
-      return;
-    }
-    c.arrivals_live = true;
-    schedule_next_arrival(ci, t_ns);
-    arm_idle(ci, t_ns);
+    // A slow loris sends half a line, then the rest once its drip time
+    // has passed; its requests drip one after another.
+    const double drip = options.slow_loris_drip_s * c.rng.uniform(0.5, 1.5);
+    const std::uint64_t begin = std::max(c.drip_end_ns, t_ns);
+    c.drip_end_ns = begin + to_ns(drip);
+    const std::size_t half = line.size() / 2;
+    send_at(ci, Chunk{line.substr(0, half), ci}, begin);
+    send_at(ci, Chunk{line.substr(half), ci, endpoint}, c.drip_end_ns);
+  }
+
+  void arm_idle(std::uint32_t ci, std::uint64_t t_ns) {
+    Client& c = conns[ci];
+    if (c.idle_armed || c.state != State::Open) return;
+    // Probe when the core says it expires (never while a reply is owed);
+    // past the horizon, shutdown closes it first.
+    const std::uint64_t due = std::max<std::uint64_t>(
+        t_ns, static_cast<std::uint64_t>(
+                  std::chrono::nanoseconds(
+                      core_of(ci).expiry(conn_of(ci)).time_since_epoch())
+                      .count()));
+    if (due >= end_ns) return;
+    c.idle_armed = true;
+    schedule(due, EventKind::IdleCheck, ci);
   }
 
   void schedule_next_arrival(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    const double next_s =
-        next_arrival(c.spec, static_cast<double>(t_ns) * 1e-9, c.rng);
-    const std::uint64_t next = to_ns(next_s);
-    if (!std::isfinite(next_s) || next >= end_ns) {
-      c.arrivals_live = false;
+    const double next_s = next_arrival(
+        options.arrivals, static_cast<double>(t_ns) * 1e-9, conns[ci].rng);
+    if (std::isfinite(next_s) && to_ns(next_s) < end_ns)
+      schedule(to_ns(next_s), EventKind::Arrival, ci);
+  }
+
+  void on_open(std::uint32_t ci, std::uint64_t t_ns) {
+    Client& c = conns[ci];
+    // Round-robin over every accepted socket, refused ones included,
+    // like the transport's handoff mode.
+    c.shard = next_shard++ % static_cast<std::uint32_t>(shards.size());
+    if (core_of(ci).admit(ci + 1, now_at(t_ns)) == nullptr) {
+      ++report.connections_refused;
       return;
     }
-    schedule(next, EventKind::Arrival, ci);
+    ++report.connections_opened;
+    c.state = State::Open;
+    if (transcripts.empty()) {  // replay() scripts its own traffic
+      if (c.behavior == Behavior::IdleCamper)
+        send_request(ci, t_ns);  // one request, then silence
+      else
+        schedule_next_arrival(ci, t_ns);
+    }
+    arm_idle(ci, t_ns);
   }
 
   void on_arrival(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    if (c.state != ConnState::Open) return;
-    if (c.behavior == Behavior::PartialReset && c.normal_left == 0) {
-      // The stub: a partial frame that will never complete, followed by
-      // a client reset. The bytes count as sent, never as framed.
+    Client& c = conns[ci];
+    if (c.state != State::Open) return;
+    if (c.behavior == Behavior::PartialReset && c.normal_left-- == 0) {
+      // The stub: a partial frame that never completes, then a reset.
+      // Its bytes count as sent, never as framed.
       ++report.requests_sent;
-      note_activity(c, t_ns);
-      c.arrivals_live = false;
-      ++pending_work;
-      schedule(t_ns + to_ns(options.partial_reset_after_s), EventKind::Reset,
-               ci);
+      send(ci, Chunk{R"({"type":"predict","pl)", ci}, t_ns);
+      send_at(ci, Chunk{{}, ci, kNoLine, /*reset=*/true},
+              t_ns + to_ns(options.partial_reset_after_s));
       return;
     }
     send_request(ci, t_ns);
-    if (c.behavior == Behavior::PartialReset) --c.normal_left;
     schedule_next_arrival(ci, t_ns);
   }
 
-  void on_frame(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    --pending_work;
-    const std::string* line = c.dripping.front();
-    c.dripping.pop_front();
-    if (c.state != ConnState::Open) return;  // died mid-drip
-    frame_request(ci, line, t_ns);
-  }
-
-  void on_reset(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
-    --pending_work;
-    if (c.state != ConnState::Open) return;
-    c.state = ConnState::Reset;
-    ++report.reset_by_client;
-    --open_count;
-    (void)t_ns;
+  void on_send(std::uint32_t ci, std::uint64_t t_ns) {
+    Client& c = conns[ci];
+    const Chunk chunk = c.sending.front();
+    c.sending.pop_front();
+    if (c.state != State::Open) return;  // the server closed it
+    if (chunk.reset) {
+      c.state = State::Reset;
+      ++report.reset_by_client;
+    }
+    send(ci, chunk, t_ns);
   }
 
   void on_idle_check(std::uint32_t ci, std::uint64_t t_ns) {
-    Conn& c = conns[ci];
+    Client& c = conns[ci];
     c.idle_armed = false;
-    if (c.state != ConnState::Open || options.idle_timeout_ms <= 0) return;
-    const std::uint64_t timeout = to_ns(options.idle_timeout_ms * 1e-3);
-    if (c.owed.empty() && c.dripping.empty() &&
-        t_ns >= c.last_activity_ns + timeout) {
-      c.state = ConnState::IdleClosed;
-      ++report.idle_closed;
-      --open_count;
-      return;
-    }
-    // Activity (or in-flight work) since arming: probe again at the
-    // earliest instant the connection could have gone stale.
-    if (c.owed.empty() && c.dripping.empty()) arm_idle(ci, t_ns);
-  }
-
-  void on_shard_done(std::uint32_t si, std::uint64_t t_ns) {
-    Shard& s = shards[si];
-    const Ticket done = *s.serving;
-    s.serving.reset();
-    complete(done, ReplyKind::Executed, t_ns);
-    run_shard(si, t_ns);
-  }
-
-  void on_heavy_done(std::uint32_t w, std::uint64_t t_ns) {
-    const Ticket done = *heavy[w];
-    heavy[w].reset();
-    complete(done, ReplyKind::Executed, t_ns);
-    run_heavy(t_ns);
+    if (c.state != State::Open) return;
+    if (core_of(ci).expired(conn_of(ci), now_at(t_ns)))
+      close(ci, true);
+    else
+      arm_idle(ci, t_ns);
   }
 
   // ---- the main loop ----
@@ -665,7 +628,7 @@ struct Campaign::Impl {
     const double bsum =
         b.pipelined + b.slow_loris + b.partial_reset + b.idle_camper;
     for (std::uint32_t i = 0; i < conns.size(); ++i) {
-      Conn& c = conns[i];
+      Client& c = conns[i];
       c.rng = stats::Rng(options.seed, 1000 + i);
       double r = assign_rng.uniform() * bsum;
       if ((r -= b.pipelined) < 0.0) c.behavior = Behavior::Pipelined;
@@ -676,52 +639,66 @@ struct Campaign::Impl {
       } else {
         c.behavior = Behavior::IdleCamper;
       }
-      c.spec = options.arrivals;
       // Stagger trace cursors one GOP apart, like the loadgen.
       c.trace_at = static_cast<std::size_t>(i) * 13;
       const std::uint64_t open_at =
           ramp > 0.0 ? to_ns(assign_rng.uniform(0.0, ramp)) : 0;
       schedule(open_at, EventKind::Open, i);
     }
+    drain();
+    finalize();
+    return report;
+  }
 
+  /// Connection i opens at 0 and sends streams[i] whole.
+  std::vector<std::string> replay(const std::vector<std::string>& streams) {
+    end_ns = to_ns(options.virtual_seconds);
+    conns.resize(streams.size());
+    transcripts.resize(streams.size());
+    for (std::uint32_t i = 0; i < conns.size(); ++i) {
+      on_open(i, 0);
+      if (conns[i].state == State::Open) send(i, Chunk{streams[i], i}, 0);
+    }
+    drain();
+    return std::move(transcripts);
+  }
+
+  /// Runs every event (arrivals end at the horizon, then the queued
+  /// work drains), then closes every connection still open.
+  void drain() {
     while (!heap.empty()) {
       const Event ev = heap.top();
       heap.pop();
-      // Arrival generation has a hard horizon at end_ns; past it the
-      // loop only drains — and once nothing is in flight, every
-      // remaining event is a stale probe.
-      if (ev.t_ns >= end_ns && pending_work == 0 && !arrivals_pending())
-        break;
       now_ns = std::max(now_ns, ev.t_ns);
       ++report.events_processed;
       switch (ev.kind) {
         case EventKind::Open: on_open(ev.a, ev.t_ns); break;
         case EventKind::Arrival: on_arrival(ev.a, ev.t_ns); break;
-        case EventKind::Frame: on_frame(ev.a, ev.t_ns); break;
-        case EventKind::Reset: on_reset(ev.a, ev.t_ns); break;
+        case EventKind::Send: on_send(ev.a, ev.t_ns); break;
         case EventKind::IdleCheck: on_idle_check(ev.a, ev.t_ns); break;
-        case EventKind::ShardDone: on_shard_done(ev.a, ev.t_ns); break;
-        case EventKind::HeavyDone: on_heavy_done(ev.a, ev.t_ns); break;
+        case EventKind::ShardDone:
+          shards[ev.a].busy = false;
+          settle(shards[ev.a].serving, ev.t_ns);
+          run_shard(ev.a, ev.t_ns);
+          break;
+        case EventKind::HeavyDone: {
+          const std::uint32_t si = heavy[ev.a]->first;
+          shards[si].replies.push_back(std::move(heavy[ev.a]->second));
+          heavy[ev.a].reset();
+          run_shard(si, ev.t_ns);
+          run_heavy(ev.t_ns);
+          break;
+        }
+      }
+      while (!pokes.empty()) {
+        const std::uint32_t si = pokes.back();
+        pokes.pop_back();
+        run_shard(si, ev.t_ns);
       }
     }
-
-    // Shutdown: every connection still open closes cleanly.
-    for (Conn& c : conns) {
-      if (c.state == ConnState::Open) {
-        c.state = ConnState::ClosedClean;
-        ++report.closed_clean;
-        --open_count;
-      }
-    }
-
-    finalize();
-    return report;
-  }
-
-  [[nodiscard]] bool arrivals_pending() const {
-    for (const Conn& c : conns)
-      if (c.arrivals_live) return true;
-    return false;
+    for (Shard& s : shards) s.core->stop();
+    for (std::uint32_t ci = 0; ci < conns.size(); ++ci)
+      if (conns[ci].state == State::Open) close(ci, false);
   }
 
   void finalize() {
@@ -732,6 +709,7 @@ struct Campaign::Impl {
 
     std::vector<std::uint64_t> all;
     for (std::uint32_t id = 0; id < latencies.size(); ++id) {
+      if (latencies[id].empty()) continue;
       all.insert(all.end(), latencies[id].begin(), latencies[id].end());
       report.endpoints[endpoint_names[id]] = summarize(latencies[id]);
     }
@@ -748,15 +726,19 @@ struct Campaign::Impl {
     report.dropped_replies = report.requests_framed -
                              report.replies_delivered -
                              report.replies_abandoned;
-    report.drain_clean = metrics.queue_depth == 0 && pending_work == 0 &&
-                         report.dropped_replies == 0;
-    const std::uint64_t terminal = report.closed_clean +
-                                   report.reset_by_client +
-                                   report.idle_closed;
+    bool idle = metrics.queue_depth == 0;
+    std::size_t open = 0;
+    for (const Shard& s : shards) {
+      idle = idle && !s.busy && s.inbox.empty() && s.replies.empty();
+      open += s.core->size();
+    }
+    report.drain_clean = idle && report.dropped_replies == 0;
     report.connections_accounted =
         report.connections_opened + report.connections_refused ==
             static_cast<std::uint64_t>(options.connections) &&
-        terminal == report.connections_opened && open_count == 0;
+        report.closed_clean + report.reset_by_client + report.idle_closed ==
+            report.connections_opened &&
+        open == 0;
   }
 };
 
@@ -770,6 +752,13 @@ CampaignReport Campaign::run() {
     throw std::logic_error("Campaign::run() may be called once");
   impl_->ran_once = true;
   return impl_->run();
+}
+
+std::vector<std::string> Campaign::replay(
+    CampaignOptions options, const std::vector<std::string>& streams) {
+  options.connections = std::max(1, static_cast<int>(streams.size()));
+  Impl impl(std::move(options));
+  return impl.replay(streams);
 }
 
 // ---- named presets --------------------------------------------------------

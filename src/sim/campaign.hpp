@@ -7,36 +7,38 @@
 // arrival processes (sim/arrivals.hpp), shape their bytes with client
 // behaviors (pipelined, slow-loris byte-drip, partial-frame-then-reset,
 // idle-camper), and push real protocol lines through a real
-// serve::Server on the campaign thread, under a sim::SimClock. The
-// modeled server has the architecture that ships (serve/server.hpp,
-// serve/tcp.hpp):
+// serve::Server on the campaign thread, under a sim::SimClock. Each
+// modeled shard runs the server's own serve::ShardCore (the I/O-free
+// half of the TCP shard loop), fed from the event heap:
 //
-//   * connections are dealt to `shards` round-robin in open order, and
-//     each shard owns a cache partition holding an equal slice of
-//     `cache_capacity`;
-//   * a shard is one FIFO server with no capacity and no deadline: when
-//     it reaches a request it calls Server::serve_inline against its
-//     partition, and a hit or a Light miss occupies it for the modeled
-//     service time;
-//   * a Heavy miss goes to Server::enqueue, whose bounded queue and
-//     deadline decide "overloaded" and "deadline_exceeded"; a modeled
-//     Heavy worker that frees up runs the next job with
-//     Server::run_queued;
-//   * a connection's replies are delivered in request order, as the
-//     transport's OrderedWriter delivers them.
+//   * connections are dealt to `shards` round-robin in open order; each
+//     shard owns a cache partition holding an equal slice of
+//     `cache_capacity` (serve::make_shard_partitions, as TCP builds
+//     them) and admits its slice of `max_connections`;
+//   * a shard reads the bytes at its sockets in arrival order, one core
+//     call each, and is occupied for the modeled service time of the
+//     hits and Light misses the core served; a Heavy miss goes to
+//     Server::enqueue at no cost to the shard, and a modeled Heavy
+//     worker that frees up runs the next job with Server::run_queued.
+//     The reply goes back to its shard, which takes it when next free;
+//   * the core releases a connection's replies in request order and
+//     reaps a connection idle past `idle_timeout_ms`.
 //
 // Only time is modeled, so a ten-virtual-minute million-request
 // campaign costs seconds of wall clock and is bit-reproducible from its
 // seed.
 //
 // What is real vs. modeled:
-//   real     protocol parse/dispatch, response cache partitions incl.
-//            generation-scoped invalidation, online-fit ingest/refit,
-//            Light/Heavy classification, Heavy admission (queue
-//            capacity) and queue deadlines, reply bytes.
-//   modeled  time: arrival instants, shard and Heavy-worker occupancy,
-//            service times (per class / per cache outcome, seeded
-//            jitter), idle timeouts, resets.
+//   real     framing, in-order release, idle reaping, per-shard
+//            admission (serve::ShardCore); protocol parse/dispatch,
+//            response cache partitions incl. generation-scoped
+//            invalidation, online-fit ingest/refit, Light/Heavy
+//            classification, Heavy admission (queue capacity) and
+//            queue deadlines, reply bytes.
+//   modeled  the physical: arrival instants, how clients put bytes on
+//            the wire (whole lines, drips, resets), shard and
+//            Heavy-worker occupancy (service times per class / per
+//            cache outcome, seeded jitter), an instant network.
 //
 // Campaigns end in a machine-checkable CampaignReport (exact per-
 // endpoint latency quantiles in virtual time, loss/overload/deadline
@@ -62,13 +64,15 @@ enum class Behavior : std::uint8_t {
   /// Sends each request whole the instant it is generated; keeps any
   /// number of requests in flight (open loop).
   Pipelined = 0,
-  /// Drips each request's bytes over a drawn interval, so the frame
-  /// completes long after the first byte — the slow-loris shape that
-  /// ties up connection slots without tripping idle reaping.
+  /// Drips each request's bytes over a drawn interval (half a line,
+  /// then the rest), so the frame completes long after the first byte —
+  /// the slow-loris shape that ties up connection slots; a drip gap
+  /// longer than the idle timeout gets the connection reaped.
   SlowLoris = 1,
   /// Sends a handful of normal requests, then an un-terminated partial
-  /// frame, then resets the connection — in-flight replies have nowhere
-  /// to go and must be accounted, never leaked.
+  /// frame, then resets the connection — the reset reaches the shard
+  /// behind the bytes sent before it, and replies with nowhere to go
+  /// must be accounted, never leaked.
   PartialReset = 2,
   /// Sends one request after connecting, then camps silently — the
   /// connection-slot squatter that idle reaping exists to evict.
@@ -141,7 +145,8 @@ struct CampaignOptions {
   /// ServerOptions::request_deadline_ms: Heavy queue-wait deadline;
   /// 0 = none.
   int request_deadline_ms = 0;
-  std::size_t max_connections = 0;  ///< admission cap; 0 = unlimited
+  /// Admission cap, split across shards as TCP splits it; 0 = none.
+  std::size_t max_connections = 0;
   int idle_timeout_ms = 0;          ///< idle reaping; 0 = off
 
   // ---- behavior shape knobs ----
@@ -155,7 +160,6 @@ struct CampaignOptions {
   /// Split evenly over the shards' partitions, as TcpListener::open
   /// splits it.
   std::size_t cache_capacity = 1 << 16;
-  std::size_t cache_shards = 16;  ///< lock stripes per partition
 
   /// Throws std::invalid_argument on nonsensical values.
   void validate() const;
@@ -192,7 +196,7 @@ struct CampaignReport {
 
   // ---- requests / replies ----
   std::uint64_t requests_sent = 0;    ///< transmissions begun (incl. partial)
-  std::uint64_t requests_framed = 0;  ///< complete lines reaching the server
+  std::uint64_t requests_framed = 0;  ///< lines the shards' cores took
   std::uint64_t replies_delivered = 0;
   /// Replies whose connection was reset before delivery. Counted, never
   /// silently lost.
@@ -217,8 +221,9 @@ struct CampaignReport {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_stale = 0;
   double cache_hit_rate = 0.0;
-  /// The deepest shard backlog: requests framed on one shard and not
-  /// yet started, the one just framed included (1 = never queued).
+  /// The deepest shard backlog: chunks that reached one shard's
+  /// sockets and were not yet read, the one just arrived included
+  /// (1 = never queued).
   std::uint64_t max_light_depth = 0;
   /// The server's Heavy queue peak (Metrics queue_peak).
   std::uint64_t max_heavy_depth = 0;
@@ -253,6 +258,14 @@ class Campaign {
   Campaign& operator=(const Campaign&) = delete;
 
   [[nodiscard]] CampaignReport run();
+
+  /// The campaign's driver on scripted traffic: connection i opens at
+  /// virtual time 0 (shard i % shards) and sends streams[i] whole.
+  /// Returns the bytes each connection received — what a TcpListener
+  /// sends back for the same streams. The traffic knobs (connections,
+  /// arrivals, behaviors, workload) are not read.
+  [[nodiscard]] static std::vector<std::string> replay(
+      CampaignOptions options, const std::vector<std::string>& streams);
 
  private:
   struct Impl;

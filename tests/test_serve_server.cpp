@@ -337,17 +337,18 @@ TEST(ServeServer, RunQueuedRunsOneJobInFifoOrderOnTheCaller) {
 
 TEST(ServeServer, OrderedWriterRestoresSubmissionOrder) {
   std::vector<std::string> out;
-  OrderedWriter writer([&](const std::string& body) { out.push_back(body); });
+  const auto sink = [&](std::string&& body) { out.push_back(std::move(body)); };
+  OrderedWriter writer;
   const auto s0 = writer.next_sequence();
   const auto s1 = writer.next_sequence();
   const auto s2 = writer.next_sequence();
-  writer.complete(s2, "two");   // finishes first, must be buffered
-  writer.complete(s0, "zero");  // releases zero only
+  writer.complete(s2, "two", sink);   // finishes first, must be buffered
+  EXPECT_TRUE(out.empty());
+  writer.complete(s0, "zero", sink);  // releases zero only
   EXPECT_EQ(out, (std::vector<std::string>{"zero"}));
-  writer.complete(s1, "one");   // releases one, then buffered two
-  writer.drain();
+  writer.complete(s1, "one", sink);   // releases one, then buffered two
+  // Every reserved sequence number was delivered, once, in order.
   EXPECT_EQ(out, (std::vector<std::string>{"zero", "one", "two"}));
-  EXPECT_EQ(writer.pending(), 0u);
 }
 
 TEST(ServeServer, RunStreamPreservesOrderAndHandlesBadLines) {

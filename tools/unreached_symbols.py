@@ -63,6 +63,9 @@ KNOWN = [
     (r"archline::fit::online::BackgroundResolver::poke\(",
      "test seam: wakes the resolver so tests need not wait out its "
      "interval"),
+    (r"archline::sim::Campaign::replay\(",
+     ORACLE + ": ServeShardCore.* compares a loopback TcpListener's "
+     "reply bytes with the campaign driver's"),
 ]
 
 
