@@ -1,6 +1,7 @@
 // Library microbenchmarks (google-benchmark): regression guard on the hot
-// paths — model evaluation, simulator runs, sampling, fitting, the
-// native host kernels, and the serving path's per-request costs
+// paths — model evaluation, simulator runs, sampling, fitting (offline
+// and the server's online re-solve, BM_OnlineResolve), the native host
+// kernels, and the serving path's per-request costs
 // (`--benchmark_filter=Serve`).
 //
 // The BM_Serve* cases drive serve::Server in process: a cached hit on 1
@@ -30,6 +31,7 @@
 #include "fit/levmar.hpp"
 #include "fit/model_fit.hpp"
 #include "fit/objective.hpp"
+#include "fit/online/snapshot.hpp"
 #include "microbench/intensity.hpp"
 #include "microbench/native_kernels.hpp"
 #include "microbench/parallel.hpp"
@@ -42,6 +44,7 @@
 #include "sim/request_pools.hpp"
 #include "sim/tcp_client.hpp"
 #include "stats/descriptive.hpp"
+#include "stats/rng.hpp"
 
 namespace {
 
@@ -232,7 +235,7 @@ void BM_LevmarBindingInner(benchmark::State& state) {
     m.eps_flop = std::exp(x[0]);
     m.eps_mem = std::exp(x[1]);
     m.pi1 = std::exp(x[2]);
-    r.resize(3 * cols.size());
+    r.resize(cols.rows());
     cols.residuals(m, r);
   };
   fit::LevmarOptions opt;
@@ -248,6 +251,31 @@ void BM_LevmarBindingInner(benchmark::State& state) {
   state.counters["iterations"] = iterations;
 }
 BENCHMARK(BM_LevmarBindingInner);
+
+// One online re-solve (the server's `refit`) at its defaults: a
+// 4096-tuple window and 60 LM iterations. The stream is GTX 680's
+// capped model over 25 shapes (W = 1e9 flop, intensity 2^(-3 + j/2)),
+// with 1 % normal noise on time and energy, 2 x Arg tuples ingested so
+// the ring window is full and its shapes interleave.
+void BM_OnlineResolve(benchmark::State& state) {
+  const auto window = static_cast<std::size_t>(state.range(0));
+  const core::MachineParams m = platforms::platform("GTX 680").machine();
+  fit::online::OnlineFitOptions opt;
+  opt.window_capacity = window;
+  fit::online::OnlineStore store(opt);
+  stats::Rng rng(680);
+  std::vector<fit::online::Sample> stream;
+  for (std::size_t i = 0; i < 2 * window; ++i) {
+    const core::Workload w = core::Workload::from_intensity(
+        1e9, std::exp2(-3.0 + 0.5 * static_cast<double>(i % 25)));
+    stream.push_back({w.flops, w.bytes,
+                      core::time(m, w) * (1.0 + 0.01 * rng.normal()),
+                      core::energy(m, w) * (1.0 + 0.01 * rng.normal())});
+  }
+  store.observe("GTX 680", stream);
+  for (auto _ : state) benchmark::DoNotOptimize(store.resolve("GTX 680"));
+}
+BENCHMARK(BM_OnlineResolve)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_NativeIntensityLadder(benchmark::State& state) {
   const auto elements = static_cast<std::size_t>(state.range(0));

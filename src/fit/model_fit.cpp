@@ -70,7 +70,7 @@ double objective(ObservationColumns& cols, const core::MachineParams& m,
 void objective_residuals(ObservationColumns& cols,
                          const core::MachineParams& m, const FitOptions& opt,
                          std::vector<double>& r) {
-  const std::size_t n = 3 * cols.size();
+  const std::size_t n = cols.rows();
   r.resize(n + (idle_anchor(opt) ? 1 : 0) + (max_anchor(opt) ? 1 : 0));
   cols.residuals(m, r);
   std::size_t next = n;
@@ -83,7 +83,8 @@ void objective_residuals(ObservationColumns& cols,
 /// Q tau_mem) is a constant and the energy residual (W eps_flop + Q
 /// eps_mem + pi1 T)/e - 1, the power residual (W eps_flop + Q eps_mem +
 /// pi1 T)/(T p) - 1 and the idle anchor are linear in x = (eps_flop,
-/// eps_mem, pi1). Capped, the max-power anchor is linear too once
+/// eps_mem, pi1), and so are each kernel's moment rows of them. Capped,
+/// the max-power anchor is linear too once
 /// delta_pi >= pi_flop + pi_mem, where max_power() = pi1 + eps_flop /
 /// tau_flop + eps_mem / tau_mem. delta_pi is published at that sum: from
 /// there up, neither a kernel's time nor max_power() depends on it, and
@@ -95,25 +96,32 @@ void objective_residuals(ObservationColumns& cols,
 /// An eps held on its bound is reported as DBL_MIN, the smallest
 /// positive normal double: the machine must have a positive eps, and no
 /// energy the fit reproduces can tell DBL_MIN from 0. pi1 may be 0.
-core::MachineParams solve_flat(std::span<const microbench::Observation> obs,
-                               ObservationColumns& cols,
+core::MachineParams solve_flat(ObservationColumns& cols,
                                const MeasuredThroughput& taus,
                                const FitOptions& opt, double& rss_out) {
   const bool idle = idle_anchor(opt);
   const bool max = max_anchor(opt);
-  Mat a(2 * obs.size() + (idle ? 1 : 0) + (max ? 1 : 0), 3);
-  std::vector<double> b(a.rows(), 1.0);
-  for (std::size_t i = 0; i < obs.size(); ++i) {
-    const microbench::Observation& o = obs[i];
-    const double t = std::max(o.kernel.flops * taus.tau_flop,
-                              o.kernel.bytes * taus.tau_mem);
-    const double terms[3] = {o.kernel.flops, o.kernel.bytes, t};
+  Mat a(4 * cols.kernels() + (idle ? 1 : 0) + (max ? 1 : 0), 3);
+  std::vector<double> b(a.rows(), 0.0);
+  std::size_t row = 0;
+  // The two moment rows of a quantity whose model term is terms . x / d.
+  const auto add_rows = [&](const ObservationColumns::Moments& mo,
+                            const double* terms, double d) {
     for (std::size_t c = 0; c < 3; ++c) {
-      a(2 * i, c) = terms[c] / o.joules;
-      a(2 * i + 1, c) = terms[c] / (t * o.watts);
+      a(row, c) = mo.root_count * mo.mean * terms[c] / d;
+      a(row + 1, c) = mo.root_spread * terms[c] / d;
     }
+    b[row] = mo.root_count;
+    row += 2;
+  };
+  for (std::size_t k = 0; k < cols.kernels(); ++k) {
+    const ObservationColumns::Kernel& kernel = cols.kernel(k);
+    const double t = std::max(kernel.flops * taus.tau_flop,
+                              kernel.bytes * taus.tau_mem);
+    const double terms[3] = {kernel.flops, kernel.bytes, t};
+    add_rows(kernel.moments[ObservationColumns::kEnergy], terms, 1.0);
+    add_rows(kernel.moments[ObservationColumns::kPower], terms, t);
   }
-  std::size_t row = 2 * obs.size();
   if (idle) {
     a(row, 2) = opt.idle_weight / opt.idle_watts_hint;
     b[row++] = opt.idle_weight;
@@ -212,18 +220,19 @@ Polished profile_and_polish(double log_top, int points, Inner inner,
 /// - 1 is linear in eps. The polishes then move all four constants. Sets
 /// rss_out to infinity when `flat` admits no binding cap.
 core::MachineParams solve_binding(ObservationColumns& cols,
-                                  std::span<const microbench::Observation> obs,
                                   const core::MachineParams& flat,
                                   const FitOptions& opt, double& rss_out,
                                   bool& converged_out) {
   rss_out = std::numeric_limits<double>::infinity();
   converged_out = false;
   double demand = 0.0;
-  for (const microbench::Observation& o : obs)
-    demand = std::max(demand, (o.kernel.flops * flat.eps_flop +
-                               o.kernel.bytes * flat.eps_mem) /
-                                  std::max(o.kernel.flops * flat.tau_flop,
-                                           o.kernel.bytes * flat.tau_mem));
+  for (std::size_t k = 0; k < cols.kernels(); ++k) {
+    const ObservationColumns::Kernel& kernel = cols.kernel(k);
+    demand = std::max(demand, (kernel.flops * flat.eps_flop +
+                               kernel.bytes * flat.eps_mem) /
+                                  std::max(kernel.flops * flat.tau_flop,
+                                           kernel.bytes * flat.tau_mem));
+  }
   if (!(demand > 0.0) || !std::isfinite(demand)) return flat;
 
   // x = log [eps_flop, eps_mem, pi1, delta_pi]; an eps that underflows
@@ -276,11 +285,11 @@ core::MachineParams solve_binding(ObservationColumns& cols,
 /// solve_binding (it binds on at least one kernel); the loser's RSS goes
 /// into runner_up_rss.
 void optimize_machine(std::span<const microbench::Observation> obs,
-                      const FitOptions& opt, FitResult& out) {
+                      ObservationColumns& cols, const FitOptions& opt,
+                      FitResult& out) {
   const MeasuredThroughput taus = measure_throughput(obs);
-  ObservationColumns cols(obs);
   double flat_rss = 0.0;
-  const core::MachineParams flat = solve_flat(obs, cols, taus, opt, flat_rss);
+  const core::MachineParams flat = solve_flat(cols, taus, opt, flat_rss);
   out.machine = flat;
   out.rss = flat_rss;
   out.converged = true;
@@ -291,7 +300,7 @@ void optimize_machine(std::span<const microbench::Observation> obs,
   double binding_rss = 0.0;
   bool binding_converged = false;
   const core::MachineParams binding =
-      solve_binding(cols, obs, flat, opt, binding_rss, binding_converged);
+      solve_binding(cols, flat, opt, binding_rss, binding_converged);
   if (binding_rss + kBranchMargin < flat_rss) {
     out.machine = binding;
     out.rss = binding_rss;
@@ -306,16 +315,17 @@ void optimize_machine(std::span<const microbench::Observation> obs,
 /// A tail's eps at fixed tau, solved exactly. With every other constant
 /// fixed, a kernel's active energy W eps_flop + Q eps_mem is a0 + c eps
 /// (c = W for a second precision, Q for a cache level), and each of its
-/// three residuals is affine in eps on either side of the eps where that
-/// demand reaches delta_pi R, R = max(W tau_flop, Q tau_mem): below it T
-/// = R; above it T = (a0 + c eps) / delta_pi, E = (a0 + c eps)(1 + pi1 /
-/// delta_pi) and P = pi1 + delta_pi. So the objective is a convex
-/// quadratic between consecutive breakpoints, and one sweep over the
-/// sorted breakpoints, with prefix sums of the capped pieces and suffix
-/// sums of the rate-bound ones, finds the lowest eps >= 0 in O(n log n).
-/// An eps on its bound is reported as DBL_MIN, as solve_flat reports it.
+/// model terms, and so each of its moment rows, is affine in eps on
+/// either side of the eps where that demand reaches delta_pi R, R =
+/// max(W tau_flop, Q tau_mem): below it T = R; above it T = (a0 + c eps)
+/// / delta_pi, E = (a0 + c eps)(1 + pi1 / delta_pi) and P = pi1 +
+/// delta_pi. So the objective is a convex quadratic between consecutive
+/// breakpoints, and one sweep over the kernels' sorted breakpoints, with
+/// prefix sums of the capped pieces and suffix sums of the rate-bound
+/// ones, finds the lowest eps >= 0 in O(k log k) for k kernels. An eps
+/// on its bound is reported as DBL_MIN, as solve_flat reports it.
 template <double core::MachineParams::*Eps>
-double solve_tail_eps(std::span<const microbench::Observation> obs,
+double solve_tail_eps(const ObservationColumns& cols,
                       const core::MachineParams& m) {
   // Sums of alpha^2, alpha beta and beta^2 over residuals alpha + beta eps.
   struct Quad {
@@ -325,11 +335,16 @@ double solve_tail_eps(std::span<const microbench::Observation> obs,
       ab += alpha * beta;
       bb += beta * beta;
     }
+    /// The two moment rows of a model term u + v eps.
+    void add(const ObservationColumns::Moments& mo, double u, double v) {
+      add(mo.root_count * (u * mo.mean - 1.0), mo.root_count * v * mo.mean);
+      add(mo.root_spread * u, mo.root_spread * v);
+    }
     Quad operator+(const Quad& o) const {
       return {aa + o.aa, ab + o.ab, bb + o.bb};
     }
   };
-  // One observation's two pieces, split where its demand reaches the cap.
+  // One kernel's two pieces, split where its demand reaches the cap.
   struct Pieces {
     double breakpoint;
     Quad rate, cap;
@@ -337,23 +352,26 @@ double solve_tail_eps(std::span<const microbench::Observation> obs,
   constexpr bool flop = Eps == &core::MachineParams::eps_flop;
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<Pieces> split;
-  split.reserve(obs.size());
-  for (const microbench::Observation& o : obs) {
-    const double w = o.kernel.flops;
-    const double q = o.kernel.bytes;
+  split.reserve(cols.kernels());
+  for (std::size_t k = 0; k < cols.kernels(); ++k) {
+    const ObservationColumns::Kernel& kernel = cols.kernel(k);
+    const double w = kernel.flops;
+    const double q = kernel.bytes;
     const double c = flop ? w : q;
     const double a0 = flop ? q * m.eps_mem : w * m.eps_flop;
     const double r = std::max(w * m.tau_flop, q * m.tau_mem);
+    const auto& time = kernel.moments[ObservationColumns::kTime];
+    const auto& energy = kernel.moments[ObservationColumns::kEnergy];
+    const auto& power = kernel.moments[ObservationColumns::kPower];
     Pieces p{inf, {}, {}};
-    p.rate.add(r / o.seconds - 1.0, 0.0);
-    p.rate.add((a0 + m.pi1 * r) / o.joules - 1.0, c / o.joules);
-    p.rate.add((a0 + m.pi1 * r) / (r * o.watts) - 1.0, c / (r * o.watts));
+    p.rate.add(time, r, 0.0);
+    p.rate.add(energy, a0 + m.pi1 * r, c);
+    p.rate.add(power, (a0 + m.pi1 * r) / r, c / r);
     if (!m.uncapped()) {
       const double g = 1.0 + m.pi1 / m.delta_pi;
-      const double dt = m.delta_pi * o.seconds;
-      p.cap.add(a0 / dt - 1.0, c / dt);
-      p.cap.add(a0 * g / o.joules - 1.0, c * g / o.joules);
-      p.cap.add((m.pi1 + m.delta_pi) / o.watts - 1.0, 0.0);
+      p.cap.add(time, a0 / m.delta_pi, c / m.delta_pi);
+      p.cap.add(energy, a0 * g, c * g);
+      p.cap.add(power, m.pi1 + m.delta_pi, 0.0);
       const double reach = m.delta_pi * r - a0;
       p.breakpoint = c > 0.0 ? reach / c : (reach < 0.0 ? -inf : inf);
     }
@@ -415,12 +433,12 @@ std::pair<double, double> fit_cost_pair(
         core::MachineParams m = at;
         m.*Tau = std::exp(log_tau);
         std::vector<double> x = {log_tau,
-                                 std::log(solve_tail_eps<Eps>(obs, m))};
+                                 std::log(solve_tail_eps<Eps>(cols, m))};
         rss = score(x);
         return x;
       },
       [&](std::span<const double> x, std::vector<double>& r) {
-        r.resize(3 * cols.size());
+        r.resize(cols.rows());
         cols.residuals(decode(x), r);
       },
       score, opt.lm_iterations);
@@ -478,17 +496,19 @@ FlopFit fit_dp(std::span<const microbench::Observation> obs,
   return FlopFit{.tau_flop = tau, .eps_flop = eps};
 }
 
-/// R^2 of log(performance) predictions over the sweep. (Log-time would be
-/// nearly constant by construction — kernels are sized for equal duration —
-/// so performance is the quantity with explanatory variance.)
-double r_squared_log_perf(const core::MachineParams& m,
-                          std::span<const microbench::Observation> obs) {
+/// R^2 of log(performance) predictions over the sweep, with `cols`
+/// evaluated at the fitted machine. (Log-time would be nearly constant
+/// by construction — kernels are sized for equal duration — so
+/// performance is the quantity with explanatory variance.)
+double r_squared_log_perf(std::span<const microbench::Observation> obs,
+                          const ObservationColumns& cols) {
   std::vector<double> actual;
   std::vector<double> resid;
   actual.reserve(obs.size());
-  for (const microbench::Observation& o : obs) {
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    const microbench::Observation& o = obs[i];
     if (!(o.kernel.flops > 0.0)) continue;
-    const double t_model = core::time(m, o.kernel.workload());
+    const double t_model = cols.kernel(cols.kernel_of(i)).time;
     const double log_perf_meas = std::log(o.kernel.flops / o.seconds);
     const double log_perf_model = std::log(o.kernel.flops / t_model);
     actual.push_back(log_perf_meas);
@@ -506,68 +526,59 @@ double r_squared_log_perf(const core::MachineParams& m,
 
 }  // namespace
 
-namespace {
-
-/// Per-observation worst relative residual under a fitted machine.
-std::vector<double> worst_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs) {
-  std::vector<double> out;
-  out.reserve(obs.size());
-  for (const microbench::Observation& o : obs) {
-    const core::Workload w = o.kernel.workload();
-    const double rt = std::abs(core::time(m, w) / o.seconds - 1.0);
-    const double re = std::abs(core::energy(m, w) / o.joules - 1.0);
-    out.push_back(std::max(rt, re));
-  }
-  return out;
-}
-
-}  // namespace
-
 FitResult fit_observations(std::span<const microbench::Observation> obs,
                            const FitOptions& options) {
   if (obs.size() < 6)
     throw std::invalid_argument("fit_observations: need >= 6 observations");
   FitResult result;
   result.kind = options.kind;
-  result.observations = obs.size();
 
-  optimize_machine(obs, options, result);
+  std::span<const microbench::Observation> fitted = obs;
+  std::vector<microbench::Observation> kept;
+  ObservationColumns cols(fitted);
+  optimize_machine(fitted, cols, options, result);
 
   // Optional robust passes: iteratively drop gross outliers relative to
   // the current fit's residual scale and refit on the survivors. Multiple
   // rounds matter — severe outliers wreck the first fit badly enough to
   // inflate every residual, so trimming converges stepwise.
-  if (options.outlier_mad_threshold > 0.0) {
-    std::vector<microbench::Observation> kept(obs.begin(), obs.end());
-    for (int round = 0; round < 3 && kept.size() >= 8; ++round) {
-      const std::vector<double> resid =
-          worst_residuals(result.machine, kept);
-      const double scale = std::max(stats::median(resid), 1e-6);
-      // Severe outliers can wreck the fit so badly that every residual
-      // inflates and the max/median ratio stays small; the 50% absolute
-      // ceiling catches that regime (legitimate residuals in this
-      // pipeline are percent-level), while the relative term and the 5%
-      // floor protect clean data.
-      const double cutoff = std::max(
-          std::min(options.outlier_mad_threshold * scale, 0.5), 0.05);
-      std::vector<microbench::Observation> survivors;
-      survivors.reserve(kept.size());
-      for (std::size_t i = 0; i < kept.size(); ++i)
-        if (resid[i] <= cutoff) survivors.push_back(kept[i]);
-      if (survivors.size() == kept.size() || survivors.size() < 6) break;
-      kept = std::move(survivors);
-      optimize_machine(kept, options, result);
+  const bool robust = options.outlier_mad_threshold > 0.0;
+  for (int round = 0; robust && round < 3 && fitted.size() >= 8; ++round) {
+    // Each observation's worst relative residual, from its kernel's
+    // model terms under the current fit.
+    cols.evaluate(result.machine);
+    std::vector<double> resid;
+    resid.reserve(fitted.size());
+    for (std::size_t i = 0; i < fitted.size(); ++i) {
+      const ObservationColumns::Kernel& k = cols.kernel(cols.kernel_of(i));
+      const double rt = std::abs(k.time / fitted[i].seconds - 1.0);
+      const double re = std::abs(k.energy / fitted[i].joules - 1.0);
+      resid.push_back(std::max(rt, re));
     }
-    result.observations = kept.size();
-    result.machine.validate("fit_observations(robust)");
-    result.r_squared_perf = r_squared_log_perf(result.machine, kept);
-    return result;
+    const double scale = std::max(stats::median(resid), 1e-6);
+    // Severe outliers can wreck the fit so badly that every residual
+    // inflates and the max/median ratio stays small; the 50% absolute
+    // ceiling catches that regime (legitimate residuals in this
+    // pipeline are percent-level), while the relative term and the 5%
+    // floor protect clean data.
+    const double cutoff = std::max(
+        std::min(options.outlier_mad_threshold * scale, 0.5), 0.05);
+    std::vector<microbench::Observation> survivors;
+    survivors.reserve(fitted.size());
+    for (std::size_t i = 0; i < fitted.size(); ++i)
+      if (resid[i] <= cutoff) survivors.push_back(fitted[i]);
+    if (survivors.size() == fitted.size() || survivors.size() < 6) break;
+    kept = std::move(survivors);
+    fitted = kept;
+    cols = ObservationColumns(fitted);
+    optimize_machine(fitted, cols, options, result);
   }
 
-  result.machine.validate("fit_observations");
-  result.r_squared_perf = r_squared_log_perf(result.machine, obs);
+  result.observations = fitted.size();
+  result.machine.validate(robust ? "fit_observations(robust)"
+                                 : "fit_observations");
+  cols.evaluate(result.machine);
+  result.r_squared_perf = r_squared_log_perf(fitted, cols);
   return result;
 }
 

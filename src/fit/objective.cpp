@@ -1,162 +1,84 @@
 #include "fit/objective.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "core/roofline.hpp"
 
 namespace archline::fit {
 
-namespace {
-
-// Two lanes of doubles. GCC and Clang lower these to SSE2 on x86-64 and
-// to the target's own vectors (or scalar pairs) elsewhere; every
-// operation is the IEEE one the scalar code performs, per lane.
-using f64x2 = double __attribute__((vector_size(16)));
-
-f64x2 load2(const double* p) noexcept {
-  f64x2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-void store2(double* p, f64x2 v) noexcept { std::memcpy(p, &v, sizeof v); }
-
-f64x2 splat(double x) noexcept { return f64x2{x, x}; }
-
-/// Per lane (r < b) ? b : r — the step std::max({...}) takes for each
-/// later argument, so the first maximum wins and a NaN behaves as there.
-f64x2 keep_max(f64x2 r, f64x2 b) noexcept {
-  auto take = r < b;  // all-ones lanes where b is taken
-  using Bits = decltype(take);
-  return reinterpret_cast<f64x2>((take & reinterpret_cast<Bits>(b)) |
-                                 (~take & reinterpret_cast<Bits>(r)));
-}
-
-bool same_bits(double a, double b) noexcept {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-}  // namespace
-
 ObservationColumns::ObservationColumns(
-    std::span<const microbench::Observation> obs)
-    : size_(obs.size()) {
-  const std::size_t padded = obs.size() + obs.size() % 2;
-  kernel_.reserve(padded);
-  seconds_.reserve(padded);
-  joules_.reserve(padded);
-  watts_.reserve(padded);
+    std::span<const microbench::Observation> obs) {
+  // Identical bits in give identical model terms out, so the repeats of
+  // a kernel share them wherever they sit in `obs`.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> index;
+  kernel_of_.reserve(obs.size());
   for (const microbench::Observation& o : obs) {
-    // Identical bits in give identical model terms out, so a repeat can
-    // reuse its kernel's.
-    if (flops_.empty() || !same_bits(o.kernel.flops, flops_.back()) ||
-        !same_bits(o.kernel.bytes, bytes_.back())) {
-      flops_.push_back(o.kernel.flops);
-      bytes_.push_back(o.kernel.bytes);
+    const auto [it, added] =
+        index.try_emplace({std::bit_cast<std::uint64_t>(o.kernel.flops),
+                           std::bit_cast<std::uint64_t>(o.kernel.bytes)},
+                          kernels_.size());
+    if (added) kernels_.push_back({o.kernel.flops, o.kernel.bytes, {}, 0, 0});
+    kernel_of_.push_back(it->second);
+    // Welford's update of each quantity's mean and spread of a = 1/y;
+    // until the end, root_count holds n and root_spread the spread.
+    const double a[3] = {1.0 / o.seconds, 1.0 / o.joules, 1.0 / o.watts};
+    for (std::size_t q = 0; q < 3; ++q) {
+      Moments& mo = kernels_[it->second].moments[q];
+      mo.root_count += 1.0;
+      const double d = a[q] - mo.mean;
+      mo.mean += d / mo.root_count;
+      mo.root_spread += d * (a[q] - mo.mean);
     }
-    kernel_.push_back(flops_.size() - 1);
-    seconds_.push_back(o.seconds);
-    joules_.push_back(o.joules);
-    watts_.push_back(o.watts);
   }
-  // Pad with copies so the odd lane computes ordinary values nobody reads.
-  if (kernel_.size() % 2 != 0) {
-    kernel_.push_back(kernel_.back());
-    seconds_.push_back(seconds_.back());
-    joules_.push_back(joules_.back());
-    watts_.push_back(watts_.back());
-  }
-  if (flops_.size() % 2 != 0) {
-    flops_.push_back(flops_.back());
-    bytes_.push_back(bytes_.back());
-  }
-  time_.resize(flops_.size());
-  energy_.resize(flops_.size());
-  power_.resize(flops_.size());
+  for (Kernel& k : kernels_)
+    for (Moments& mo : k.moments) {
+      mo.root_count = std::sqrt(mo.root_count);
+      mo.root_spread = std::sqrt(mo.root_spread);
+    }
 }
 
-/// Computes every kernel's model terms, then hands `visit` the residuals
-/// of observations i and i + 1 as lanes, for i = 0, 2, 4, ...
-template <typename Visit>
-void ObservationColumns::for_each_pair(const core::MachineParams& m,
-                                       Visit visit) {
-  const f64x2 tau_flop = splat(m.tau_flop);
-  const f64x2 tau_mem = splat(m.tau_mem);
-  const f64x2 eps_flop = splat(m.eps_flop);
-  const f64x2 eps_mem = splat(m.eps_mem);
-  const f64x2 pi1 = splat(m.pi1);
-  const f64x2 delta_pi = splat(m.delta_pi);
-  const bool capped = !m.uncapped();
-  for (std::size_t k = 0; k < flops_.size(); k += 2) {
-    const f64x2 w = load2(&flops_[k]);
-    const f64x2 q = load2(&bytes_[k]);
-    const f64x2 active = w * eps_flop + q * eps_mem;
-    const f64x2 t_cap = capped ? active / delta_pi : splat(0.0);
-    const f64x2 t = keep_max(keep_max(w * tau_flop, q * tau_mem), t_cap);
-    const f64x2 e = active + pi1 * t;
-    store2(&time_[k], t);
-    store2(&energy_[k], e);
-    store2(&power_[k], e / t);
+void ObservationColumns::evaluate(const core::MachineParams& m) {
+  for (Kernel& k : kernels_) {
+    k.time = core::time(m, {k.flops, k.bytes});
+    k.energy = k.flops * m.eps_flop + k.bytes * m.eps_mem + m.pi1 * k.time;
   }
-  const f64x2 one = splat(1.0);
-  for (std::size_t i = 0; i < kernel_.size(); i += 2) {
-    const std::size_t a = kernel_[i];
-    const std::size_t b = kernel_[i + 1];
-    visit(i, f64x2{time_[a], time_[b]} / load2(&seconds_[i]) - one,
-          f64x2{energy_[a], energy_[b]} / load2(&joules_[i]) - one,
-          f64x2{power_[a], power_[b]} / load2(&watts_[i]) - one);
+}
+
+/// Evaluates the model, then hands `visit` every row in row order.
+template <typename Visit>
+void ObservationColumns::for_each_row(const core::MachineParams& m,
+                                      Visit visit) {
+  evaluate(m);
+  for (const Kernel& k : kernels_) {
+    const double model[3] = {k.time, k.energy, k.energy / k.time};
+    for (std::size_t q = 0; q < 3; ++q) {
+      const Moments& mo = k.moments[q];
+      visit(mo.root_count * (model[q] * mo.mean - 1.0));
+      visit(model[q] * mo.root_spread);
+    }
   }
 }
 
 void ObservationColumns::residuals(const core::MachineParams& m,
                                    std::span<double> out) {
-  if (out.size() < 3 * size_)
+  if (out.size() < rows())
     throw std::invalid_argument("residuals: output span too short");
-  for_each_pair(m, [&](std::size_t i, f64x2 rt, f64x2 re, f64x2 rp) {
-    for (std::size_t lane = 0; lane < 2 && i + lane < size_; ++lane) {
-      double* r = &out[3 * (i + lane)];
-      r[0] = rt[lane];
-      r[1] = re[lane];
-      r[2] = rp[lane];
-    }
-  });
+  std::size_t i = 0;
+  for_each_row(m, [&](double r) { out[i++] = r; });
 }
 
 double ObservationColumns::sum_squared_residuals(
     const core::MachineParams& m) {
   double acc = 0.0;
-  for_each_pair(m, [&](std::size_t i, f64x2 rt, f64x2 re, f64x2 rp) {
-    const f64x2 st = rt * rt;
-    const f64x2 se = re * re;
-    const f64x2 sp = rp * rp;
-    acc += st[0];
-    acc += se[0];
-    acc += sp[0];
-    if (i + 1 < size_) {
-      acc += st[1];
-      acc += se[1];
-      acc += sp[1];
-    }
-  });
+  for_each_row(m, [&](double r) { acc += r * r; });
   return acc;
-}
-
-std::vector<double> time_energy_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs) {
-  std::vector<double> r(3 * obs.size());
-  ObservationColumns(obs).residuals(m, r);
-  return r;
-}
-
-double sum_squared_residuals(const core::MachineParams& m,
-                             std::span<const microbench::Observation> obs) {
-  return ObservationColumns(obs).sum_squared_residuals(m);
 }
 
 PredictionErrors prediction_errors(

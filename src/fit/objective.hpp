@@ -2,23 +2,32 @@
 // Residual functions connecting the roofline model to measured
 // observations.
 //
-// CONTRACT — bit identity. The residuals and their sum are the inner loop
-// of every fit (the capped fit evaluates them hundreds of times per
-// fit_machine), and the golden-reply corpus pins the fitted constants
-// of the `fit` endpoint to the last bit. The rules that keep them fixed:
+// CONTRACT — rows per kernel, in a fixed order. Every residual is
+// relative, m a - 1 with a = 1/y for a measured y and the model's m for
+// that observation's kernel, so the n observations of one kernel need
+// not be visited one by one: with a-bar the mean of their a and S =
+// sum (a - a-bar)^2, sum (m a - 1)^2 = n (m a-bar - 1)^2 + m^2 S. Each
+// kernel and quantity therefore gives two rows, sqrt(n) (m a-bar - 1)
+// and m sqrt(S), which give the same objective, J^T J and J^T r as the
+// n per-observation rows in exact arithmetic. The rules that keep the
+// rounding fixed (the golden-reply corpus pins the `fit` endpoint's
+// constants to the last bit):
 //
-//   * each observation's model time is core::time()'s expression,
-//     max({W tau_flop, Q tau_mem, (W eps_flop + Q eps_mem) / delta_pi})
-//     with std::max's choice (the first maximum under <, NaN included),
-//     and its energy is core::energy()'s, W eps_flop + Q eps_mem + pi1 t,
-//     in the same order; a kernel's repeats (adjacent observations with
-//     identical W and Q) share these terms, which is the same value;
-//   * residuals may be computed in SIMD lanes across observations —
-//     lanes run the same IEEE operations, with no FMA — but the sum adds
-//     r_t^2, r_e^2, r_p^2 per observation, in observation order, into
-//     one serial accumulator: the same sum as squaring
-//     time_energy_residuals() element by element. Reordering or splitting
-//     that sum changes the rounding and with it the golden `fit` bytes.
+//   * a kernel is the set of observations with the bits of (W, Q);
+//     repeats need not be adjacent, and kernels are numbered in the
+//     order of their first observation. Its moments are accumulated
+//     once, in observation order, with Welford's update (mean += d / n;
+//     S += d (a - mean)), never as sum a^2 - n a-bar^2;
+//   * a kernel's model time is core::time(), its energy core::energy()'s
+//     sum W eps_flop + Q eps_mem + pi1 T in that order, and its power
+//     E / T;
+//   * the rows of kernel k are, in this order, time sqrt(n) (m a-bar -
+//     1), time m sqrt(S), then the same two for energy and for power;
+//     kernels follow in order;
+//   * the sum adds each row's square in row order into one serial
+//     accumulator: the same sum as squaring residuals() element by
+//     element. Reordering or splitting that sum changes the rounding and
+//     with it the golden `fit` bytes.
 
 #include <span>
 #include <vector>
@@ -34,9 +43,10 @@ enum class ModelKind {
   Uncapped,  ///< prior model: T = max(W tau_flop, Q tau_mem)
 };
 
-/// Observations packed once per fit into contiguous columns — the form
-/// the objective reads. Time, energy and power residuals are relative,
-/// three per observation: (T/t - 1, E/e - 1, P/p - 1).
+/// Observations reduced once per fit to per-kernel moments — the form
+/// the objective reads. Time, energy and power residuals are relative:
+/// (T/t - 1, E/e - 1, P/p - 1) per observation, six rows per kernel (see
+/// the contract above).
 ///
 /// Power is E/T and thus analytically redundant, but including it weights
 /// the fit toward reproducing the power curve's *shape* — which is what
@@ -47,13 +57,49 @@ enum class ModelKind {
 /// Evaluation writes per-kernel scratch, so one object serves one thread.
 class ObservationColumns {
  public:
+  /// The measured quantities, in row order.
+  enum Quantity : std::size_t { kTime, kEnergy, kPower };
+
+  /// One kernel's moments of a = 1/y for one quantity.
+  struct Moments {
+    double root_count = 0.0;   ///< sqrt(n)
+    double mean = 0.0;         ///< mean of a
+    double root_spread = 0.0;  ///< sqrt(sum (a - mean)^2)
+  };
+
+  /// One kernel: the work its observations share, their moments per
+  /// Quantity, and the model terms of the last evaluation.
+  struct Kernel {
+    double flops = 0.0;
+    double bytes = 0.0;
+    Moments moments[3];
+    double time = 0.0;
+    double energy = 0.0;
+  };
+
   explicit ObservationColumns(std::span<const microbench::Observation> obs);
 
   /// Number of observations.
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return kernel_of_.size(); }
+  /// Number of kernels: distinct bits of (W, Q).
+  [[nodiscard]] std::size_t kernels() const noexcept { return kernels_.size(); }
+  /// Number of residual rows: six per kernel.
+  [[nodiscard]] std::size_t rows() const noexcept { return 6 * kernels(); }
+  /// Kernel k, numbered in order of first appearance.
+  [[nodiscard]] const Kernel& kernel(std::size_t k) const noexcept {
+    return kernels_[k];
+  }
+  /// The number of observation i's kernel.
+  [[nodiscard]] std::size_t kernel_of(std::size_t i) const noexcept {
+    return kernel_of_[i];
+  }
 
-  /// Writes the 3 * size() residuals, observation by observation, to
-  /// `out`, which must hold at least that many. Allocates nothing.
+  /// Sets every kernel's model time and energy at `m`: core::time() and
+  /// core::energy() bit for bit.
+  void evaluate(const core::MachineParams& m);
+
+  /// Writes the rows() residuals, kernel by kernel, to `out`, which must
+  /// hold at least that many. Allocates nothing.
   void residuals(const core::MachineParams& m, std::span<double> out);
 
   /// Sum of squared residuals — the fits' scalar objective. Allocates
@@ -62,33 +108,11 @@ class ObservationColumns {
 
  private:
   template <typename Visit>
-  void for_each_pair(const core::MachineParams& m, Visit visit);
+  void for_each_row(const core::MachineParams& m, Visit visit);
 
-  std::size_t size_ = 0;
-  // Per kernel (a run of adjacent observations with identical W and Q),
-  // padded to an even count: work, then the model terms of the last
-  // evaluation.
-  std::vector<double> flops_, bytes_, time_, energy_, power_;
-  // Per observation, padded to an even count.
-  std::vector<std::size_t> kernel_;
-  std::vector<double> seconds_, joules_, watts_;
+  std::vector<Kernel> kernels_;
+  std::vector<std::size_t> kernel_of_;  ///< per observation
 };
-
-/// time/energy/power residuals of `obs` (see ObservationColumns), one
-/// call at a time. No shipped code calls it; it stays as the test form:
-/// tests/test_objective.cpp's Residuals.* cases read the residual
-/// vector through it.
-[[nodiscard]] std::vector<double> time_energy_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs);
-
-/// Sum of squared time_energy_residuals. No shipped code calls it; it
-/// stays as the test form: tests/test_objective.cpp's
-/// ObservationColumns.* cases check it bit for bit against the test's
-/// spelled-out reference_sum, and Residuals.* compare fits through it.
-[[nodiscard]] double sum_squared_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs);
 
 /// Per-observation relative prediction errors (model - measured)/measured
 /// for the three quantities of interest — the raw material of Fig. 4.

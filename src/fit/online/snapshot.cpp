@@ -1,8 +1,10 @@
 #include "fit/online/snapshot.hpp"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <utility>
 
 #include "core/operating_point.hpp"
@@ -148,20 +150,28 @@ std::shared_ptr<const ParamSnapshot> OnlineStore::resolve(
   const RlsEstimate rls = filter.estimate();
   std::vector<microbench::Observation> obs;
   obs.reserve(window.size());
-  char label[64];
+  // measure_throughput() averages repeats of the same kernel label
+  // before taking the sustained-peak min. Streamed tuples carry no
+  // label, so derive one from the workload shape: repeats of the same
+  // (W, Q) de-noise each other while distinct workloads stay distinct
+  // — an unlabeled window would collapse into ONE averaged
+  // pseudo-kernel and turn tau into the sweep mean instead of the
+  // observed peak. A window repeats few shapes, so each shape's label
+  // is formatted once.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> labels;
   for (const Sample& s : window) {
     microbench::Observation o;
     o.kernel.flops = s.flops;
     o.kernel.bytes = s.bytes;
-    // measure_throughput() averages repeats of the same kernel label
-    // before taking the sustained-peak min. Streamed tuples carry no
-    // label, so derive one from the workload shape: repeats of the same
-    // (W, Q) de-noise each other while distinct workloads stay distinct
-    // — an unlabeled window would collapse into ONE averaged
-    // pseudo-kernel and turn tau into the sweep mean instead of the
-    // observed peak.
-    std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
-    o.kernel.label = label;
+    auto [it, added] = labels.try_emplace(
+        {std::bit_cast<std::uint64_t>(s.flops),
+         std::bit_cast<std::uint64_t>(s.bytes)});
+    if (added) {
+      char label[64];
+      std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
+      it->second = label;
+    }
+    o.kernel.label = it->second;
     o.seconds = s.seconds;
     o.joules = s.joules;
     o.watts = s.joules / s.seconds;

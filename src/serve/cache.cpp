@@ -89,6 +89,13 @@ std::optional<std::string> ShardedLruCache::get(std::string_view key) {
   return value;
 }
 
+void ShardedLruCache::count_miss() {
+  if (per_shard_capacity_ == 0) return;
+  Shard& shard = shards_.front();
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  ++shard.misses;
+}
+
 void ShardedLruCache::put(std::string_view key, std::string_view value_view,
                           std::uint8_t tag, std::uint64_t generation,
                           bool generation_scoped) {

@@ -72,6 +72,10 @@ class ShardedLruCache {
   /// Value-only convenience overload (tag discarded).
   [[nodiscard]] std::optional<std::string> get(std::string_view key);
 
+  /// Counts a miss without a lookup, for a key the caller knows is not
+  /// cached; like get(), a no-op on a disabled cache.
+  void count_miss();
+
   /// Inserts or refreshes key -> (value, tag), evicting the shard's LRU
   /// entry if that shard is full. `generation_scoped` marks the entry
   /// as valid only while `generation` stays current. The value is

@@ -11,7 +11,9 @@
 // the dead prefix is both large in absolute terms (>= kCompactBytes)
 // and at least half the allocation — so compaction cost is amortized
 // O(1) per byte ever appended, and memory is still reclaimed when a
-// buffer drains past the threshold.
+// buffer drains past the threshold. A buffer that drains fully with more
+// than one read chunk of capacity frees it: one long line does not pin
+// its peak allocation for the rest of the connection's life.
 //
 // Single-threaded by design, like the connection state it lives in.
 
@@ -29,6 +31,11 @@ class ConsumableBuffer {
   /// small enough that a drained multi-megabyte burst gives its pages
   /// back promptly.
   static constexpr std::size_t kCompactBytes = 4096;
+
+  /// One socket read (the TCP shard loop's recv size). A fully drained
+  /// buffer keeps at most this much capacity, so small-line traffic
+  /// reuses its allocation and a long line's is freed.
+  static constexpr std::size_t kReadChunkBytes = 65536;
 
   void append(const char* data, std::size_t n) { buf_.append(data, n); }
   void append(std::string_view s) { buf_.append(s); }
@@ -67,9 +74,7 @@ class ConsumableBuffer {
   void consume(std::size_t n) {
     off_ += n;
     if (off_ == buf_.size()) {
-      // Fully drained: reset the cursor, keep the capacity.
-      buf_.clear();
-      off_ = 0;
+      clear();
       return;
     }
     if (off_ >= kCompactBytes && off_ * 2 >= buf_.size()) {
@@ -78,9 +83,18 @@ class ConsumableBuffer {
     }
   }
 
+  /// Empties the buffer: keeps up to kReadChunkBytes of capacity, frees
+  /// a larger one.
   void clear() noexcept {
-    buf_.clear();
+    if (buf_.capacity() > kReadChunkBytes)
+      std::string().swap(buf_);
+    else
+      buf_.clear();
     off_ = 0;
+  }
+
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return buf_.capacity();
   }
 
  private:

@@ -98,9 +98,17 @@ Server::Inline Server::serve_inline(std::string_view line,
   // Hot path: a byte-identical request skips parsing entirely. The
   // endpoint id rides out-of-band as the entry's tag and the body is
   // copied exactly once, into reply.body's reused capacity.
+  // A line over the request limit gets "too_large", and only ok replies
+  // are cached: it skips the probe, and its hash of up to a megabyte,
+  // and counts as a miss.
   std::uint8_t tag = 0;
   Inline how = Inline::Hit;
-  if (cache.get(key, online_.generation(), reply.body, tag)) {
+  bool hit = false;
+  if (key.size() > options_.limits.max_request_bytes)
+    cache.count_miss();
+  else
+    hit = cache.get(key, online_.generation(), reply.body, tag);
+  if (hit) {
     finish(Registry::instance().by_id(tag), true, started);
   } else if (classify_line(key) == RequestClass::Heavy) {
     how = Inline::HeavyMiss;

@@ -186,7 +186,7 @@ class ShardLoop {
   }
 
   void handle_read(Sock& s) {
-    char chunk[65536];
+    char chunk[ConsumableBuffer::kReadChunkBytes];
     const ssize_t n = ops_.recv(s.fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)

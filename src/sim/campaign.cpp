@@ -31,14 +31,6 @@ constexpr int kPredictKeys = 64;
 constexpr int kBatchKeys = 16;
 constexpr int kObserveKeys = 12;
 
-/// Online-fit solver budget for refit traffic. The production defaults
-/// (4096-tuple window, 60 LM iterations) make every synchronous refit
-/// cost real milliseconds; a campaign with thousands of refits bounds
-/// the budget so the *code path* is exercised at a wall-clock cost that
-/// scales.
-constexpr std::size_t kOnlineWindowCapacity = 256;
-constexpr int kOnlineLmIterations = 10;
-
 [[nodiscard]] std::uint64_t to_ns(double seconds) noexcept {
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
@@ -224,8 +216,6 @@ struct Campaign::Impl {
     so.request_deadline_ms = options.request_deadline_ms;
     so.cache_capacity = options.cache_capacity;
     so.clock = &clock;
-    so.online.window_capacity = kOnlineWindowCapacity;
-    so.online.lm_iterations = kOnlineLmIterations;
     server = std::make_unique<serve::Server>(so);
     // The campaign's 0 means no cap; the core's cap is a hard one.
     const std::size_t cap = options.max_connections > 0

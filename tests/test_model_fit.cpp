@@ -302,7 +302,7 @@ UncappedSweep random_uncapped_sweep(archline::stats::Rng& rng) {
 double uncapped_objective(const co::MachineParams& m,
                           std::span<const mb::Observation> obs,
                           const ft::FitOptions& opt) {
-  double acc = ft::sum_squared_residuals(m, obs);
+  double acc = ft::ObservationColumns(obs).sum_squared_residuals(m);
   if (opt.idle_watts_hint > 0.0) {
     const double r = opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0);
     acc += r * r;
@@ -422,10 +422,10 @@ TEST(UncappedClosedForm, ConstantsOnTheirBoundAreReportedAsDblMin) {
   // Off the bound, the objective rises: the bound is the optimum.
   co::MachineParams off = r.machine;
   off.eps_flop = 1e-12;
-  EXPECT_GT(ft::sum_squared_residuals(off, obs), r.rss);
+  EXPECT_GT(ft::ObservationColumns(obs).sum_squared_residuals(off), r.rss);
   off = r.machine;
   off.eps_mem = 1e-12;
-  EXPECT_GT(ft::sum_squared_residuals(off, obs), r.rss);
+  EXPECT_GT(ft::ObservationColumns(obs).sum_squared_residuals(off), r.rss);
 }
 
 TEST(UncappedClosedForm, Pi1OnItsBoundIsZero) {
@@ -444,7 +444,7 @@ TEST(UncappedClosedForm, Pi1OnItsBoundIsZero) {
   EXPECT_GT(r.machine.eps_mem, 1e-30);
   co::MachineParams off = r.machine;
   off.pi1 = 1e-3;
-  EXPECT_GT(ft::sum_squared_residuals(off, obs), r.rss);
+  EXPECT_GT(ft::ObservationColumns(obs).sum_squared_residuals(off), r.rss);
 }
 
 TEST(UncappedClosedForm, FitRequestWithEpsOnItsBoundRepliesWithDblMin) {
@@ -467,7 +467,7 @@ TEST(UncappedClosedForm, FitRequestWithEpsOnItsBoundRepliesWithDblMin) {
             R"("eps_flop":2.2250738585072014e-308,"tau_mem":1.2e-10,)"
             R"("eps_mem":2.2250738585072014e-308,"pi1":2.4999999999999996,)"
             R"("delta_pi":null},"observations":8,)"
-            R"("rss":7.888609052210118e-31,"r_squared_perf":1,)"
+            R"("rss":4.930380657631324e-31,"r_squared_perf":1,)"
             R"("converged":true})");
 }
 

@@ -51,34 +51,66 @@ TEST(Residuals, ZeroAtGroundTruthWithoutNoise) {
     o.watts = o.joules / o.seconds;
     obs.push_back(o);
   }
-  const auto r = ft::time_energy_residuals(m, obs);
-  ASSERT_EQ(r.size(), 9u);
+  ft::ObservationColumns cols(obs);
+  std::vector<double> r(cols.rows());
+  cols.residuals(m, r);
+  ASSERT_EQ(r.size(), 18u);  // three kernels, six rows each
   for (const double v : r) EXPECT_NEAR(v, 0.0, 1e-12);
-  EXPECT_NEAR(ft::sum_squared_residuals(m, obs), 0.0, 1e-20);
+  EXPECT_NEAR(cols.sum_squared_residuals(m), 0.0, 1e-20);
 }
 
 TEST(Residuals, WrongParametersProduceSignal) {
   const mb::SuiteData data = titan_suite();
   co::MachineParams wrong = titan();
   wrong.eps_flop *= 2.0;
-  EXPECT_GT(ft::sum_squared_residuals(wrong, data.dram_sp),
-            10.0 * ft::sum_squared_residuals(titan(), data.dram_sp));
+  ft::ObservationColumns cols(data.dram_sp);
+  EXPECT_GT(cols.sum_squared_residuals(wrong),
+            10.0 * cols.sum_squared_residuals(titan()));
 }
 
-// ---- Column objective vs the per-observation expression ------------------
+// ---- Column objective vs its spelled-out forms ---------------------------
 
-/// The residuals as written per observation: core::time() and
-/// core::energy(), power as E/T.
+/// The moment rows as written out: kernels by a linear scan over the
+/// bits of (W, Q), Welford's update per quantity in observation order,
+/// then per kernel core::time() and core::energy(), power as E/T, and
+/// the rows sqrt(n) (m mean - 1) and m sqrt(S) for time, energy, power.
 std::vector<double> reference_residuals(
     const co::MachineParams& m, std::span<const mb::Observation> obs) {
-  std::vector<double> r;
+  struct Kernel {
+    co::Workload w;
+    double n = 0.0;
+    double mean[3] = {0.0, 0.0, 0.0};
+    double spread[3] = {0.0, 0.0, 0.0};
+  };
+  std::vector<Kernel> kernels;
   for (const mb::Observation& o : obs) {
     const co::Workload w = o.kernel.workload();
-    const double t = co::time(m, w);
-    const double e = co::energy(m, w);
-    r.push_back(t / o.seconds - 1.0);
-    r.push_back(e / o.joules - 1.0);
-    r.push_back((e / t) / o.watts - 1.0);
+    std::size_t k = 0;
+    while (k < kernels.size() &&
+           !(std::bit_cast<std::uint64_t>(kernels[k].w.flops) ==
+                 std::bit_cast<std::uint64_t>(w.flops) &&
+             std::bit_cast<std::uint64_t>(kernels[k].w.bytes) ==
+                 std::bit_cast<std::uint64_t>(w.bytes)))
+      ++k;
+    if (k == kernels.size()) kernels.push_back(Kernel{w});
+    Kernel& kernel = kernels[k];
+    kernel.n += 1.0;
+    const double a[3] = {1.0 / o.seconds, 1.0 / o.joules, 1.0 / o.watts};
+    for (int q = 0; q < 3; ++q) {
+      const double d = a[q] - kernel.mean[q];
+      kernel.mean[q] += d / kernel.n;
+      kernel.spread[q] += d * (a[q] - kernel.mean[q]);
+    }
+  }
+  std::vector<double> r;
+  for (const Kernel& kernel : kernels) {
+    const double t = co::time(m, kernel.w);
+    const double e = co::energy(m, kernel.w);
+    const double model[3] = {t, e, e / t};
+    for (int q = 0; q < 3; ++q) {
+      r.push_back(std::sqrt(kernel.n) * (model[q] * kernel.mean[q] - 1.0));
+      r.push_back(model[q] * std::sqrt(kernel.spread[q]));
+    }
   }
   return r;
 }
@@ -87,6 +119,22 @@ double reference_sum(const co::MachineParams& m,
                      std::span<const mb::Observation> obs) {
   double acc = 0.0;
   for (const double v : reference_residuals(m, obs)) acc += v * v;
+  return acc;
+}
+
+/// The objective as written per observation: (T/t - 1)^2 + (E/e - 1)^2
+/// + (P/p - 1)^2 summed over the observations.
+double per_observation_sum(const co::MachineParams& m,
+                           std::span<const mb::Observation> obs) {
+  double acc = 0.0;
+  for (const mb::Observation& o : obs) {
+    const co::Workload w = o.kernel.workload();
+    const double t = co::time(m, w);
+    const double e = co::energy(m, w);
+    for (const double r :
+         {t / o.seconds - 1.0, e / o.joules - 1.0, (e / t) / o.watts - 1.0})
+      acc += r * r;
+  }
   return acc;
 }
 
@@ -106,13 +154,18 @@ void expect_columns_match(const co::MachineParams& m,
   ft::ObservationColumns cols(obs);
   ASSERT_EQ(cols.size(), obs.size());
   const std::vector<double> want = reference_residuals(m, obs);
+  ASSERT_EQ(cols.rows(), want.size());
   std::vector<double> got(want.size());
   cols.residuals(m, got);
   for (std::size_t i = 0; i < want.size(); ++i)
-    EXPECT_TRUE(same_value(got[i], want[i])) << "residual " << i;
+    EXPECT_TRUE(same_value(got[i], want[i])) << "row " << i;
   EXPECT_TRUE(same_value(cols.sum_squared_residuals(m), reference_sum(m, obs)));
-  EXPECT_TRUE(same_value(ft::sum_squared_residuals(m, obs),
-                         reference_sum(m, obs)));
+  // The per-kernel model terms the trimming passes read.
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    const ft::ObservationColumns::Kernel& k = cols.kernel(cols.kernel_of(i));
+    EXPECT_TRUE(same_value(k.time, co::time(m, obs[i].kernel.workload())));
+    EXPECT_TRUE(same_value(k.energy, co::energy(m, obs[i].kernel.workload())));
+  }
 }
 
 /// A log-uniform machine around Titan's constants, `spread` decades wide.
@@ -131,14 +184,15 @@ co::MachineParams random_machine(archline::stats::Rng& rng, double spread) {
   return m;
 }
 
-/// Titan's suite with its repeats (runs of identical W and Q), plus an
-/// odd-length prefix so the padding lane is exercised.
+/// Titan's suite with its adjacent repeats, an odd-length prefix (so
+/// the padding lane and a single-sample kernel are exercised), one
+/// observation alone, and the suite interleaved so that no two
+/// neighbours share W and Q.
 std::vector<std::vector<mb::Observation>> objective_inputs() {
   const mb::SuiteData data = titan_suite();
   std::vector<std::vector<mb::Observation>> out{data.dram_sp};
   out.emplace_back(data.dram_sp.begin(), data.dram_sp.begin() + 5);
   out.emplace_back(data.dram_sp.begin(), data.dram_sp.begin() + 1);
-  // Interleaved kernels: no two neighbours share W and Q.
   std::vector<mb::Observation> mixed;
   for (std::size_t i = 0; i < data.dram_sp.size(); i += 2)
     mixed.push_back(data.dram_sp[i]);
@@ -148,7 +202,7 @@ std::vector<std::vector<mb::Observation>> objective_inputs() {
   return out;
 }
 
-TEST(ObservationColumns, MatchesPerObservationExpressionOverRandomMachines) {
+TEST(ObservationColumns, MatchesSpelledOutMomentRowsOverRandomMachines) {
   archline::stats::Rng rng(2024);
   for (const auto& obs : objective_inputs())
     for (int trial = 0; trial < 40; ++trial) {
@@ -158,6 +212,41 @@ TEST(ObservationColumns, MatchesPerObservationExpressionOverRandomMachines) {
       m.delta_pi = co::kUncapped;
       expect_columns_match(m, obs);
     }
+}
+
+TEST(ObservationColumns, AgreesWithThePerObservationSum) {
+  // n (m mean - 1)^2 + m^2 S = sum (m a - 1)^2 in exact arithmetic; in
+  // floating point the two differ by rounding only.
+  archline::stats::Rng rng(7);
+  for (const auto& obs : objective_inputs())
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE(trial);
+      co::MachineParams m = random_machine(rng, trial < 20 ? 0.05 : 1.5);
+      if (trial % 2 != 0) m.delta_pi = co::kUncapped;
+      const double want = per_observation_sum(m, obs);
+      ASSERT_GT(want, 0.0);
+      EXPECT_NEAR(ft::ObservationColumns(obs).sum_squared_residuals(m), want,
+                  1e-12 * want);
+    }
+}
+
+TEST(ObservationColumns, GroupsRepeatsWhereverTheySit) {
+  const std::vector<std::vector<mb::Observation>> inputs = objective_inputs();
+  const ft::ObservationColumns adjacent(inputs[0]);
+  const ft::ObservationColumns interleaved(inputs[3]);
+  const ft::ObservationColumns prefix(inputs[1]);
+  EXPECT_EQ(adjacent.kernels(), 6u);
+  EXPECT_EQ(interleaved.kernels(), 6u);
+  EXPECT_EQ(prefix.kernels(), 3u);  // two pairs and one single sample
+  EXPECT_EQ(
+      prefix.kernel(2).moments[ft::ObservationColumns::kEnergy].root_spread,
+      0.0);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(interleaved.kernel_of(i), i);
+    EXPECT_EQ(interleaved.kernel_of(i + 6), i);
+    EXPECT_EQ(adjacent.kernel_of(2 * i), i);
+    EXPECT_EQ(adjacent.kernel_of(2 * i + 1), i);
+  }
 }
 
 TEST(ObservationColumns, MatchesWhenTheCapBindsEverywhere) {
@@ -195,7 +284,7 @@ TEST(ObservationColumns, EmptyInputSumsToZero) {
 TEST(ObservationColumns, ShortOutputSpanThrows) {
   const mb::SuiteData data = titan_suite();
   ft::ObservationColumns cols(data.dram_sp);
-  std::vector<double> out(3 * data.dram_sp.size() - 1);
+  std::vector<double> out(cols.rows() - 1);
   EXPECT_THROW(cols.residuals(titan(), out), std::invalid_argument);
 }
 

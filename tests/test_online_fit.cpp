@@ -17,12 +17,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/roofline.hpp"
 #include "fit/linalg.hpp"
 #include "fit/model_fit.hpp"
 #include "fit/online/resolver.hpp"
 #include "fit/online/rls.hpp"
 #include "fit/online/snapshot.hpp"
 #include "microbench/suite.hpp"
+#include "platforms/platform_db.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -411,6 +413,46 @@ TEST(OnlineFit, StoreResolvePublishesBlendedSnapshot) {
   ASSERT_NE(snap2, nullptr);
   EXPECT_EQ(snap2->epoch, 2u);
   EXPECT_EQ(store.generation(), 2u);
+}
+
+// The re-solve reads per-kernel moments of the window, so the window's
+// order changes only their rounding: a shuffled window publishes the
+// same constants to 1e-9. The stream is GTX 680's capped model over 25
+// shapes with 1 % noise on time and energy; without forgetting, the
+// learner's sums do not depend on the order either.
+TEST(OnlineFit, PermutedWindowPublishesTheSameConstants) {
+  const core::MachineParams m = platforms::platform("GTX 680").machine();
+  stats::Rng rng(68, 3);
+  std::vector<Sample> stream;
+  for (int i = 0; i < 500; ++i) {
+    const core::Workload w =
+        core::Workload::from_intensity(1e9, std::exp2(-3.0 + 0.5 * (i % 25)));
+    stream.push_back({w.flops, w.bytes,
+                      core::time(m, w) * (1.0 + 0.01 * rng.normal()),
+                      core::energy(m, w) * (1.0 + 0.01 * rng.normal())});
+  }
+  std::vector<Sample> shuffled = stream;
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+
+  OnlineFitOptions opt;
+  opt.forgetting = 1.0;
+  const auto publish = [&](std::span<const Sample> window) {
+    OnlineStore store(opt);
+    store.observe("GTX 680", window);
+    return store.resolve("GTX 680");
+  };
+  const auto a = publish(stream);
+  const auto b = publish(shuffled);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_LT(a->machine.delta_pi, 0.99 * a->machine.max_power());  // binds
+  for (double core::MachineParams::*field :
+       {&core::MachineParams::tau_flop, &core::MachineParams::tau_mem,
+        &core::MachineParams::eps_flop, &core::MachineParams::eps_mem,
+        &core::MachineParams::pi1, &core::MachineParams::delta_pi})
+    EXPECT_LT(rel_err(b->machine.*field, a->machine.*field), 1e-9);
+  EXPECT_LT(rel_err(b->rss, a->rss), 1e-9);
 }
 
 TEST(OnlineFit, BackgroundResolverSweepsDirtyPlatforms) {

@@ -87,6 +87,34 @@ TEST(ConsumableBuffer, FullDrainResetsCursorAndKeepsNothingDead) {
   EXPECT_EQ(std::string(buf.data(), buf.size()), "world");
 }
 
+// A 1 MiB line arrives the way TCP reads it, in 64 KiB chunks, and is
+// consumed whole: the drained buffer frees that peak allocation instead
+// of holding it for the connection's life. A buffer that never grew
+// past one read chunk keeps its allocation across drains.
+TEST(ConsumableBuffer, FullDrainFreesCapacityAboveOneReadChunk) {
+  ConsumableBuffer buf;
+  const std::string chunk(ConsumableBuffer::kReadChunkBytes, 'x');
+  for (int i = 0; i < 16; ++i) buf.append(chunk);
+  buf.push_back('\n');
+  ASSERT_GT(buf.capacity(), std::size_t{1} << 20);
+  buf.consume(buf.size());
+  EXPECT_TRUE(buf.empty());
+  EXPECT_LE(buf.capacity(), ConsumableBuffer::kReadChunkBytes);
+
+  buf.append(chunk);
+  buf.append(std::string(ConsumableBuffer::kReadChunkBytes, 'y'));
+  buf.clear();
+  EXPECT_LE(buf.capacity(), ConsumableBuffer::kReadChunkBytes);
+
+  buf.append(std::string(1000, 'z'));
+  const std::size_t small = buf.capacity();
+  const char* storage = buf.data();
+  buf.consume(1000);
+  buf.append(std::string(1000, 'w'));
+  EXPECT_EQ(buf.capacity(), small);
+  EXPECT_EQ(buf.data(), storage);  // no reallocation
+}
+
 TEST(ConsumableBuffer, AdoptTakesOwnershipWhenEmptyAppendsOtherwise) {
   ConsumableBuffer buf;
   std::string body(1024, 'z');

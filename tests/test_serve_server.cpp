@@ -94,6 +94,27 @@ TEST(ServeServer, ErrorsAreNotCached) {
   EXPECT_EQ(snap.errors, 2u);
 }
 
+// A line past max_request_bytes is answered too_large without a cache
+// probe (no hash of the megabyte); it still counts as one miss per line,
+// so hits + misses stays the number of lines served.
+TEST(ServeServer, OversizedLineIsTooLargeAndCountsAsAMiss) {
+  Server server(small_options());
+  const std::string line(server.options().limits.max_request_bytes + 1, 'x');
+  ASSERT_GE(line.size(), std::size_t{1} << 20);
+  for (int i = 0; i < 2; ++i) {
+    const Json reply = Json::parse(server.handle_now(line));
+    EXPECT_FALSE(reply.bool_or("ok", true));
+    EXPECT_EQ(reply.string_or("error", ""), "too_large");
+  }
+  (void)server.handle_now(kPredict);
+  const auto cache = server.cache_stats();
+  EXPECT_EQ(cache.hits, 0u);
+  EXPECT_EQ(cache.misses, 3u);
+  EXPECT_EQ(cache.insertions, 1u);  // only the predict
+  EXPECT_EQ(cache.entries, 1u);
+  EXPECT_EQ(server.metrics().snapshot().errors, 2u);
+}
+
 TEST(ServeServer, StatsRequestReflectsLiveCounters) {
   Server server(small_options());
   (void)server.handle_now(kPredict);

@@ -311,7 +311,8 @@ TEST(ServeTcp, ShardCpusFollowTheAffinityMask) {
 
 TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {
   // One worker, 1 ms queue deadline on a SimClock. A large fit occupies
-  // the only worker; small fits queued behind it, interleaved with
+  // the only worker (2000 distinct kernels: a fit costs per kernel, not
+  // per observation); small fits queued behind it, interleaved with
   // predicts, wait while sim time moves 2 ms on. The fits must be
   // answered with the canned deadline error; the predicts never queue
   // (they run on the shard loop) and are answered normally — all of it
@@ -327,7 +328,7 @@ TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {
   for (int p = 0; p < 2000; ++p) {
     Json row = Json::object();
     row.set("flops", 1e9);
-    row.set("bytes", 1e9 / (1.0 + p % 37));
+    row.set("bytes", 1e9 / (1.0 + p % 37 + 1e-4 * p));
     row.set("seconds", 1e-3 * (1 + p % 11));
     row.set("joules", 1e-1 * (1 + p % 7));
     obs.push_back(std::move(row));

@@ -40,10 +40,6 @@ GC_FLAGS = "-Wl,--gc-sections"
 # (a regex matched at its start). Each entry says why.
 ORACLE = "test oracle"
 KNOWN = [
-    (r"archline::fit::time_energy_residuals\(",
-     ORACLE + ": test_objective's Residuals.* read residuals through it"),
-    (r"archline::fit::sum_squared_residuals\(archline::core::MachineParams",
-     ORACLE + ": test_objective checks it against its reference sum"),
     (r"archline::core::elasticity\(",
      ORACLE + ": test_kernels checks sensitivity_profile against it"),
     (r"archline::microbench::is_single_cycle\(",
